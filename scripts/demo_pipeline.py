@@ -27,7 +27,7 @@ def main() -> None:
     parser.add_argument("--feature-dim", type=int, default=16)
     args = parser.parse_args()
 
-    config = PipelineConfig(seed=args.seed)
+    config = PipelineConfig()
     doc = generate_proposals(
         clusters=args.clusters,
         per_cluster=args.per_cluster,
@@ -53,8 +53,7 @@ def main() -> None:
               f"|mean feature| = {np.linalg.norm(node.feature):.4f}")
 
     params = AttentionParams.initialize(
-        features.shape[1], head_count=config.head_count,
-        output_dim=features.shape[1], seed=config.seed,
+        features.shape[1], head_count=1, output_dim=features.shape[1], seed=args.seed,
     )
     result = forward(boxes, features, params, config)
     drift = np.abs(result.features - features)

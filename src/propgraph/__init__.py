@@ -14,7 +14,6 @@ from .attention import (
     attendable_mask,
     attention_gradients,
     attention_weights,
-    finite_difference_gradients,
     multi_head_attend,
     similarity_scores,
 )
@@ -30,13 +29,13 @@ from .graph import (
     graph_from_edges,
 )
 from .io import ProposalDocument, load_proposals, save_proposals
+from .oracles import brute_force_ncut, finite_difference_gradients
 from .pipeline import PipelineDiagnostics, RefinedProposals, forward, identical_normalize
 from .pooling import CoarseNode, PseudoLabeling, augment_with_coarse, gcpool, pool_part
 from .spectral import (
     CutReport,
     Partition,
     assoc,
-    brute_force_ncut,
     fiedler_vector,
     ncut_value,
     normalized_laplacian,

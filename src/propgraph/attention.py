@@ -314,53 +314,3 @@ def attention_gradients(
         score_bias=grad_score_bias,
         output_projection=grad_projection,
     )
-
-
-def finite_difference_gradients(
-    features: np.ndarray,
-    params: AttentionParams,
-    g: ProposalGraph,
-    upstream: np.ndarray,
-    step: float = 1e-5,
-    dense_attention: bool = False,
-    iou_bias: bool = False,
-) -> AttentionGradients:
-    """Central-difference gradients of the same scalar; verification oracle."""
-    feats = np.asarray(features, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-
-    def objective(f: np.ndarray, w: np.ndarray, b: np.ndarray, proj: Optional[np.ndarray]) -> float:
-        p = AttentionParams(score_weights=w, score_bias=b, output_projection=proj)
-        out = multi_head_attend(f, p, g, dense_attention=dense_attention, iou_bias=iou_bias)
-        return float(np.sum(upstream * out))
-
-    def central(arrays: tuple, which: int) -> np.ndarray:
-        base = arrays[which]
-        grad = np.zeros_like(base)
-        flat = grad.reshape(-1)
-        base_flat = base.reshape(-1)
-        for k in range(base_flat.size):
-            saved = base_flat[k]
-            base_flat[k] = saved + step
-            plus = objective(*arrays)
-            base_flat[k] = saved - step
-            minus = objective(*arrays)
-            base_flat[k] = saved
-            flat[k] = (plus - minus) / (2.0 * step)
-        return grad
-
-    w = params.score_weights.copy()
-    b = params.score_bias.copy()
-    proj = params.output_projection.copy() if params.output_projection is not None else None
-    f = feats.copy()
-    arrays = (f, w, b, proj)
-    grad_features = central(arrays, 0)
-    grad_weights = central(arrays, 1)
-    grad_bias = central(arrays, 2)
-    grad_projection = central(arrays, 3) if proj is not None else None
-    return AttentionGradients(
-        features=grad_features,
-        score_weights=grad_weights,
-        score_bias=grad_bias,
-        output_projection=grad_projection,
-    )

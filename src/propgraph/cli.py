@@ -20,6 +20,7 @@ output file print their result document instead.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from typing import Optional, Sequence
@@ -27,18 +28,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import io as pio
-from .attention import (
-    AttentionParams,
-    attention_gradients,
-    finite_difference_gradients,
-    multi_head_attend,
-)
+from .attention import AttentionParams, attention_gradients, multi_head_attend
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
-from .graph import build_graph, connected_components, filter_components, graph_from_edges
+from .graph import build_graph, connected_components, filter_components
+from .oracles import (
+    bridged_cliques,
+    brute_force_ncut,
+    edge_enumeration_ncut,
+    finite_difference_gradients,
+    max_relative_error,
+    random_connected_graph,
+)
 from .pipeline import forward
 from .pooling import gcpool
-from .spectral import brute_force_ncut, ncut_value, recursive_ncut, two_way_ncut, Partition
+from .spectral import Partition, ncut_value, recursive_ncut, two_way_ncut
 from .synthetic import generate_proposals
 
 
@@ -86,21 +90,11 @@ def _report(command: str, config: Optional[PipelineConfig], counts: dict,
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config = pio.load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     overrides = {}
-    for flag, name in (
-        ("iou_thr", "iou_thr"),
-        ("min_size", "min_size"),
-        ("stop_ncut", "stop_ncut"),
-        ("lambda_", "lambda_"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
+    for name in ("iou_thr", "min_size", "stop_ncut", "lambda_"):
+        value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if overrides:
-        merged = config.to_dict()
-        merged.update({("lambda" if k == "lambda_" else k): v for k, v in overrides.items()})
-        config = PipelineConfig.from_dict(merged)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def build_parser() -> _Parser:
@@ -148,7 +142,6 @@ def build_parser() -> _Parser:
     forward_cmd.add_argument("--min-size", type=int, default=None, dest="min_size")
     forward_cmd.add_argument("--stop-ncut", type=float, default=None, dest="stop_ncut")
     forward_cmd.add_argument("--lambda", type=float, default=None, dest="lambda_")
-    forward_cmd.add_argument("--seed", type=int, default=None, dest="seed")
 
     oracle = commands.add_parser("oracle", help="randomized self-checks")
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
@@ -322,43 +315,15 @@ def _cmd_forward(args) -> int:
     return 0
 
 
-def _random_connected_graph(rng: np.random.Generator, n: int):
-    """Random spanning tree plus extra edges, weights in (0.05, 1]."""
-    edges = {}
-    for node in range(1, n):
-        parent = int(rng.integers(0, node))
-        edges[(parent, node)] = float(rng.uniform(0.05, 1.0))
-    extra = int(rng.integers(0, n))
-    for _ in range(extra):
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        if i == j:
-            continue
-        edges[(min(i, j), max(i, j))] = float(rng.uniform(0.05, 1.0))
-    return graph_from_edges(n, [(i, j, w) for (i, j), w in edges.items()])
-
-
-def _bridged_cliques(rng: np.random.Generator):
-    """Two unit-weight k-cliques joined by one light bridge."""
-    k = int(rng.choice([3, 4, 5]))
-    bridge = float(rng.uniform(0.01, 0.2))
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            edges.append((i, j, 1.0))
-            edges.append((k + i, k + j, 1.0))
-    edges.append((0, k, bridge))
-    expected = np.array([0] * k + [1] * k, dtype=np.int64)
-    return graph_from_edges(2 * k, edges), expected
-
-
 def _cmd_oracle_ncut(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst_gap = 0.0
     worst_eval = 0.0
     failures = 0
     for _ in range(args.trials):
-        g, expected = _bridged_cliques(rng)
+        k = int(rng.choice([3, 4, 5]))
+        g = bridged_cliques(k, float(rng.uniform(0.01, 0.2)))
+        expected = np.array([0] * k + [1] * k, dtype=np.int64)
         partition, report = two_way_ncut(g)
         oracle_partition, oracle_report = brute_force_ncut(g)
         gap = abs(report.ncut_value - oracle_report.ncut_value)
@@ -368,7 +333,7 @@ def _cmd_oracle_ncut(args) -> int:
             failures += 1
     for _ in range(args.trials):
         n = int(rng.integers(2, max(args.max_n, 2) + 1))
-        g = _random_connected_graph(rng, n)
+        g = random_connected_graph(rng, n)
         labels = rng.integers(0, 2, size=n)
         labels[int(rng.integers(0, n))] = 0
         labels[int(rng.integers(0, n))] = 1
@@ -376,16 +341,7 @@ def _cmd_oracle_ncut(args) -> int:
             continue
         partition = Partition(labels=np.where(labels == labels[0], 0, 1), set_count=2)
         report = ncut_value(g, partition)
-        # Independent recomputation straight off the edge list.
-        cut = 0.0
-        degree_sum = [0.0, 0.0]
-        for (i, j), w in zip(g.edge_index, g.edge_weight):
-            li, lj = int(partition.labels[i]), int(partition.labels[j])
-            degree_sum[li] += float(w)
-            degree_sum[lj] += float(w)
-            if li != lj:
-                cut += float(w)
-        direct = cut / degree_sum[0] + cut / degree_sum[1]
+        direct = edge_enumeration_ncut(g, partition)
         gap = abs(report.ncut_value - direct)
         worst_eval = max(worst_eval, gap)
         if gap > 1e-12:
@@ -407,8 +363,7 @@ def _cmd_oracle_grad(args) -> int:
         m = int(rng.integers(2, 9))
         d = int(rng.integers(2, 7))
         heads = int(rng.choice([1, 2, 4]))
-        g = _random_connected_graph(rng, m)
-        g = graph_from_edges(m, g.edges(), features=rng.normal(size=(m, d)))
+        g = random_connected_graph(rng, m, features=d)
         out_dim = int(rng.integers(2, 7)) if trial % 2 == 0 else None
         params = AttentionParams.initialize(
             d, head_count=heads, output_dim=out_dim, seed=int(rng.integers(0, 2**31))
@@ -416,16 +371,7 @@ def _cmd_oracle_grad(args) -> int:
         upstream = rng.normal(size=(m, params.output_dim))
         analytic = attention_gradients(g.features, params, g, upstream)
         numeric = finite_difference_gradients(g.features, params, g, upstream)
-        for a, n in (
-            (analytic.features, numeric.features),
-            (analytic.score_weights, numeric.score_weights),
-            (analytic.score_bias, numeric.score_bias),
-            (analytic.output_projection, numeric.output_projection),
-        ):
-            if a is None:
-                continue
-            denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+        worst = max(worst, max_relative_error(analytic, numeric))
     if worst >= 1e-5:
         failures += 1
     _emit({"trials": args.trials, "failures": failures, "max_relative_error": worst})

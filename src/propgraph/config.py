@@ -1,9 +1,9 @@
 """Pipeline configuration.
 
 One frozen dataclass carries every knob: graph construction threshold,
-pooling sizes, residual mixing, normalization mode, attention flags, the
-seed, and the eigensolver budget. JSON configs mirror the field names
-(``lambda_`` is spelled ``lambda`` on disk).
+pooling sizes, residual mixing, normalization mode, attention flags, and
+the eigensolver budget. JSON configs mirror the field names (``lambda_`` is
+spelled ``lambda`` on disk); unknown fields are rejected.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ class PipelineConfig:
     min_part: int = 1
     lambda_: float = 1.0
     epsilon: float = 1e-8
-    head_count: int = 1
     norm_mode: str = "moment_match"
     dense_attention: bool = False
     iou_bias: bool = False
     per_channel: bool = False
-    seed: int = 0
     eig_tol: float = 1e-10
     eig_max_sweeps: int = 100
 
@@ -46,8 +44,6 @@ class PipelineConfig:
             raise InputError(f"lambda must be finite and >= 0, got {self.lambda_}")
         if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
             raise InputError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.head_count < 1:
-            raise InputError(f"head_count must be >= 1, got {self.head_count}")
         if self.norm_mode not in NORM_MODES:
             raise InputError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
         if self.eig_tol <= 0.0 or self.eig_max_sweeps < 1:

@@ -1,0 +1,175 @@
+"""Verification oracles and the seeded graph generators that feed them.
+
+Each oracle reaches what the forward path computes by another route:
+exhaustive search, edge-by-edge enumeration, or central finite differences. The ``oracle`` CLI commands and the test suite
+both use this module; no forward-path module imports it.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from .attention import AttentionGradients, AttentionParams, multi_head_attend
+from .errors import InputError
+from .graph import ProposalGraph, graph_from_edges
+from .spectral import CutReport, Partition, ncut_value
+
+_BRUTE_FORCE_MAX_NODES = 15
+
+
+def random_connected_graph(rng: np.random.Generator, n: int, features: int = 0) -> ProposalGraph:
+    """Random spanning tree plus extra edges; weights in (0.05, 1].
+
+    With ``features`` > 0 the node features are standard normal draws taken
+    after the edges, so the edge structure does not depend on ``features``.
+    """
+    edges = {}
+    for node in range(1, n):
+        parent = int(rng.integers(0, node))
+        edges[(parent, node)] = float(rng.uniform(0.05, 1.0))
+    for _ in range(int(rng.integers(0, n))):
+        i = int(rng.integers(0, n))
+        j = int(rng.integers(0, n))
+        if i != j:
+            edges[(min(i, j), max(i, j))] = float(rng.uniform(0.05, 1.0))
+    feats = rng.normal(size=(n, features)) if features else None
+    return graph_from_edges(n, [(i, j, w) for (i, j), w in edges.items()], features=feats)
+
+
+def bridged_cliques(k: int, bridge_weight: float) -> ProposalGraph:
+    """Two unit-weight k-cliques (nodes 0..k-1 and k..2k-1) joined by the edge (0, k)."""
+    edges = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            edges.append((i, j, 1.0))
+            edges.append((k + i, k + j, 1.0))
+    edges.append((0, k, bridge_weight))
+    return graph_from_edges(2 * k, edges)
+
+
+def brute_force_ncut(g: ProposalGraph) -> tuple[Partition, CutReport]:
+    """Exhaustive global optimum over all nontrivial bipartitions.
+
+    Enumerates the 2^(M-1) - 1 bipartitions, so M is capped at 15. Ties
+    break lexicographically on the canonical label vector.
+    """
+    m = g.num_nodes
+    if m < 2:
+        raise InputError("brute force needs at least 2 nodes")
+    if m > _BRUTE_FORCE_MAX_NODES:
+        raise InputError(f"brute force capped at {_BRUTE_FORCE_MAX_NODES} nodes, got {m}")
+    w = g.adjacency()
+    degrees = w.sum(axis=1)
+    best_key: tuple[float, tuple[int, ...]] | None = None
+    best_labels: np.ndarray | None = None
+    # Node 0 stays in set 0; every mask chooses the membership of nodes 1..M-1.
+    for mask in range(1, 1 << (m - 1)):
+        labels = np.zeros(m, dtype=np.int64)
+        for bit in range(m - 1):
+            if mask >> bit & 1:
+                labels[bit + 1] = 1
+        inside = labels == 0
+        assoc_a = float(degrees[inside].sum())
+        assoc_b = float(degrees[~inside].sum())
+        if assoc_a == 0.0 or assoc_b == 0.0:
+            continue  # undefined objective: a side with no connections at all
+        cut = float(w[np.ix_(inside, ~inside)].sum())
+        value = cut / assoc_a + cut / assoc_b
+        key = (value, tuple(int(x) for x in labels))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_labels = labels
+    if best_labels is None:
+        raise InputError("no bipartition with positive association on both sides")
+    partition = Partition(labels=best_labels, set_count=2)
+    return partition, ncut_value(g, partition)
+
+
+def edge_enumeration_ncut(g: ProposalGraph, partition: Partition) -> float:
+    """The partition objective summed edge by edge, with no adjacency matrix.
+
+    Each edge adds its weight to the association of both endpoint sets and,
+    when it crosses sets, to the cut of both. Every set needs a positive
+    association.
+    """
+    cut = [0.0] * partition.set_count
+    assoc = [0.0] * partition.set_count
+    for (i, j), w in zip(g.edge_index, g.edge_weight):
+        li, lj = int(partition.labels[i]), int(partition.labels[j])
+        assoc[li] += float(w)
+        assoc[lj] += float(w)
+        if li != lj:
+            cut[li] += float(w)
+            cut[lj] += float(w)
+    return sum(c / a for c, a in zip(cut, assoc))
+
+
+def finite_difference_gradients(
+    features: np.ndarray,
+    params: AttentionParams,
+    g: ProposalGraph,
+    upstream: np.ndarray,
+    step: float = 1e-5,
+    dense_attention: bool = False,
+    iou_bias: bool = False,
+) -> AttentionGradients:
+    """Central-difference gradients of <upstream, multi_head_attend(...)>."""
+    feats = np.asarray(features, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+
+    def objective(f: np.ndarray, w: np.ndarray, b: np.ndarray, proj: Optional[np.ndarray]) -> float:
+        p = AttentionParams(score_weights=w, score_bias=b, output_projection=proj)
+        out = multi_head_attend(f, p, g, dense_attention=dense_attention, iou_bias=iou_bias)
+        return float(np.sum(upstream * out))
+
+    def central(arrays: tuple, which: int) -> np.ndarray:
+        base = arrays[which]
+        grad = np.zeros_like(base)
+        flat = grad.reshape(-1)
+        base_flat = base.reshape(-1)
+        for k in range(base_flat.size):
+            saved = base_flat[k]
+            base_flat[k] = saved + step
+            plus = objective(*arrays)
+            base_flat[k] = saved - step
+            minus = objective(*arrays)
+            base_flat[k] = saved
+            flat[k] = (plus - minus) / (2.0 * step)
+        return grad
+
+    w = params.score_weights.copy()
+    b = params.score_bias.copy()
+    proj = params.output_projection.copy() if params.output_projection is not None else None
+    f = feats.copy()
+    arrays = (f, w, b, proj)
+    grad_features = central(arrays, 0)
+    grad_weights = central(arrays, 1)
+    grad_bias = central(arrays, 2)
+    grad_projection = central(arrays, 3) if proj is not None else None
+    return AttentionGradients(
+        features=grad_features,
+        score_weights=grad_weights,
+        score_bias=grad_bias,
+        output_projection=grad_projection,
+    )
+
+
+def max_relative_error(analytic: AttentionGradients, numeric: AttentionGradients) -> float:
+    """Largest |a - n| / max(1, |a|, |n|) over every gradient entry.
+
+    The output projection is compared only when ``analytic`` carries one.
+    """
+    worst = 0.0
+    for a, n in (
+        (analytic.features, numeric.features),
+        (analytic.score_weights, numeric.score_weights),
+        (analytic.score_bias, numeric.score_bias),
+        (analytic.output_projection, numeric.output_projection),
+    ):
+        if a is None:
+            continue
+        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
+        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+    return worst

@@ -121,8 +121,10 @@ def augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> Propo
     extra_edges: list[tuple[int, int, float]] = []
     next_id = int(g.node_ids.max()) + 1 if m > 0 else 0
     new_ids = []
-    for k, node in enumerate(coarse):
-        member_idx = g.index_of(node.member_ids)
+    # One id lookup for all parts, split back into per-part index arrays.
+    all_members = g.index_of([nid for node in coarse for nid in node.member_ids])
+    part_ends = np.cumsum([len(node.member_ids) for node in coarse])[:-1]
+    for k, (node, member_idx) in enumerate(zip(coarse, np.split(all_members, part_ends))):
         feature = np.asarray(node.feature, dtype=np.float64)
         if feature.shape != (g.feature_dim,):
             raise InputError("coarse feature dimension does not match the graph")

@@ -29,7 +29,6 @@ from .graph import ProposalGraph, connected_components
 DEFAULT_EIG_TOL = 1e-10
 DEFAULT_EIG_MAX_SWEEPS = 100
 _RESIDUAL_TOL = 1e-9
-_BRUTE_FORCE_MAX_NODES = 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,42 +356,3 @@ def recursive_ncut(
     for label, members in enumerate(parts):
         labels[members] = label
     return Partition(labels=labels, set_count=len(parts))
-
-
-def brute_force_ncut(g: ProposalGraph) -> tuple[Partition, CutReport]:
-    """Exhaustive global optimum over all nontrivial bipartitions.
-
-    Verification oracle for small graphs: enumerates the 2^(M-1) - 1
-    bipartitions, so M is capped at 15. Ties break lexicographically on the
-    canonical label vector.
-    """
-    m = g.num_nodes
-    if m < 2:
-        raise InputError("brute force needs at least 2 nodes")
-    if m > _BRUTE_FORCE_MAX_NODES:
-        raise InputError(f"brute force capped at {_BRUTE_FORCE_MAX_NODES} nodes, got {m}")
-    w = g.adjacency()
-    degrees = w.sum(axis=1)
-    best_key: tuple[float, tuple[int, ...]] | None = None
-    best_labels: np.ndarray | None = None
-    # Node 0 stays in set 0; every mask chooses the membership of nodes 1..M-1.
-    for mask in range(1, 1 << (m - 1)):
-        labels = np.zeros(m, dtype=np.int64)
-        for bit in range(m - 1):
-            if mask >> bit & 1:
-                labels[bit + 1] = 1
-        inside = labels == 0
-        assoc_a = float(degrees[inside].sum())
-        assoc_b = float(degrees[~inside].sum())
-        if assoc_a == 0.0 or assoc_b == 0.0:
-            continue  # undefined objective: a side with no connections at all
-        cut = float(w[np.ix_(inside, ~inside)].sum())
-        value = cut / assoc_a + cut / assoc_b
-        key = (value, tuple(int(x) for x in labels))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_labels = labels
-    if best_labels is None:
-        raise InputError("no bipartition with positive association on both sides")
-    partition = Partition(labels=best_labels, set_count=2)
-    return partition, ncut_value(g, partition)

@@ -1,13 +1,26 @@
-"""Shared strategies and oracle helpers for the test suite."""
+"""Test-only strategies, geometry oracles and the CLI subprocess helper.
+
+The graph generators and the ncut/gradient oracles live in
+``propgraph.oracles``, shared with the ``oracle`` CLI commands.
+"""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from propgraph import BoundingBox, graph_from_edges
+import propgraph
+from propgraph import BoundingBox
+
+# Directory holding the ``propgraph`` package, so a subprocess started in
+# any working directory imports the same code as the test process.
+PACKAGE_ROOT = str(Path(propgraph.__file__).resolve().parent.parent)
 
 # Coordinates on a dyadic grid: sums and differences of grid points are
 # exact in binary floating point, which lets invariance properties assert
@@ -54,27 +67,12 @@ def grid_area_iou(a: BoundingBox, b: BoundingBox, resolution: int = 2000) -> flo
     return np.count_nonzero(in_a & in_b) / union
 
 
-def random_connected_graph(rng: np.random.Generator, n: int, features: int = 0):
-    """Random spanning tree plus extra edges; weights in (0.05, 1]."""
-    edges = {}
-    for node in range(1, n):
-        parent = int(rng.integers(0, node))
-        edges[(parent, node)] = float(rng.uniform(0.05, 1.0))
-    for _ in range(int(rng.integers(0, n))):
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        if i != j:
-            edges[(min(i, j), max(i, j))] = float(rng.uniform(0.05, 1.0))
-    feats = rng.normal(size=(n, features)) if features else None
-    return graph_from_edges(n, [(i, j, w) for (i, j), w in edges.items()], features=feats)
-
-
-def bridged_cliques(k: int, bridge_weight: float):
-    """Two unit-weight k-cliques joined by one bridge of the given weight."""
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            edges.append((i, j, 1.0))
-            edges.append((k + i, k + j, 1.0))
-    edges.append((0, k, bridge_weight))
-    return graph_from_edges(2 * k, edges)
+def run_cli(argv, cwd, env_extra=None) -> subprocess.CompletedProcess:
+    """Run ``python -m propgraph`` in a subprocess with text output captured."""
+    env = dict(os.environ)
+    env.update(env_extra or {})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "propgraph", *argv],
+        capture_output=True, text=True, cwd=cwd, env=env,
+    )

@@ -7,8 +7,6 @@ module finishes in well under a minute.
 """
 
 import json
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -36,9 +34,15 @@ from propgraph import (
 )
 from propgraph.attention import multi_head_attend
 from propgraph.io import save_params, save_proposals
+from propgraph.oracles import (
+    bridged_cliques,
+    edge_enumeration_ncut,
+    max_relative_error,
+    random_connected_graph,
+)
 from propgraph.spectral import Partition
 
-from conftest import bridged_cliques, random_connected_graph
+from conftest import run_cli
 
 
 @contextmanager
@@ -78,16 +82,7 @@ def test_criterion_2_ncut_evaluation_correctness():
                 continue
             partition = Partition(labels=np.where(labels == labels[0], 0, 1), set_count=2)
             report = ncut_value(g, partition)
-            cut = 0.0
-            assoc = [0.0, 0.0]
-            for (i, j), w in zip(g.edge_index, g.edge_weight):
-                li, lj = int(partition.labels[i]), int(partition.labels[j])
-                assoc[li] += float(w)
-                assoc[lj] += float(w)
-                if li != lj:
-                    cut += float(w)
-            direct = cut / assoc[0] + cut / assoc[1]
-            assert abs(report.ncut_value - direct) <= 1e-12
+            assert abs(report.ncut_value - edge_enumeration_ncut(g, partition)) <= 1e-12
             checked += 1
         # the path-of-4 optimum is exactly 2/3, by both routes
         path4 = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
@@ -160,16 +155,7 @@ def test_criterion_5_gradient_check():
             upstream = rng.normal(size=(m, params.output_dim))
             analytic = attention_gradients(g.features, params, g, upstream)
             numeric = finite_difference_gradients(g.features, params, g, upstream, step=1e-5)
-            for a, n in (
-                (analytic.features, numeric.features),
-                (analytic.score_weights, numeric.score_weights),
-                (analytic.score_bias, numeric.score_bias),
-                (analytic.output_projection, numeric.output_projection),
-            ):
-                if a is None:
-                    continue
-                denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-                worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+            worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-5, f"worst relative gradient error {worst:.3e}"
 
 
@@ -213,26 +199,15 @@ def test_criterion_7_gcpool_structural_recovery():
         assert successes >= 95, f"only {successes}/100 scenes recovered"
 
 
-def _run_cli(argv, cwd, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-m", "propgraph", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
-
-
 def test_criterion_8_forward_determinism(tmp_path):
     with criterion(8, "forward output files are byte-identical across reruns and thread counts"):
-        proc = _run_cli(
+        proc = run_cli(
             ["gen", "--clusters", "25", "--per-cluster", "20", "--seed", "42",
              "--feature-dim", "16", "--output", "scene.json"],
             cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        proc = _run_cli(
+        proc = run_cli(
             ["params", "init", "--feature-dim", "16", "--heads", "1", "--out-dim", "16",
              "--seed", "0", "--output", "params.json"],
             cwd=tmp_path,
@@ -241,7 +216,7 @@ def test_criterion_8_forward_determinism(tmp_path):
         (tmp_path / "config.json").write_text("{}")
         outputs = []
         for name, threads in (("a.json", "1"), ("b.json", "4"), ("c.json", "2")):
-            proc = _run_cli(
+            proc = run_cli(
                 ["forward", "--input", "scene.json", "--params", "params.json",
                  "--config", "config.json", "--output", name],
                 cwd=tmp_path,
@@ -274,7 +249,7 @@ def test_criterion_9_throughput(tmp_path):
         save_proposals(doc, str(tmp_path / "scene.json"))
         save_params(params, str(tmp_path / "params.json"))
         (tmp_path / "config.json").write_text("{}")
-        proc = _run_cli(
+        proc = run_cli(
             ["forward", "--input", "scene.json", "--params", "params.json",
              "--config", "config.json", "--output", "refined.json"],
             cwd=tmp_path,

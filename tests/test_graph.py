@@ -12,8 +12,9 @@ from propgraph import (
     graph_from_edges,
     iou,
 )
+from propgraph.oracles import random_connected_graph
 
-from conftest import dyadic_boxes, random_connected_graph
+from conftest import dyadic_boxes
 
 
 def _zero_features(n):

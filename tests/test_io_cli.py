@@ -1,12 +1,20 @@
+import dataclasses
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from propgraph import InputError, PipelineConfig, build_graph, graph_from_edges
+from propgraph import (
+    InputError,
+    Partition,
+    PipelineConfig,
+    attention_gradients,
+    build_graph,
+    graph_from_edges,
+    two_way_ncut,
+)
+from propgraph import cli
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
@@ -20,14 +28,7 @@ from propgraph.io import (
 )
 from propgraph.synthetic import generate_proposals
 
-
-def run_cli(argv, cwd):
-    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "propgraph", *argv],
-        capture_output=True, text=True, cwd=cwd,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+from conftest import run_cli
 
 
 class TestCanonicalJson:
@@ -143,6 +144,11 @@ class TestConfigFiles:
         config = PipelineConfig(lambda_=2.0, dense_attention=True)
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("field", ["seed", "head_count"])
+    def test_removed_fields_rejected(self, field):
+        with pytest.raises(InputError, match=field):
+            PipelineConfig.from_dict({field: 0})
+
 
 class TestCli:
     def test_graph_build_emits_expected_edge(self, tmp_path):
@@ -152,19 +158,19 @@ class TestCli:
         }
         inp = tmp_path / "pair.json"
         inp.write_text(json.dumps(scene))
-        code, out, err = run_cli(
+        proc = run_cli(
             ["graph", "build", "--input", str(inp), "--iou-thr", "0.1",
              "--output", str(tmp_path / "g.json")],
             cwd=tmp_path,
         )
-        assert code == 0, err
+        assert proc.returncode == 0, proc.stderr
         data = json.loads((tmp_path / "g.json").read_text())
         assert data["nodes"] == 2
         assert len(data["edges"]) == 1
         i, j, w = data["edges"][0]
         assert (i, j) == (0, 1)
         assert abs(w - 1.0 / 7.0) < 1e-12
-        report = json.loads(out)
+        report = json.loads(proc.stdout)
         assert report["command"] == "graph build"
         assert "timings_ms" in report
 
@@ -174,53 +180,53 @@ class TestCli:
         assert "usage" in captured.err.lower()
 
     def test_missing_input_exits_one(self, tmp_path):
-        code, _, err = run_cli(
+        proc = run_cli(
             ["graph", "build", "--input", "absent.json", "--iou-thr", "0.3",
              "--output", "out.json"],
             cwd=tmp_path,
         )
-        assert code == 1
-        assert "absent.json" in err
+        assert proc.returncode == 1
+        assert "absent.json" in proc.stderr
 
     def test_malformed_input_leaves_no_output(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"image_id": "x", "width": 10,')
         out = tmp_path / "out.json"
-        code, _, err = run_cli(
+        proc = run_cli(
             ["graph", "build", "--input", str(bad), "--iou-thr", "0.3",
              "--output", str(out)],
             cwd=tmp_path,
         )
-        assert code == 1
+        assert proc.returncode == 1
         assert not out.exists()
-        assert "bad.json" in err
+        assert "bad.json" in proc.stderr
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
 
     def test_numerical_failure_exits_two(self, tmp_path):
-        code, _, _ = run_cli(
+        proc = run_cli(
             ["gen", "--clusters", "1", "--per-cluster", "12", "--seed", "3",
              "--output", "scene.json"],
             cwd=tmp_path,
         )
-        assert code == 0
+        assert proc.returncode == 0
         (tmp_path / "config.json").write_text('{"eig_max_sweeps": 1}')
-        code, _, err = run_cli(
+        proc = run_cli(
             ["pool", "gcpool", "--input", "scene.json", "--config", "config.json",
              "--output", "parts.json"],
             cwd=tmp_path,
         )
-        assert code == 2
-        assert "numerical" in err.lower()
+        assert proc.returncode == 2
+        assert "numerical" in proc.stderr.lower()
 
     def test_gen_is_seed_deterministic(self, tmp_path):
         for name in ("a.json", "b.json"):
-            code, _, _ = run_cli(
+            proc = run_cli(
                 ["gen", "--clusters", "3", "--per-cluster", "5", "--seed", "11",
                  "--feature-dim", "4", "--output", name],
                 cwd=tmp_path,
             )
-            assert code == 0
+            assert proc.returncode == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_cut_ncut_brute_force_agreement(self, tmp_path):
@@ -230,12 +236,12 @@ class TestCli:
              (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0), (0, 3, 0.1)],
         )
         save_graph(g, str(tmp_path / "g.json"))
-        code, out, err = run_cli(
+        proc = run_cli(
             ["cut", "ncut", "--input", "g.json", "--stop-ncut", "0.5", "--brute-force"],
             cwd=tmp_path,
         )
-        assert code == 0, err
-        data = json.loads(out)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
         assert data["labels"] == [0, 0, 0, 1, 1, 1]
         assert data["set_count"] == 2
         assert data["components"][0]["two_way_matches_oracle"] is True
@@ -260,8 +266,8 @@ class TestCli:
         ]
         (tmp_path / "config.json").write_text('{"iou_thr": 0.3}')
         for argv in steps:
-            code, out, err = run_cli(argv, cwd=tmp_path)
-            assert code == 0, (argv, err)
+            proc = run_cli(argv, cwd=tmp_path)
+            assert proc.returncode == 0, (argv, proc.stderr)
         refined = json.loads((tmp_path / "refined.json").read_text())
         assert len(refined["ids"]) == 10
         assert len(refined["features"][0]) == 3
@@ -272,15 +278,39 @@ class TestCli:
         assert len(attended["features"]) == 10
 
     def test_oracle_commands_pass(self, tmp_path):
-        code, out, _ = run_cli(
+        proc = run_cli(
             ["oracle", "ncut", "--max-n", "10", "--trials", "200", "--seed", "7"],
             cwd=tmp_path,
         )
-        assert code == 0
-        assert json.loads(out)["failures"] == 0
-        code, out, _ = run_cli(["oracle", "grad", "--trials", "4", "--seed", "7"], cwd=tmp_path)
-        assert code == 0
-        assert json.loads(out)["max_relative_error"] < 1e-5
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["failures"] == 0
+        proc = run_cli(["oracle", "grad", "--trials", "4", "--seed", "7"], cwd=tmp_path)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["max_relative_error"] < 1e-5
+
+    def test_forward_seed_flag_rejected(self, capsys):
+        argv = ["forward", "--input", "scene.json", "--params", "params.json",
+                "--config", "config.json", "--output", "out.json", "--seed", "1"]
+        assert run_command(argv) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_oracle_ncut_catches_a_flipped_partition(self, monkeypatch, capsys):
+        def flipped(g, **kwargs):
+            partition, report = two_way_ncut(g, **kwargs)
+            return Partition(labels=1 - partition.labels, set_count=2), report
+
+        monkeypatch.setattr(cli, "two_way_ncut", flipped)
+        assert run_command(["oracle", "ncut", "--max-n", "6", "--trials", "5", "--seed", "7"]) == 1
+        assert json.loads(capsys.readouterr().out)["failures"] > 0
+
+    def test_oracle_grad_catches_perturbed_gradients(self, monkeypatch, capsys):
+        def perturbed(*args, **kwargs):
+            grads = attention_gradients(*args, **kwargs)
+            return dataclasses.replace(grads, features=grads.features + 1e-3)
+
+        monkeypatch.setattr(cli, "attention_gradients", perturbed)
+        assert run_command(["oracle", "grad", "--trials", "2", "--seed", "7"]) == 1
+        assert json.loads(capsys.readouterr().out)["failures"] > 0
 
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0

@@ -167,6 +167,7 @@ class TestForward:
     def test_row_count_matches_input_for_many_configs(self):
         doc = generate_proposals(clusters=3, per_cluster=5, seed=9, feature_dim=4)
         boxes, feats = doc.normalized_boxes(), doc.feature_matrix()
+        params = AttentionParams.initialize(4, head_count=1, seed=0)
         for config in (
             PipelineConfig(),
             PipelineConfig(iou_thr=0.0),
@@ -177,7 +178,6 @@ class TestForward:
             PipelineConfig(iou_bias=True),
             PipelineConfig(per_channel=True),
         ):
-            params = AttentionParams.initialize(4, head_count=config.head_count, seed=config.seed)
             result = forward(boxes, feats, params, config)
             assert result.features.shape == (15, 4)
 

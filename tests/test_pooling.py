@@ -10,8 +10,7 @@ from propgraph import (
     graph_from_edges,
     pool_part,
 )
-
-from conftest import bridged_cliques
+from propgraph.oracles import bridged_cliques
 
 
 def bridged_triangles_plus_isolated():

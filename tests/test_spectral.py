@@ -17,8 +17,7 @@ from propgraph import (
     symmetric_eigendecomposition,
     two_way_ncut,
 )
-
-from conftest import bridged_cliques, random_connected_graph
+from propgraph.oracles import bridged_cliques, random_connected_graph
 
 
 def path4():
