@@ -171,11 +171,12 @@ def similarity_scores(
     left = np.einsum("md,d->m", feats, w_self)
     right = np.einsum("md,d->m", feats, w_other)
     scores = left[:, None] + right[None, :] + params.score_bias[head]
-    if iou_bias and g.num_edges:
-        adjacency = g.adjacency()
-        on_edge = adjacency > 0.0
-        bias = np.where(on_edge, np.log(np.maximum(adjacency, _LOG_WEIGHT_FLOOR)), 0.0)
-        scores = scores + bias
+    if iou_bias:
+        on_edge = g.edge_weight > 0.0
+        i, j = g.edge_index[on_edge, 0], g.edge_index[on_edge, 1]
+        bias = np.log(np.maximum(g.edge_weight[on_edge], _LOG_WEIGHT_FLOOR))
+        scores[i, j] += bias
+        scores[j, i] += bias
     return AffinityMatrix(scores=scores, mask=attendable_mask(g, dense_attention))
 
 

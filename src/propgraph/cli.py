@@ -218,10 +218,7 @@ def _cmd_cut_ncut(args) -> int:
     for component in range(comp.count):
         idx = comp.members(component)
         sub = g.subgraph(idx)
-        if idx.size == 1:
-            partition = Partition(labels=np.zeros(1, dtype=np.int64), set_count=1)
-        else:
-            partition = recursive_ncut(sub, stop, min_part=args.min_part)
+        partition = recursive_ncut(sub, stop, min_part=args.min_part)
         for local, node in enumerate(idx):
             labels[int(node)] = next_label + int(partition.labels[local])
         entry: dict = {"component": component, "sets": partition.set_count}

@@ -15,6 +15,9 @@ from .errors import InputError
 
 NORM_MODES = ("moment_match", "literal")
 
+# Accepted value types per annotation; bools are accepted only for bool fields.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -32,6 +35,13 @@ class PipelineConfig:
     eig_max_sweeps: int = 100
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                name = "lambda" if f.name == "lambda_" else f.name
+                raise InputError(f"{name} must be {f.type}, got {value!r}")
         if not 0.0 <= self.iou_thr < 1.0:
             raise InputError(f"iou_thr must lie in [0, 1), got {self.iou_thr}")
         if self.min_size < 1:
@@ -46,8 +56,10 @@ class PipelineConfig:
             raise InputError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.norm_mode not in NORM_MODES:
             raise InputError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
-        if self.eig_tol <= 0.0 or self.eig_max_sweeps < 1:
-            raise InputError("eigensolver tolerance must be > 0 and sweep budget >= 1")
+        if not math.isfinite(self.eig_tol) or self.eig_tol <= 0.0:
+            raise InputError(f"eig_tol must be finite and > 0, got {self.eig_tol}")
+        if self.eig_max_sweeps < 1:
+            raise InputError(f"eig_max_sweeps must be >= 1, got {self.eig_max_sweeps}")
 
     def to_dict(self) -> dict:
         return {

@@ -7,7 +7,6 @@ pairwise IoU. Graphs are immutable after construction; every derived graph
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -116,16 +115,11 @@ class ProposalGraph:
         keep[idx] = True
         remap = np.full(self.num_nodes, -1, dtype=np.int64)
         remap[idx] = np.arange(idx.size, dtype=np.int64)
-        if self.num_edges:
-            mask = keep[self.edge_index[:, 0]] & keep[self.edge_index[:, 1]]
-            edge_index = remap[self.edge_index[mask]]
-            edge_weight = self.edge_weight[mask]
-        else:
-            edge_index, edge_weight = _EMPTY_EDGES.copy(), _EMPTY_WEIGHTS.copy()
+        mask = keep[self.edge_index[:, 0]] & keep[self.edge_index[:, 1]]
         return ProposalGraph(
             features=self.features[idx],
-            edge_index=edge_index,
-            edge_weight=edge_weight,
+            edge_index=remap[self.edge_index[mask]],
+            edge_weight=self.edge_weight[mask],
             node_ids=self.node_ids[idx],
         )
 
@@ -201,42 +195,40 @@ def graph_from_edges(
     node_ids: Sequence[int] | None = None,
 ) -> ProposalGraph:
     """Construct a graph directly from weighted (i, j, w) triples (test/CLI helper)."""
-    triples = [(min(i, j), max(i, j), float(w)) for i, j, w in edges]
-    triples.sort()
+    rows = list(edges)
     if features is None:
         features = np.zeros((num_nodes, 0), dtype=np.float64)
-    edge_index = np.array([(i, j) for i, j, _ in triples], dtype=np.int64).reshape(-1, 2)
-    edge_weight = np.array([w for _, _, w in triples], dtype=np.float64)
+    edge_index = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    edge_index.sort(axis=1)
+    edge_weight = np.array([row[2] for row in rows], dtype=np.float64)
     ids = np.asarray(node_ids, dtype=np.int64) if node_ids is not None else np.arange(num_nodes, dtype=np.int64)
     return ProposalGraph(features=features, edge_index=edge_index, edge_weight=edge_weight, node_ids=ids)
 
 
 def connected_components(g: ProposalGraph) -> ComponentLabeling:
-    """BFS component labeling; component ids ascend with the smallest member index."""
-    m = g.num_nodes
-    neighbors: list[list[int]] = [[] for _ in range(m)]
-    for i, j in g.edge_index:
-        neighbors[i].append(int(j))
-        neighbors[j].append(int(i))
-    labels = np.full(m, -1, dtype=np.int64)
-    sizes: list[int] = []
-    current = 0
-    for start in range(m):
-        if labels[start] != -1:
-            continue
-        queue = deque([start])
-        labels[start] = current
-        count = 0
-        while queue:
-            u = queue.popleft()
-            count += 1
-            for v in neighbors[u]:
-                if labels[v] == -1:
-                    labels[v] = current
-                    queue.append(v)
-        sizes.append(count)
-        current += 1
-    return ComponentLabeling(labels=labels, sizes=np.array(sizes, dtype=np.int64))
+    """Label connected components by root hooking and pointer jumping over the edge arrays.
+
+    Every node starts as its own root. Each round hooks the root of every
+    edge endpoint onto the smaller root of the other endpoint, then jumps
+    pointers until every node points at its root (Shiloach & Vishkin, 1982).
+    Parents never exceed their node, so each component's root is its
+    smallest member and component ids ascend with the smallest member index.
+    """
+    parent = np.arange(g.num_nodes, dtype=np.int64)
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    while True:
+        before = parent.copy()
+        np.minimum.at(parent, parent[i], parent[j])
+        np.minimum.at(parent, parent[j], parent[i])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        if np.array_equal(parent, before):
+            break
+    _, labels, sizes = np.unique(parent, return_inverse=True, return_counts=True)
+    return ComponentLabeling(labels=labels.astype(np.int64), sizes=sizes.astype(np.int64))
 
 
 def filter_components(

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -202,13 +203,27 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
+# Types json.load gives JSON numbers; bool is an int subclass but not a number.
+_NUMBER_TYPES = {int, float}
+
+
+def _numbers(values: list, where: str) -> list[float]:
+    """JSON numbers (ints or floats, not bools) as floats; anything else is an InputError."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise InputError(f"{where} must hold numbers, got {bad!r}")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise InputError(f"{where}: number out of range") from exc
+
+
 def document_from_dict(data: Any, source: str = "<proposals>") -> ProposalDocument:
     _require(isinstance(data, dict), f"{source}: top level must be an object")
     for key in ("image_id", "width", "height", "proposals"):
         _require(key in data, f"{source}: missing field {key!r}")
     width, height = data["width"], data["height"]
-    _require(isinstance(width, int) and isinstance(height, int) and not isinstance(width, bool),
-             f"{source}: width/height must be integers")
+    _require(type(width) is int and type(height) is int, f"{source}: width/height must be integers")
     raw = data["proposals"]
     _require(isinstance(raw, list), f"{source}: proposals must be a list")
     boxes = []
@@ -220,7 +235,7 @@ def document_from_dict(data: Any, source: str = "<proposals>") -> ProposalDocume
         _require(isinstance(item, dict), f"{where} must be an object")
         box = item.get("box")
         _require(isinstance(box, list) and len(box) == 4, f"{where}.box must be [x1, y1, x2, y2]")
-        boxes.append([float(v) for v in box])
+        boxes.append(_numbers(box, f"{where}.box"))
         feature = item.get("feature")
         if feature is not None:
             _require(isinstance(feature, list), f"{where}.feature must be a list")
@@ -233,11 +248,11 @@ def document_from_dict(data: Any, source: str = "<proposals>") -> ProposalDocume
                 raise InputError(
                     f"{where}.feature: dimension {len(feature)} != {feature_dim}"
                 )
-            features.append([float(v) for v in feature])
+            features.append(_numbers(feature, f"{where}.feature"))
         elif features is not None:
             raise InputError(f"{where}: missing feature while other proposals have one")
         score = item.get("score")
-        scores.append(None if score is None else float(score))
+        scores.append(None if score is None else _numbers([score], f"{where}.score")[0])
     try:
         return ProposalDocument(
             image_id=str(data["image_id"]),
@@ -277,24 +292,32 @@ def graph_from_dict(data: Any, source: str = "<graph>") -> ProposalGraph:
     for key in ("nodes", "node_ids", "edges"):
         _require(key in data, f"{source}: missing field {key!r}")
     nodes = data["nodes"]
-    _require(isinstance(nodes, int) and nodes >= 0, f"{source}: nodes must be a non-negative int")
+    _require(type(nodes) is int and nodes >= 0, f"{source}: nodes must be a non-negative int")
     node_ids = data["node_ids"]
     _require(isinstance(node_ids, list) and len(node_ids) == nodes,
              f"{source}: node_ids must list {nodes} ids")
+    for k, node_id in enumerate(node_ids):
+        if not (type(node_id) is int and -2**63 <= node_id < 2**63):
+            raise InputError(f"{source}: node_ids[{k}] must be a 64-bit integer, got {node_id!r}")
     edges = data["edges"]
     _require(isinstance(edges, list), f"{source}: edges must be a list")
-    triples = []
     for k, edge in enumerate(edges):
-        _require(isinstance(edge, list) and len(edge) == 3, f"{source}: edges[{k}] must be [i, j, w]")
-        triples.append((int(edge[0]), int(edge[1]), float(edge[2])))
+        if not (isinstance(edge, list) and len(edge) == 3):
+            raise InputError(f"{source}: edges[{k}] must be [i, j, w]")
+        i, j, w = edge
+        if not (type(i) is int and type(j) is int and 0 <= min(i, j) and max(i, j) < nodes):
+            raise InputError(f"{source}: edges[{k}]: endpoints must be node indices "
+                             f"in [0, {nodes}), got {[i, j]!r}")
+        if type(w) not in _NUMBER_TYPES or abs(w) > sys.float_info.max:
+            raise InputError(f"{source}: edges[{k}] weight must be a finite number, got {w!r}")
     try:
-        edge_index = np.array([(i, j) for i, j, _ in triples], dtype=np.int64).reshape(-1, 2)
-        edge_weight = np.array([w for _, _, w in triples], dtype=np.float64)
+        edge_index = np.array([edge[:2] for edge in edges], dtype=np.int64).reshape(-1, 2)
+        edge_weight = np.array([edge[2] for edge in edges], dtype=np.float64)
         return ProposalGraph(
             features=np.zeros((nodes, 0), dtype=np.float64),
             edge_index=edge_index,
             edge_weight=edge_weight,
-            node_ids=np.array([int(n) for n in node_ids], dtype=np.int64),
+            node_ids=np.array(node_ids, dtype=np.int64),
         )
     except InputError as exc:
         raise InputError(f"{source}: {exc}") from exc
@@ -378,6 +401,3 @@ def load_config(path: str) -> PipelineConfig:
     except (InputError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
-
-def save_config(config: PipelineConfig, path: str) -> str:
-    return write_json(path, config.to_dict())

@@ -119,7 +119,7 @@ def forward(
         )
         augmented = augment_with_coarse(g, coarse)
     else:
-        labeling = PseudoLabeling(labels=(None,) * m, part_count=0) if m else PseudoLabeling((), 0)
+        labeling = PseudoLabeling(labels=(None,) * m, part_count=0)
         coarse = []
         augmented = g
     if m == 0:

@@ -16,10 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import ProposalGraph, connected_components, filter_components
+from .graph import ProposalGraph, connected_components
 from .spectral import DEFAULT_EIG_MAX_SWEEPS, DEFAULT_EIG_TOL, recursive_ncut
-
-_EMPTY_EDGES = np.zeros((0, 2), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,9 +26,6 @@ class PseudoLabeling:
 
     labels: tuple[Optional[int], ...]
     part_count: int
-
-    def present(self) -> list[int]:
-        return [i for i, label in enumerate(self.labels) if label is not None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,29 +62,22 @@ def gcpool(
     """
     if min_size < 1:
         raise InputError(f"min_size must be >= 1, got {min_size}")
-    m = g.num_nodes
-    if m == 0:
-        return PseudoLabeling(labels=(), part_count=0), []
-
-    filtered, _removed = filter_components(g, min_size)
-    original_index = g.index_of(filtered.node_ids)
-
-    parts: list[np.ndarray] = []  # original internal indices per surviving part
-    components = connected_components(filtered)
-    for component in range(components.count):
+    parts: list[np.ndarray] = []  # internal indices of g per surviving part
+    components = connected_components(g)
+    for component in np.flatnonzero(components.sizes >= min_size):
         comp_idx = components.members(component)
-        sub = filtered.subgraph(comp_idx)
         partition = recursive_ncut(
-            sub, stop_ncut, min_part=min_part, eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps
+            g.subgraph(comp_idx), stop_ncut, min_part=min_part,
+            eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps,
         )
         for label in range(partition.set_count):
             members = comp_idx[partition.labels == label]
             # Undersized parts are filtered again with the stage-1 threshold.
             if members.size >= min_size:
-                parts.append(original_index[members])
+                parts.append(members)
 
     parts.sort(key=lambda members: int(members.min()))
-    labels: list[Optional[int]] = [None] * m
+    labels: list[Optional[int]] = [None] * g.num_nodes
     coarse: list[CoarseNode] = []
     for part_label, members in enumerate(parts):
         for node in members:
@@ -116,34 +104,30 @@ def augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> Propo
     if not coarse:
         return g
     m = g.num_nodes
-    adjacency = g.adjacency()
-    new_rows = []
-    extra_edges: list[tuple[int, int, float]] = []
     next_id = int(g.node_ids.max()) + 1 if m > 0 else 0
-    new_ids = []
     # One id lookup for all parts, split back into per-part index arrays.
     all_members = g.index_of([nid for node in coarse for nid in node.member_ids])
-    part_ends = np.cumsum([len(node.member_ids) for node in coarse])[:-1]
-    for k, (node, member_idx) in enumerate(zip(coarse, np.split(all_members, part_ends))):
-        feature = np.asarray(node.feature, dtype=np.float64)
-        if feature.shape != (g.feature_dim,):
+    part_sizes = np.array([len(node.member_ids) for node in coarse], dtype=np.int64)
+    weights = []
+    for node, member_idx in zip(coarse, np.split(all_members, np.cumsum(part_sizes)[:-1])):
+        if np.shape(node.feature) != (g.feature_dim,):
             raise InputError("coarse feature dimension does not match the graph")
-        new_rows.append(feature)
-        new_ids.append(next_id + k)
-        for idx in member_idx:
-            others = member_idx[member_idx != idx]
-            if others.size == 0:
-                weight = 1.0
-            else:
-                weight = float(adjacency[idx, others].mean())
-            extra_edges.append((int(idx), m + k, weight))
-    features = np.concatenate([g.features, np.stack(new_rows)], axis=0)
-    node_ids = np.concatenate([g.node_ids, np.array(new_ids, dtype=np.int64)])
-    all_edges = [(int(i), int(j), float(w)) for (i, j), w in zip(g.edge_index, g.edge_weight)]
-    all_edges.extend(extra_edges)
-    all_edges.sort(key=lambda e: (e[0], e[1]))
-    edge_index = np.array([(i, j) for i, j, _ in all_edges], dtype=np.int64).reshape(-1, 2)
-    edge_weight = np.array([w for _, _, w in all_edges], dtype=np.float64)
+        n = member_idx.size
+        if n <= 1:
+            weights.append(np.ones(n))
+            continue
+        # The part's dense block in member order; row k without its diagonal
+        # entry lists member k's weights to the other members in that order.
+        ascending = np.sort(member_idx)
+        pos = np.searchsorted(ascending, member_idx)
+        block = g.subgraph(ascending).adjacency()[np.ix_(pos, pos)]
+        weights.append(block[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
+    coarse_index = np.repeat(np.arange(m, m + len(coarse), dtype=np.int64), part_sizes)
     return ProposalGraph(
-        features=features, edge_index=edge_index, edge_weight=edge_weight, node_ids=node_ids
+        features=np.concatenate([g.features, np.stack([node.feature for node in coarse])]),
+        edge_index=np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)]),
+        edge_weight=np.concatenate([g.edge_weight, *weights]),
+        node_ids=np.concatenate(
+            [g.node_ids, np.arange(next_id, next_id + len(coarse), dtype=np.int64)]
+        ),
     )

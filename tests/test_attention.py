@@ -60,6 +60,19 @@ class TestSimilarityScores:
         assert aff.scores[0, 0] == 2.0  # self-concatenation [2,0,2,0]
         assert aff.mask.all()
 
+    def test_hand_computed_iou_bias(self):
+        feats = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+        g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.0)], features=feats)
+        params = single_head_params([1.0, 0.0, 0.0, 1.0], bias=0.25)
+        for dense in (False, True):
+            aff = similarity_scores(feats, params, g, dense_attention=dense, iou_bias=True)
+            expected = np.array([
+                [2.25, 5.25 + np.log(0.5), 3.25],
+                [0.25 + np.log(0.5), 3.25, 1.25],  # zero-weight edge (1, 2) stays unbiased
+                [1.25, 4.25, 2.25],
+            ])
+            assert np.array_equal(aff.scores, expected)
+
     def test_zero_parameters_give_zero_scores(self):
         feats = np.random.default_rng(0).normal(size=(4, 3))
         g = graph_from_edges(4, [(0, 1, 0.3), (2, 3, 0.4)], features=feats)

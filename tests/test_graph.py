@@ -85,6 +85,41 @@ class TestConnectedComponents:
         assert comp.count == 1
         assert list(comp.sizes) == [4]
 
+    @given(st.integers(min_value=0, max_value=40),
+           st.sampled_from([0.0, 0.02, 0.06, 0.15, 0.5]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reachability_closure(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        ii, jj = np.triu_indices(n, k=1)
+        hit = rng.random(ii.size) < density
+        g = graph_from_edges(n, zip(ii[hit], jj[hit], rng.uniform(0.1, 1.0, hit.sum())))
+        # Boolean closure of A + I by repeated squaring.
+        reach = np.eye(n, dtype=bool)
+        reach[ii[hit], jj[hit]] = reach[jj[hit], ii[hit]] = True
+        while True:
+            closed = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+            if np.array_equal(closed, reach):
+                break
+            reach = closed
+        comp = connected_components(g)
+        assert comp.labels.dtype == np.int64 and comp.sizes.dtype == np.int64
+        assert np.array_equal(comp.labels[:, None] == comp.labels[None, :], reach)
+        # Ids are dense and ascend with each component's smallest member.
+        _, first_member = np.unique(comp.labels, return_index=True)
+        assert np.all(np.diff(first_member) > 0)
+        assert np.array_equal(comp.labels[first_member], np.arange(comp.count))
+        assert np.array_equal(comp.sizes, np.bincount(comp.labels, minlength=comp.count))
+
+    def test_shuffled_long_path_is_one_component(self):
+        n = 2000
+        order = np.random.default_rng(5).permutation(n)
+        g = graph_from_edges(n, [(a, b, 1.0) for a, b in zip(order[:-1], order[1:])])
+        comp = connected_components(g)
+        assert comp.count == 1
+        assert list(comp.sizes) == [n]
+        assert not comp.labels.any()
+
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40)
     def test_sizes_sum_to_node_count(self, n, seed):

@@ -149,6 +149,25 @@ class TestConfigFiles:
         with pytest.raises(InputError, match=field):
             PipelineConfig.from_dict({field: 0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_size", 2.5), ("min_part", True), ("eig_max_sweeps", "100"),
+        ("iou_thr", True), ("lambda", "1"), ("eig_tol", None),
+        ("dense_attention", 1), ("iou_bias", "true"), ("per_channel", 0.0),
+        ("norm_mode", 1), ("eig_tol", float("inf")),
+    ])
+    def test_mistyped_values_rejected(self, tmp_path, field, value):
+        with pytest.raises(InputError, match=field):
+            PipelineConfig.from_dict({field: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(InputError, match=field):
+            load_config(str(path))
+
+    def test_accepted_values_are_not_coerced(self):
+        config = PipelineConfig.from_dict({"iou_thr": 0, "lambda": 2})
+        assert config.to_dict()["iou_thr"] == 0 and isinstance(config.iou_thr, int)
+        assert isinstance(config.lambda_, int)
+
 
 class TestCli:
     def test_graph_build_emits_expected_edge(self, tmp_path):
@@ -311,6 +330,45 @@ class TestCli:
         monkeypatch.setattr(cli, "attention_gradients", perturbed)
         assert run_command(["oracle", "grad", "--trials", "2", "--seed", "7"]) == 1
         assert json.loads(capsys.readouterr().out)["failures"] > 0
+
+    @pytest.mark.parametrize("command, document, field", [
+        ("graph build", {"proposals": [{"box": ["a", 0, 5, 5]}]}, "proposals[0].box"),
+        ("graph build", {"proposals": [{"box": [0, 0, 5, True]}]}, "proposals[0].box"),
+        ("graph build", {"proposals": [{"box": [0, 0, 5, 5], "feature": [1.0, "x"]}]},
+         "proposals[0].feature"),
+        ("graph build", {"proposals": [{"box": [0, 0, 5, 5], "score": "0.5"}]},
+         "proposals[0].score"),
+        ("graph build", {"proposals": [{"box": [0, 0, 5, 5], "score": False}]},
+         "proposals[0].score"),
+        ("graph build", {"proposals": [{"box": [0, 0, 5, 10**400]}]}, "proposals[0].box"),
+        ("graph components", {"edges": [[0, 1, "w"]]}, "edges[0]"),
+        ("graph components", {"edges": [[0, 1, 10**400]]}, "edges[0]"),
+        ("graph components", {"edges": [[0, 1, 0.5], [0, True, 0.5]]}, "edges[1]"),
+        ("graph components", {"edges": [[0.0, 1, 0.5]]}, "edges[0]"),
+        ("graph components", {"node_ids": [0, "1"]}, "node_ids[1]"),
+        ("graph components", {"node_ids": [0, 1.5]}, "node_ids[1]"),
+    ])
+    def test_non_numeric_values_rejected(self, tmp_path, capsys, command, document, field):
+        if command == "graph build":
+            data = {"image_id": "x", "width": 10, "height": 10, **document}
+            extra = ["--iou-thr", "0.3", "--output", str(tmp_path / "out.json")]
+        else:
+            data = {"nodes": 2, "node_ids": [0, 1], "edges": [], **document}
+            extra = ["--min-size", "1"]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert run_command([*command.split(), "--input", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+    @pytest.mark.parametrize("flag, value", [("--min-part", "0"), ("--stop-ncut", "-1")])
+    def test_cut_ncut_rejects_bad_options_on_an_edgeless_graph(self, tmp_path, capsys,
+                                                               flag, value):
+        save_graph(graph_from_edges(3, []), str(tmp_path / "g.json"))
+        assert run_command(["cut", "ncut", "--input", str(tmp_path / "g.json"), flag, value]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0

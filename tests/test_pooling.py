@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propgraph import (
+    CoarseNode,
     InputError,
     augment_with_coarse,
     gcpool,
@@ -165,3 +166,30 @@ class TestAugment:
         for e in augmented.edges():
             if e[1] >= 6:
                 assert e[2] == 1.0
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_weights_equal_mean_adjacency_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        ii, jj = np.triu_indices(n, k=1)
+        hit = rng.random(ii.size) < 0.5
+        ids = rng.permutation(3 * n)[:n]  # ids do not ascend with the index
+        g = graph_from_edges(n, zip(ii[hit], jj[hit], rng.random(hit.sum())),
+                             features=rng.normal(size=(n, 2)), node_ids=ids)
+        # Random disjoint parts, each listed by ascending id as gcpool does.
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        parts = np.split(rng.permutation(n), cuts)
+        coarse = [CoarseNode(feature=np.zeros(2), member_ids=tuple(sorted(int(i) for i in ids[p])),
+                             source_part=k) for k, p in enumerate(parts)]
+        augmented = augment_with_coarse(g, coarse)
+        got = {(int(i), int(j)): w
+               for (i, j), w in zip(augmented.edge_index, augmented.edge_weight)}
+        adjacency = g.adjacency()
+        for k, node in enumerate(coarse):
+            member_idx = g.index_of(node.member_ids)
+            for idx in member_idx:
+                others = member_idx[member_idx != idx]
+                expected = adjacency[idx, others].mean() if others.size else 1.0
+                assert got[(int(idx), n + k)] == expected
+        assert len(got) == g.num_edges + n
