@@ -71,10 +71,29 @@ def _encode(value: Any, parts: list[str]) -> None:
                 parts.append(",")
             _encode(item, parts)
         parts.append("]")
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2):
+        _encode_floats(value, parts)
     elif isinstance(value, np.ndarray):
         _encode(value.tolist(), parts)
     else:
         raise InputError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _encode_floats(array: np.ndarray, parts: list[str]) -> None:
+    """A 1-d or 2-d float64 array, one %-format per 64 rows; same text as the scalar path."""
+    if not np.all(np.isfinite(array)):
+        raise InputError("cannot serialize a non-finite number")
+    rows = array.reshape(1, -1) if array.ndim == 1 else array
+    row = "[" + ",".join(["%.17g"] * rows.shape[1]) + "]"
+    # Blocks of 64 rows: one string per row, or one for the whole array,
+    # left freed strings in the malloc heap that raised the process's peak
+    # RSS by 1.5-2 MB after writing 2000x64 and 5000x64 arrays.
+    blocks = []
+    for start in range(0, rows.shape[0], 64):
+        block = rows[start:start + 64]
+        blocks.append(",".join([row] * block.shape[0]) % tuple(block.ravel().tolist()))
+    text = ",".join(blocks)
+    parts.append(text if array.ndim == 1 else "[" + text + "]")
 
 
 def dumps_canonical(value: Any) -> str:
@@ -342,7 +361,7 @@ def partition_to_dict(labeling: PseudoLabeling, coarse: list[CoarseNode]) -> dic
 
 
 def features_to_dict(ids: tuple[int, ...], features: np.ndarray) -> dict:
-    return {"ids": list(ids), "features": [list(row) for row in np.asarray(features)]}
+    return {"ids": list(ids), "features": np.asarray(features)}
 
 
 def save_features(ids: tuple[int, ...], features: np.ndarray, path: str) -> str:

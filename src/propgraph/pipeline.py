@@ -119,7 +119,9 @@ def forward(
         )
         augmented = augment_with_coarse(g, coarse)
     else:
-        labeling = PseudoLabeling(labels=(None,) * m, part_count=0)
+        labeling = PseudoLabeling(
+            labels=(None,) * m, part_count=0, component_count=connected_components(g).count
+        )
         coarse = []
         augmented = g
     if m == 0:
@@ -149,7 +151,7 @@ def forward(
     diagnostics = PipelineDiagnostics(
         node_count=m,
         edge_count=g.num_edges,
-        component_count=connected_components(g).count,
+        component_count=labeling.component_count,
         filtered_ids=filtered_ids,
         part_count=labeling.part_count,
         coarse_count=len(coarse),

@@ -22,10 +22,15 @@ from .spectral import DEFAULT_EIG_MAX_SWEEPS, DEFAULT_EIG_TOL, recursive_ncut
 
 @dataclass(frozen=True, eq=False)
 class PseudoLabeling:
-    """Per-node part assignment; ``None`` marks a node filtered out."""
+    """Per-node part assignment; ``None`` marks a node filtered out.
+
+    ``component_count`` is the number of connected components of the pooled
+    graph, filtered ones included.
+    """
 
     labels: tuple[Optional[int], ...]
     part_count: int
+    component_count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +95,10 @@ def gcpool(
                 source_part=part_label,
             )
         )
-    return PseudoLabeling(labels=tuple(labels), part_count=len(parts)), coarse
+    labeling = PseudoLabeling(
+        labels=tuple(labels), part_count=len(parts), component_count=components.count
+    )
+    return labeling, coarse
 
 
 def augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> ProposalGraph:

@@ -11,9 +11,18 @@ D^{-1/2}, and sweep every prefix split of the induced node ordering,
 scoring each with the exact objective. Recursive application with a stop
 threshold yields a k-way partition without fixing k in advance.
 
+Before a connected set is bipartitioned, ``recursive_ncut`` asks whether
+any split could be kept at all. Shi & Malik (2000, "Normalized Cuts and
+Image Segmentation") show that every bipartition (A, B) has
+Ncut(A, B) >= lambda_2 of the normalized Laplacian, so when lambda_2 clears
+the stop threshold no sweep split can pass it and the set stays whole
+without an eigenvector solve.
+
 Everything here is deterministic: the eigensolver is a cyclic Jacobi
 iteration (no BLAS), eigenvector signs are pinned, and all ties break on
-explicit keys.
+explicit keys. The one LAPACK call, ``np.linalg.eigvalsh`` for lambda_2,
+only feeds that yes/no decision, behind a margin far above the low bits
+that vary with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ from .graph import ProposalGraph, connected_components
 DEFAULT_EIG_TOL = 1e-10
 DEFAULT_EIG_MAX_SWEEPS = 100
 _RESIDUAL_TOL = 1e-9
+# A set stays whole without a solve only when lambda_2 > stop_ncut + this.
+# LAPACK's lambda_2 is accurate to about n * 1e-16, so a decision this far
+# from the threshold is the same at every BLAS thread count.
+_CERTIFY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +95,11 @@ def ncut_value(g: ProposalGraph, partition: Partition) -> CutReport:
     if labels.shape[0] != g.num_nodes:
         raise InputError(f"partition covers {labels.shape[0]} nodes, graph has {g.num_nodes}")
     w = g.adjacency()
-    degrees = w.sum(axis=1)
+    return _cut_report(w, w.sum(axis=1), partition)
+
+
+def _cut_report(w: np.ndarray, degrees: np.ndarray, partition: Partition) -> CutReport:
+    labels = partition.labels
     per_set: list[tuple[float, float]] = []
     total = 0.0
     for label in range(partition.set_count):
@@ -103,16 +120,29 @@ def normalized_laplacian(g: ProposalGraph) -> np.ndarray:
     least one edge qualify). Eigenvalues lie in [0, 2]; for a connected
     graph the eigenvalue 0 is simple with eigenvector D^{1/2} 1.
     """
-    w = g.adjacency()
-    degrees = w.sum(axis=1)
     if g.num_nodes == 0:
         raise InputError("empty graph has no Laplacian")
+    return _dense_block(g).laplacian
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Dense weights, weighted degrees and normalized Laplacian of one node set."""
+
+    weights: np.ndarray
+    degrees: np.ndarray
+    laplacian: np.ndarray
+
+
+def _dense_block(g: ProposalGraph) -> _Block:
+    w = g.adjacency()
+    degrees = w.sum(axis=1)
     if np.any(degrees <= 0.0):
         raise InputError("normalized Laplacian undefined for zero-degree nodes")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     lap = -(w * inv_sqrt[:, None]) * inv_sqrt[None, :]
     np.fill_diagonal(lap, 1.0)
-    return lap
+    return _Block(weights=w, degrees=degrees, laplacian=lap)
 
 
 def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -257,6 +287,8 @@ def two_way_ncut(
     g: ProposalGraph,
     eig_tol: float = DEFAULT_EIG_TOL,
     eig_max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
+    *,
+    block: _Block | None = None,
 ) -> tuple[Partition, CutReport]:
     """Best sweep-cut bipartition along the Fiedler ordering.
 
@@ -264,20 +296,23 @@ def two_way_ncut(
     y = D^{-1/2} z; nodes are sorted by y and each of the M-1 prefix splits
     is scored with the exact objective. Ties break toward the smaller
     node-0 set, then the smaller split index.
+
+    ``block`` is for ``recursive_ncut``, which has already found ``g``
+    connected and built its dense block; without it the graph is checked
+    and the block built here.
     """
+    if block is None:
+        if g.num_nodes < 2:
+            raise InputError("two-way cut needs at least 2 nodes")
+        if connected_components(g).count != 1:
+            raise InputError("two-way cut requires a connected graph")
+        block = _dense_block(g)
     m = g.num_nodes
-    if m < 2:
-        raise InputError("two-way cut needs at least 2 nodes")
-    if connected_components(g).count != 1:
-        raise InputError("two-way cut requires a connected graph")
-    w = g.adjacency()
-    degrees = w.sum(axis=1)
-    lap = normalized_laplacian(g)
-    _, z = fiedler_vector(lap, tol=eig_tol, max_sweeps=eig_max_sweeps)
-    y = z / np.sqrt(degrees)
+    _, z = fiedler_vector(block.laplacian, tol=eig_tol, max_sweeps=eig_max_sweeps)
+    y = z / np.sqrt(block.degrees)
     order = np.argsort(y, kind="stable")
-    w_ord = w[np.ix_(order, order)]
-    deg_ord = degrees[order]
+    w_ord = block.weights[np.ix_(order, order)]
+    deg_ord = block.degrees[order]
     total_assoc = float(deg_ord.sum())
     position_of_node0 = int(np.flatnonzero(order == 0)[0])
 
@@ -300,7 +335,7 @@ def two_way_ncut(
     in_first = np.zeros(m, dtype=bool)
     in_first[order[:best_split]] = True
     partition = Partition(labels=_canonical_two_way(in_first), set_count=2)
-    return partition, ncut_value(g, partition)
+    return partition, _cut_report(block.weights, block.degrees, partition)
 
 
 def recursive_ncut(
@@ -317,6 +352,11 @@ def recursive_ncut(
     becomes one final part. Sides that fall apart into components are peeled
     component-by-component (a zero-cut split) under the same size rule.
     Final labels are dense and ordered by each part's smallest node index.
+
+    Every bipartition of a connected set has an objective >= lambda_2 of its
+    normalized Laplacian (Shi & Malik, 2000). A set whose lambda_2 exceeds
+    ``stop_ncut`` by more than 1e-9 is therefore kept whole without solving
+    for its Fiedler vector, which is the partition the sweep would reach.
     """
     if not np.isfinite(stop_ncut) or stop_ncut < 0.0:
         raise InputError(f"stop_ncut must be finite and >= 0, got {stop_ncut}")
@@ -343,7 +383,13 @@ def recursive_ncut(
             else:
                 parts.append(idx)
             continue
-        partition, report = two_way_ncut(sub, eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps)
+        block = _dense_block(sub)
+        if np.linalg.eigvalsh(block.laplacian)[1] > stop_ncut + _CERTIFY_MARGIN:
+            parts.append(idx)
+            continue
+        partition, report = two_way_ncut(
+            sub, eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps, block=block
+        )
         side_a = idx[partition.labels == 0]
         side_b = idx[partition.labels == 1]
         if report.ncut_value <= stop_ncut and min(side_a.size, side_b.size) >= min_part:

@@ -22,6 +22,7 @@ from propgraph import (
     brute_force_ncut,
     build_graph,
     finite_difference_gradients,
+    forward,
     gcpool,
     generate_proposals,
     graph_from_edges,
@@ -32,6 +33,7 @@ from propgraph import (
     symmetric_eigendecomposition,
     two_way_ncut,
 )
+from propgraph import spectral
 from propgraph.attention import multi_head_attend
 from propgraph.io import save_params, save_proposals
 from propgraph.oracles import (
@@ -232,13 +234,45 @@ def test_criterion_8_forward_determinism(tmp_path):
         assert len(json.loads(outputs[0])["ids"]) == 500
 
 
+def test_criterion_8_certified_components_across_thread_counts(tmp_path, monkeypatch):
+    with criterion(8, "large tight components settled by the lambda_2 certificate are "
+                      "byte-identical across thread counts"):
+        doc = generate_proposals(clusters=2, per_cluster=200, seed=42, feature_dim=16)
+        params = AttentionParams.initialize(16, head_count=1, output_dim=16, seed=0)
+        save_proposals(doc, str(tmp_path / "scene.json"))
+        save_params(params, str(tmp_path / "params.json"))
+        (tmp_path / "config.json").write_text("{}")
+        # Both 200-node components are settled by LAPACK's lambda_2 alone.
+        solves = []
+        solver = spectral.symmetric_eigendecomposition
+
+        def counting_solver(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "symmetric_eigendecomposition", counting_solver)
+        result = forward(doc.normalized_boxes(), doc.feature_matrix(), params, PipelineConfig())
+        assert result.diagnostics.part_count == 2 and solves == []
+        outputs = []
+        for name, threads in (("a.json", "1"), ("b.json", "2")):
+            proc = run_cli(
+                ["forward", "--input", "scene.json", "--params", "params.json",
+                 "--config", "config.json", "--output", name],
+                cwd=tmp_path,
+                env_extra={"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["ids"]) == 400
+
+
 def test_criterion_9_throughput(tmp_path):
     with criterion(9, "forward on 2000 proposals with 64-dim features in under 10 s"):
         doc = generate_proposals(clusters=40, per_cluster=50, seed=123, feature_dim=64)
         params = AttentionParams.initialize(64, head_count=1, output_dim=64, seed=0)
         config = PipelineConfig()
         boxes, feats = doc.normalized_boxes(), doc.feature_matrix()
-        from propgraph import forward
 
         start = time.perf_counter()
         result = forward(boxes, feats, params, config)

@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from propgraph import (
     InputError,
@@ -45,6 +48,39 @@ class TestCanonicalJson:
     def test_stable_output(self):
         payload = {"b": [1, 2.5, None, True], "a": "text"}
         assert dumps_canonical(payload) == dumps_canonical(payload)
+
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e308, -1e308, 3.0, -7.0, 1e16]),
+        ),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_float_arrays_encode_like_their_elements(self, array):
+        # The nested-list path formats one Python float at a time.
+        assert dumps_canonical(array) == dumps_canonical(array.tolist())
+        assert dumps_canonical({"f": array}) == dumps_canonical({"f": array.tolist()})
+
+    def test_float_array_text(self):
+        array = np.array([[-0.0, 1.0, 5e-324], [0.1, -1e308, 2.0 ** 53]])
+        assert dumps_canonical(array) == (
+            "[[-0,1,4.9406564584124654e-324],[0.10000000000000001,-1e+308,9007199254740992]]"
+        )
+        rows = np.random.default_rng(0).normal(size=(130, 3))  # three blocks of rows
+        assert dumps_canonical(rows) == dumps_canonical(rows.tolist())
+        assert dumps_canonical(np.zeros((2, 0))) == "[[],[]]"
+        assert dumps_canonical(np.zeros((0, 3))) == "[]"
+        assert dumps_canonical(np.zeros(0)) == "[]"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_non_finite_array_rejected(self, bad, shape):
+        array = np.ones(shape)
+        array.flat[-1] = bad
+        with pytest.raises(InputError):
+            dumps_canonical({"features": array})
 
 
 class TestProposalDocuments:
@@ -229,7 +265,9 @@ class TestCli:
             cwd=tmp_path,
         )
         assert proc.returncode == 0
-        (tmp_path / "config.json").write_text('{"eig_max_sweeps": 1}')
+        # lambda_2 <= 2 always, so stop_ncut 2 keeps the lambda_2 certificate
+        # from settling the cluster and the one-sweep Jacobi solve must run.
+        (tmp_path / "config.json").write_text('{"eig_max_sweeps": 1, "stop_ncut": 2.0}')
         proc = run_cli(
             ["pool", "gcpool", "--input", "scene.json", "--config", "config.json",
              "--output", "parts.json"],

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propgraph import spectral
 from propgraph import (
     InputError,
     NumericalError,
     Partition,
     assoc,
     brute_force_ncut,
+    connected_components,
     fiedler_vector,
     graph_from_edges,
     ncut_value,
@@ -249,6 +251,102 @@ class TestRecursiveNcut:
         partition = recursive_ncut(bridged_cliques(4, 0.02), stop_ncut=0.5)
         first_of = [int(np.flatnonzero(partition.labels == s)[0]) for s in range(partition.set_count)]
         assert first_of == sorted(first_of)
+
+
+def lambda_2(g):
+    """lambda_2 exactly as recursive_ncut computes it for the whole graph."""
+    return float(np.linalg.eigvalsh(normalized_laplacian(g))[1])
+
+
+def count_jacobi_calls(monkeypatch):
+    calls = []
+    solver = spectral.symmetric_eigendecomposition
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return solver(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "symmetric_eigendecomposition", counting)
+    return calls
+
+
+def drawn_graph(rng):
+    """A random connected graph or bridged cliques, at most 10 nodes."""
+    if rng.random() < 0.5:
+        return random_connected_graph(rng, int(rng.integers(2, 11)))
+    return bridged_cliques(int(rng.integers(2, 6)), float(rng.uniform(0.01, 1.0)))
+
+
+class TestCertifiedNoSplit:
+    """recursive_ncut keeps a set whole, unsolved, when lambda_2 > stop_ncut + 1e-9."""
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_every_bipartition_is_at_least_lambda_2(self, seed):
+        g = drawn_graph(np.random.default_rng(seed))
+        _, best = brute_force_ncut(g)
+        assert best.ncut_value >= lambda_2(g) - 1e-12
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_exit_fires_only_where_the_sweep_split_is_rejected(self, seed):
+        rng = np.random.default_rng(seed)
+        g = drawn_graph(rng)
+        lam = lambda_2(g)
+        stop = lam * float(rng.uniform(0.5, 1.5))
+        if lam > stop + 1e-9:
+            _, report = two_way_ncut(g)
+            assert report.ncut_value > stop
+            assert recursive_ncut(g, stop_ncut=stop).set_count == 1
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_partition_with_and_without_the_exit(self, seed, stop, min_part):
+        rng = np.random.default_rng(seed)
+        g = drawn_graph(rng)
+        if rng.random() < 0.5:
+            # a second component exercises peeling before the certificate
+            h = random_connected_graph(rng, int(rng.integers(1, 6)))
+            m = g.num_nodes
+            g = graph_from_edges(
+                m + h.num_nodes,
+                g.edges() + [(i + m, j + m, w) for i, j, w in h.edges()],
+            )
+        with_exit = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_CERTIFY_MARGIN", np.inf)
+            calls = count_jacobi_calls(mp)
+            without_exit = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
+        assert np.array_equal(with_exit.labels, without_exit.labels)
+        assert with_exit.set_count == without_exit.set_count
+        if g.num_nodes > 1 and connected_components(g).count == 1:
+            assert calls  # the reference run really took the solver path
+
+    def test_exit_skips_the_solver(self, monkeypatch):
+        g = graph_from_edges(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+        calls = count_jacobi_calls(monkeypatch)
+        assert recursive_ncut(g, stop_ncut=lambda_2(g) - 2e-9).set_count == 1
+        assert calls == []
+
+    def test_near_ties_take_the_solver_path(self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(4), 8)
+        lam = lambda_2(g)
+        # stop + 1e-9 == lambda_2 exactly: the strict comparison must not fire.
+        boundary = lam - 1e-9
+        while boundary + 1e-9 < lam:
+            boundary = float(np.nextafter(boundary, np.inf))
+        while boundary + 1e-9 > lam:
+            boundary = float(np.nextafter(boundary, -np.inf))
+        assert boundary + 1e-9 == lam
+        for stop in (lam, lam - 5e-10, boundary):
+            calls = count_jacobi_calls(monkeypatch)
+            recursive_ncut(g, stop_ncut=stop)
+            assert calls and calls[0] == 8, stop
+            monkeypatch.undo()
 
 
 class TestBruteForce:
