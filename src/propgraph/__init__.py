@@ -35,6 +35,7 @@ from .pooling import CoarseNode, PseudoLabeling, augment_with_coarse, gcpool, po
 from .spectral import (
     CutReport,
     Partition,
+    SolveCounts,
     assoc,
     fiedler_vector,
     ncut_value,
@@ -63,6 +64,7 @@ __all__ = [
     "ProposalDocument",
     "ProposalGraph",
     "PseudoLabeling",
+    "SolveCounts",
     "RefinedProposals",
     "SpatialDescriptor",
     "assoc",

@@ -260,7 +260,8 @@ def _cmd_pool_gcpool(args) -> int:
         digest = pio.write_json(args.output, pio.partition_to_dict(labeling, coarse))
     _report("pool gcpool", config,
             {"proposals": document.num_proposals, "edges": g.num_edges,
-             "parts": labeling.part_count, "coarse": len(coarse)},
+             "parts": labeling.part_count, "coarse": len(coarse),
+             **dataclasses.asdict(labeling.solves)},
             timer, {args.output: digest})
     return 0
 
@@ -307,7 +308,7 @@ def _cmd_forward(args) -> int:
             {"proposals": diag.node_count, "edges": diag.edge_count,
              "components": diag.component_count, "filtered": len(diag.filtered_ids),
              "parts": diag.part_count, "coarse": diag.coarse_count,
-             "gcpool": not args.no_gcpool},
+             "gcpool": not args.no_gcpool, **dataclasses.asdict(diag.solves)},
             timer, {args.output: digest})
     return 0
 

@@ -20,11 +20,12 @@ from .errors import InputError
 from .geometry import BoundingBox
 from .graph import build_graph, connected_components
 from .pooling import PseudoLabeling, augment_with_coarse, gcpool
+from .spectral import SolveCounts
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineDiagnostics:
-    """Structure report for one forward run."""
+    """Structure report for one forward run; ``solves`` is all zeros without pooling."""
 
     node_count: int
     edge_count: int
@@ -33,6 +34,7 @@ class PipelineDiagnostics:
     part_count: int
     coarse_count: int
     pseudo_labels: tuple[Optional[int], ...]
+    solves: SolveCounts
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +122,8 @@ def forward(
         augmented = augment_with_coarse(g, coarse)
     else:
         labeling = PseudoLabeling(
-            labels=(None,) * m, part_count=0, component_count=connected_components(g).count
+            labels=(None,) * m, part_count=0, component_count=connected_components(g).count,
+            solves=SolveCounts(),
         )
         coarse = []
         augmented = g
@@ -156,6 +159,7 @@ def forward(
         part_count=labeling.part_count,
         coarse_count=len(coarse),
         pseudo_labels=labeling.labels,
+        solves=labeling.solves,
     )
     return RefinedProposals(
         features=output,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import ProposalGraph, connected_components
-from .spectral import DEFAULT_EIG_MAX_SWEEPS, DEFAULT_EIG_TOL, recursive_ncut
+from .spectral import DEFAULT_EIG_MAX_SWEEPS, DEFAULT_EIG_TOL, SolveCounts, recursive_ncut
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,12 +25,14 @@ class PseudoLabeling:
     """Per-node part assignment; ``None`` marks a node filtered out.
 
     ``component_count`` is the number of connected components of the pooled
-    graph, filtered ones included.
+    graph, filtered ones included; ``solves`` counts how the normalized cut
+    settled each connected set it considered.
     """
 
     labels: tuple[Optional[int], ...]
     part_count: int
     component_count: int
+    solves: SolveCounts
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +70,13 @@ def gcpool(
     if min_size < 1:
         raise InputError(f"min_size must be >= 1, got {min_size}")
     parts: list[np.ndarray] = []  # internal indices of g per surviving part
+    solves = SolveCounts()
     components = connected_components(g)
     for component in np.flatnonzero(components.sizes >= min_size):
         comp_idx = components.members(component)
         partition = recursive_ncut(
             g.subgraph(comp_idx), stop_ncut, min_part=min_part,
-            eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps,
+            eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps, counts=solves,
         )
         for label in range(partition.set_count):
             members = comp_idx[partition.labels == label]
@@ -96,7 +99,8 @@ def gcpool(
             )
         )
     labeling = PseudoLabeling(
-        labels=tuple(labels), part_count=len(parts), component_count=components.count
+        labels=tuple(labels), part_count=len(parts), component_count=components.count,
+        solves=solves,
     )
     return labeling, coarse
 

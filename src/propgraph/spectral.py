@@ -16,13 +16,21 @@ any split could be kept at all. Shi & Malik (2000, "Normalized Cuts and
 Image Segmentation") show that every bipartition (A, B) has
 Ncut(A, B) >= lambda_2 of the normalized Laplacian, so when lambda_2 clears
 the stop threshold no sweep split can pass it and the set stays whole
-without an eigenvector solve.
+without a sweep.
 
-Everything here is deterministic: the eigensolver is a cyclic Jacobi
-iteration (no BLAS), eigenvector signs are pinned, and all ties break on
-explicit keys. The one LAPACK call, ``np.linalg.eigvalsh`` for lambda_2,
-only feeds that yes/no decision, behind a margin far above the low bits
-that vary with the BLAS thread count.
+The reference eigensolver is a cyclic Jacobi iteration (no BLAS) with
+pinned eigenvector signs, and all ties break on explicit keys, so every
+result is deterministic. ``recursive_ncut`` takes its spectrum from one
+LAPACK ``np.linalg.eigh`` call per connected set, whose low bits vary with
+the BLAS thread count; neither use of it reaches the output bytes:
+
+- lambda_2 only feeds the yes/no no-split decision above, behind a margin
+  far above those low bits.
+- The sweep needs only the node order of y = D^{-1/2} z, not the bits of
+  the Fiedler vector z. LAPACK's z is used only when a Davis & Kahan (1970,
+  "The rotation of eigenvectors by a perturbation III") residual bound
+  proves that it and the Jacobi vector order the nodes alike; near ties,
+  such as twin nodes, fall back to the Jacobi solve.
 """
 
 from __future__ import annotations
@@ -42,6 +50,21 @@ _RESIDUAL_TOL = 1e-9
 # LAPACK's lambda_2 is accurate to about n * 1e-16, so a decision this far
 # from the threshold is the same at every BLAS thread count.
 _CERTIFY_MARGIN = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@dataclass
+class SolveCounts:
+    """How ``recursive_ncut`` settled the connected sets it considered.
+
+    ``kept_whole`` sets needed no sweep (the lambda_2 certificate);
+    ``fiedler_certified`` sweeps ran on a certified LAPACK Fiedler vector and
+    ``jacobi_fallbacks`` on a Jacobi one.
+    """
+
+    kept_whole: int = 0
+    fiedler_certified: int = 0
+    jacobi_fallbacks: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,13 +219,15 @@ def symmetric_eigendecomposition(
     # Entries below skip_tol stay unrotated; together they cannot lift the
     # off-norm above tol.
     skip_tol = tol / (2.0 * n)
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         upper = np.triu(a, 1)
         off = np.sqrt(2.0 * np.sum(upper * upper))
         if off <= tol:
             eigenvalues = np.diag(a).copy()
             order = np.argsort(eigenvalues, kind="stable")
             return eigenvalues[order], vectors[:, order]
+        if sweep == max_sweeps:
+            break
         # Rounding in the two-sided updates drifts symmetry by ~eps per
         # sweep; rebuild from the upper triangle to keep it exact.
         diagonal = np.diag(a).copy()
@@ -243,7 +268,8 @@ def symmetric_eigendecomposition(
             vectors[:, p] = c[None, :] * vec_p - s[None, :] * vec_q
             vectors[:, q] = s[None, :] * vec_p + c[None, :] * vec_q
     raise NumericalError(
-        f"Jacobi eigensolver did not converge in {max_sweeps} sweeps (off-norm target {tol})"
+        f"Jacobi eigensolver on a {n}x{n} matrix did not converge: off-diagonal norm "
+        f"{off:.3e} after {max_sweeps} sweep(s), target {tol:.1e}"
     )
 
 
@@ -264,15 +290,71 @@ def fiedler_vector(
         raise InputError("Fiedler pair needs a square matrix of size >= 2")
     eigenvalues, vectors = symmetric_eigendecomposition(lap, tol=tol, max_sweeps=max_sweeps)
     value = float(eigenvalues[1])
-    vector = vectors[:, 1].copy()
-    vector /= np.sqrt(np.sum(vector * vector))
-    anchor = int(np.argmax(np.abs(vector)))
-    if vector[anchor] < 0.0:
-        vector = -vector
+    vector = _pinned_unit(vectors[:, 1])
     residual = np.max(np.abs(np.einsum("ij,j->i", lap, vector) - value * vector))
     if residual > residual_tol:
-        raise NumericalError(f"eigenpair residual {residual:.3e} exceeds {residual_tol:.1e}")
+        raise NumericalError(
+            f"Fiedler pair of a {lap.shape[0]}x{lap.shape[0]} Laplacian has residual "
+            f"{residual:.3e}, above {residual_tol:.1e}"
+        )
     return value, vector
+
+
+def _pinned_unit(vector: np.ndarray) -> np.ndarray:
+    """``vector`` scaled to unit norm with its largest-magnitude entry positive."""
+    vector = vector / np.sqrt(np.sum(vector * vector))
+    anchor = int(np.argmax(np.abs(vector)))
+    return -vector if vector[anchor] < 0.0 else vector
+
+
+def _certified_order(
+    block: _Block, values: np.ndarray, vectors: np.ndarray, eig_tol: float
+) -> np.ndarray | None:
+    """Sweep order of LAPACK's Fiedler vector if provably the Jacobi one's, else None.
+
+    ``values`` and ``vectors`` are ``np.linalg.eigh(block.laplacian)``. By
+    Davis & Kahan, a unit vector x with residual r = Lx - mu x lies within
+    2 |r| / delta of the exact Fiedler vector (up to sign) when mu is at
+    least delta from every other eigenvalue. Here delta is the spectral gap
+    around lambda_2, less LAPACK's eigenvalue error and Jacobi's ``eig_tol``.
+    Jacobi's vector passes ``fiedler_vector`` only with every residual entry
+    <= 1e-9, so the two vectors are within the sum of both bounds of each
+    other; each residual is widened by its rounding, at most n(n + 2)eps an
+    entry, since every Laplacian entry and every |z_i| is at most 1.
+    """
+    n = values.size
+    lam = float(values[1])
+    upper = float(values[2]) if n > 2 else np.inf
+    delta = min(lam - float(values[0]), upper - lam) - 2.0 * _CERTIFY_MARGIN - eig_tol
+    if not delta > 0.0:
+        return None
+    z = _pinned_unit(vectors[:, 1])
+    rounding = np.sqrt(n) * n * (n + 2) * _EPS
+    residual = float(np.linalg.norm(block.laplacian @ z - lam * z)) + rounding
+    jacobi_residual = np.sqrt(n) * _RESIDUAL_TOL + rounding
+    # The last term covers the normalization of z and the division by sqrt(d).
+    distance = 2.0 * (residual + jacobi_residual) / delta + (n + 2) * _EPS
+    return _order_within(z, block.degrees, distance)
+
+
+def _order_within(z: np.ndarray, degrees: np.ndarray, distance: float) -> np.ndarray | None:
+    """Stable sort order of y = z / sqrt(d) if it is the order of every
+    sign-pinned vector within ``distance`` of ``z``, else None.
+
+    A largest |z_i| that beats the runner-up by more than 2 * distance is
+    the anchor of every such vector, so its sign pin matches ``z``'s; then
+    y_i moves by at most distance / sqrt(d_i), and a strict gap larger than
+    both moves keeps each adjacent pair of the sorted y in place.
+    """
+    magnitudes = np.sort(np.abs(z))
+    if not magnitudes[-1] - magnitudes[-2] > 2.0 * distance:
+        return None
+    y = z / np.sqrt(degrees)
+    order = np.argsort(y, kind="stable")
+    moves = distance / np.sqrt(degrees[order])
+    if not np.all(np.diff(y[order]) > moves[:-1] + moves[1:]):
+        return None
+    return order
 
 
 def _canonical_two_way(in_first: np.ndarray) -> np.ndarray:
@@ -289,6 +371,7 @@ def two_way_ncut(
     eig_max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
     *,
     block: _Block | None = None,
+    order: np.ndarray | None = None,
 ) -> tuple[Partition, CutReport]:
     """Best sweep-cut bipartition along the Fiedler ordering.
 
@@ -297,9 +380,11 @@ def two_way_ncut(
     is scored with the exact objective. Ties break toward the smaller
     node-0 set, then the smaller split index.
 
-    ``block`` is for ``recursive_ncut``, which has already found ``g``
-    connected and built its dense block; without it the graph is checked
-    and the block built here.
+    ``block`` and ``order`` are for ``recursive_ncut``, which has already
+    found ``g`` connected and built its dense block, and may have certified
+    the node order of the Jacobi Fiedler vector without solving for it.
+    Without ``block`` the graph is checked and the block built here; without
+    ``order`` the Jacobi solver gives z.
     """
     if block is None:
         if g.num_nodes < 2:
@@ -308,9 +393,9 @@ def two_way_ncut(
             raise InputError("two-way cut requires a connected graph")
         block = _dense_block(g)
     m = g.num_nodes
-    _, z = fiedler_vector(block.laplacian, tol=eig_tol, max_sweeps=eig_max_sweeps)
-    y = z / np.sqrt(block.degrees)
-    order = np.argsort(y, kind="stable")
+    if order is None:
+        _, z = fiedler_vector(block.laplacian, tol=eig_tol, max_sweeps=eig_max_sweeps)
+        order = np.argsort(z / np.sqrt(block.degrees), kind="stable")
     w_ord = block.weights[np.ix_(order, order)]
     deg_ord = block.degrees[order]
     total_assoc = float(deg_ord.sum())
@@ -344,6 +429,7 @@ def recursive_ncut(
     min_part: int = 1,
     eig_tol: float = DEFAULT_EIG_TOL,
     eig_max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
+    counts: SolveCounts | None = None,
 ) -> Partition:
     """Hierarchical bipartitioning with a stop threshold on the child objective.
 
@@ -357,7 +443,12 @@ def recursive_ncut(
     normalized Laplacian (Shi & Malik, 2000). A set whose lambda_2 exceeds
     ``stop_ncut`` by more than 1e-9 is therefore kept whole without solving
     for its Fiedler vector, which is the partition the sweep would reach.
+    Otherwise the sweep runs on LAPACK's Fiedler vector when its node order
+    is certified to be the Jacobi vector's, and on the Jacobi vector when
+    not. ``counts``, when given, is incremented by how each set was settled.
     """
+    if counts is None:
+        counts = SolveCounts()
     if not np.isfinite(stop_ncut) or stop_ncut < 0.0:
         raise InputError(f"stop_ncut must be finite and >= 0, got {stop_ncut}")
     if min_part < 1:
@@ -384,11 +475,18 @@ def recursive_ncut(
                 parts.append(idx)
             continue
         block = _dense_block(sub)
-        if np.linalg.eigvalsh(block.laplacian)[1] > stop_ncut + _CERTIFY_MARGIN:
+        values, vectors = np.linalg.eigh(block.laplacian)
+        if values[1] > stop_ncut + _CERTIFY_MARGIN:
+            counts.kept_whole += 1
             parts.append(idx)
             continue
+        order = _certified_order(block, values, vectors, eig_tol)
+        if order is None:
+            counts.jacobi_fallbacks += 1
+        else:
+            counts.fiedler_certified += 1
         partition, report = two_way_ncut(
-            sub, eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps, block=block
+            sub, eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps, block=block, order=order
         )
         side_a = idx[partition.labels == 0]
         side_b = idx[partition.labels == 1]

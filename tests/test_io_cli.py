@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from propgraph import (
+    AttentionParams,
     InputError,
     Partition,
     PipelineConfig,
     attention_gradients,
     build_graph,
+    gcpool,
     graph_from_edges,
     two_way_ncut,
 )
@@ -26,6 +28,7 @@ from propgraph.io import (
     load_config,
     load_proposals,
     save_graph,
+    save_params,
     save_proposals,
     write_json,
 )
@@ -265,8 +268,13 @@ class TestCli:
             cwd=tmp_path,
         )
         assert proc.returncode == 0
-        # lambda_2 <= 2 always, so stop_ncut 2 keeps the lambda_2 certificate
-        # from settling the cluster and the one-sweep Jacobi solve must run.
+        # Every box twice: tied Fiedler entries deny LAPACK's vector its order
+        # certificate, so the one-sweep Jacobi solve must run. lambda_2 <= 2
+        # always, so stop_ncut 2 keeps the lambda_2 certificate from settling
+        # the cluster first.
+        scene = json.loads((tmp_path / "scene.json").read_text())
+        scene["proposals"] *= 2
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
         (tmp_path / "config.json").write_text('{"eig_max_sweeps": 1, "stop_ncut": 2.0}')
         proc = run_cli(
             ["pool", "gcpool", "--input", "scene.json", "--config", "config.json",
@@ -275,6 +283,7 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "numerical" in proc.stderr.lower()
+        assert "24x24" in proc.stderr and "1 sweep" in proc.stderr
 
     def test_gen_is_seed_deterministic(self, tmp_path):
         for name in ("a.json", "b.json"):
@@ -333,6 +342,35 @@ class TestCli:
         assert len(parts["coarse"]) == 2
         attended = json.loads((tmp_path / "attended.json").read_text())
         assert len(attended["features"]) == 10
+
+    def test_reports_count_the_spectral_decisions(self, tmp_path, capsys):
+        doc = generate_proposals(2, 30, seed=5, feature_dim=3, jitter=0.24)
+        save_proposals(doc, str(tmp_path / "scene.json"))
+        save_params(AttentionParams.initialize(3, head_count=1, output_dim=3, seed=0),
+                    str(tmp_path / "params.json"))
+        (tmp_path / "config.json").write_text('{"iou_thr": 0.5}')
+        labeling, _ = gcpool(build_graph(doc.normalized_boxes(), doc.feature_matrix(), 0.5),
+                             min_size=3, stop_ncut=0.5)
+        expected = dataclasses.asdict(labeling.solves)
+        assert expected["fiedler_certified"] > 0 and expected["kept_whole"] > 0
+        files = {"input": str(tmp_path / "scene.json"), "config": str(tmp_path / "config.json"),
+                 "params": str(tmp_path / "params.json")}
+        commands = {
+            "pool": ["pool", "gcpool", "--input", files["input"], "--config", files["config"],
+                     "--output", str(tmp_path / "parts.json")],
+            "forward": ["forward", "--input", files["input"], "--params", files["params"],
+                        "--config", files["config"], "--output", str(tmp_path / "out.json")],
+        }
+        commands["no-gcpool"] = commands["forward"] + ["--no-gcpool"]
+        counts = {}
+        for name, argv in commands.items():
+            assert run_command(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            counts[name] = {key: report["counts"][key] for key in expected}
+        assert counts["pool"] == counts["forward"] == expected
+        assert counts["no-gcpool"] == dict.fromkeys(expected, 0)
+        # the counts stay out of the output files
+        assert set(json.loads((tmp_path / "parts.json").read_text())) == {"labels", "coarse"}
 
     def test_oracle_commands_pass(self, tmp_path):
         proc = run_cli(

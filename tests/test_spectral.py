@@ -10,8 +10,10 @@ from propgraph import (
     Partition,
     assoc,
     brute_force_ncut,
+    build_graph,
     connected_components,
     fiedler_vector,
+    generate_proposals,
     graph_from_edges,
     ncut_value,
     normalized_laplacian,
@@ -152,6 +154,18 @@ class TestEigensolver:
         with pytest.raises(NumericalError):
             symmetric_eigendecomposition(m, max_sweeps=1)
 
+    def test_budget_error_names_size_sweeps_and_off_norm(self):
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(30, 30))
+        m = (m + m.T) / 2.0
+        with pytest.raises(NumericalError, match=r"30x30 .* norm \d\.\d+e[-+]\d+ after 2 sweep"):
+            symmetric_eigendecomposition(m, max_sweeps=2)
+
+    def test_convergence_in_the_last_sweep_counts(self):
+        # one rotation diagonalizes a 2x2 matrix
+        values, _ = symmetric_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=1)
+        assert values == pytest.approx([1.0, 3.0], abs=1e-15)
+
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(25, 25))
@@ -255,7 +269,7 @@ class TestRecursiveNcut:
 
 def lambda_2(g):
     """lambda_2 exactly as recursive_ncut computes it for the whole graph."""
-    return float(np.linalg.eigvalsh(normalized_laplacian(g))[1])
+    return float(np.linalg.eigh(normalized_laplacian(g))[0][1])
 
 
 def count_jacobi_calls(monkeypatch):
@@ -268,6 +282,11 @@ def count_jacobi_calls(monkeypatch):
 
     monkeypatch.setattr(spectral, "symmetric_eigendecomposition", counting)
     return calls
+
+
+def force_jacobi(monkeypatch):
+    """Certify no LAPACK Fiedler vector, so every sweep runs on the Jacobi one."""
+    monkeypatch.setattr(spectral, "_certified_order", lambda *args: None)
 
 
 def drawn_graph(rng):
@@ -319,6 +338,7 @@ class TestCertifiedNoSplit:
         with_exit = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_CERTIFY_MARGIN", np.inf)
+            force_jacobi(mp)
             calls = count_jacobi_calls(mp)
             without_exit = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
         assert np.array_equal(with_exit.labels, without_exit.labels)
@@ -343,10 +363,148 @@ class TestCertifiedNoSplit:
             boundary = float(np.nextafter(boundary, -np.inf))
         assert boundary + 1e-9 == lam
         for stop in (lam, lam - 5e-10, boundary):
+            force_jacobi(monkeypatch)
             calls = count_jacobi_calls(monkeypatch)
             recursive_ncut(g, stop_ncut=stop)
             assert calls and calls[0] == 8, stop
             monkeypatch.undo()
+
+
+def generic_graph(rng, n=None):
+    """A connected graph, random weights on a spanning path plus random chords."""
+    n = int(rng.integers(3, 13)) if n is None else n
+    perm = rng.permutation(n)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(perm[:-1], perm[1:])}
+    p = rng.uniform(0.2, 1.0)
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    return graph_from_edges(n, [(i, j, float(rng.uniform(0.05, 1.0))) for i, j in sorted(edges)])
+
+
+def loose_scene(seed, boxes=12, duplicate_first=False):
+    """Largest component of a loose generated scene's IoU graph (IoU > 0.5)."""
+    doc = generate_proposals(1, boxes, seed=seed, feature_dim=2, jitter=0.24)
+    boxes, features = doc.normalized_boxes(), doc.feature_matrix()
+    if duplicate_first:
+        boxes, features = boxes + boxes[:1], np.vstack([features, features[:1]])
+    g = build_graph(boxes, features, 0.5)
+    components = connected_components(g)
+    return g.subgraph(components.members(int(components.labels[0])))
+
+
+def drawn_cut_graph(rng, kind):
+    if kind == "generic":
+        return generic_graph(rng)
+    if kind == "cliques":
+        return bridged_cliques(int(rng.integers(2, 6)), float(rng.uniform(0.01, 1.0)))
+    g = loose_scene(int(rng.integers(0, 2**31)), boxes=int(rng.integers(4, 25)))
+    return g if g.num_nodes >= 2 else generic_graph(rng)
+
+
+def top_set_fell_back(g, monkeypatch):
+    """Whether recursive_ncut solves the whole graph with Jacobi (stop 2 forces a sweep)."""
+    calls = count_jacobi_calls(monkeypatch)
+    recursive_ncut(g, stop_ncut=2.0)
+    monkeypatch.undo()
+    return bool(calls) and calls[0] == g.num_nodes
+
+
+class TestCertifiedFiedler:
+    """The sweep runs on LAPACK's Fiedler vector only when its order is the Jacobi one's."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(["generic", "cliques", "scene"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_certified_cut_is_the_jacobi_cut(self, seed, kind):
+        g = drawn_cut_graph(np.random.default_rng(seed), kind)
+        block = spectral._dense_block(g)
+        values, vectors = np.linalg.eigh(block.laplacian)
+        order = spectral._certified_order(block, values, vectors, spectral.DEFAULT_EIG_TOL)
+        if order is None:
+            return
+        _, z = fiedler_vector(block.laplacian)
+        assert np.array_equal(order, np.argsort(z / np.sqrt(block.degrees), kind="stable"))
+        partition, report = two_way_ncut(g, block=block, order=order)
+        jacobi_partition, jacobi_report = two_way_ncut(g)
+        assert np.array_equal(partition.labels, jacobi_partition.labels)
+        assert report == jacobi_report
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(["generic", "cliques", "scene"]),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_partition_as_the_forced_jacobi_path(self, seed, kind, stop, min_part):
+        g = drawn_cut_graph(np.random.default_rng(seed), kind)
+        counts = spectral.SolveCounts()
+        certified = recursive_ncut(g, stop_ncut=stop, min_part=min_part, counts=counts)
+        with pytest.MonkeyPatch.context() as mp:
+            force_jacobi(mp)
+            calls = count_jacobi_calls(mp)
+            jacobi = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
+        assert np.array_equal(certified.labels, jacobi.labels)
+        assert certified.set_count == jacobi.set_count
+        assert counts.fiedler_certified + counts.jacobi_fallbacks == len(calls)
+
+    def test_certificate_fires_on_loose_scenes(self):
+        hits = 0
+        for seed in range(10):
+            g = loose_scene(seed, boxes=20)
+            counts = spectral.SolveCounts()
+            recursive_ncut(g, stop_ncut=0.5, counts=counts)
+            hits += counts.fiedler_certified
+        assert hits >= 10
+
+    def test_twin_nodes_fall_back(self, monkeypatch):
+        star = graph_from_edges(5, [(0, leaf, 1.0) for leaf in range(1, 5)])
+        assert top_set_fell_back(star, monkeypatch)
+        scene = loose_scene(3)
+        assert not top_set_fell_back(scene, monkeypatch)
+        twinned = loose_scene(3, duplicate_first=True)
+        assert twinned.num_nodes == scene.num_nodes + 1
+        assert top_set_fell_back(twinned, monkeypatch)
+
+    def test_near_twins_fall_back(self, monkeypatch):
+        # y of a twin moves by about 1e-10: far more than LAPACK's own error,
+        # far less than the 1e-9 residual the Jacobi vector is allowed.
+        base = generic_graph(np.random.default_rng(8), n=6)
+        assert not top_set_fell_back(base, monkeypatch)
+        twin = [(j if i == 5 else i, 6, w) for i, j, w in base.edges() if 5 in (i, j)]
+        twin[0] = (twin[0][0], 6, twin[0][2] * (1.0 + 1e-10))
+        near_twins = graph_from_edges(7, base.edges() + twin + [(5, 6, 1.0)])
+        assert top_set_fell_back(near_twins, monkeypatch)
+
+    def test_tied_anchor_falls_back(self, monkeypatch):
+        # The symmetric path's Fiedler vector is antisymmetric, so its two
+        # largest entries tie in magnitude; the sign pin is then a coin toss.
+        symmetric = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        assert top_set_fell_back(symmetric, monkeypatch)
+        skewed = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+        assert not top_set_fell_back(skewed, monkeypatch)
+
+    def test_order_needs_strict_margins(self):
+        ones = np.ones(3)
+        # the anchor must beat the runner-up by more than 2 * distance
+        assert spectral._order_within(np.array([0.0, 0.5, 0.75]), ones, 0.125) is None
+        assert spectral._order_within(np.array([0.0, 0.5, 0.875]), ones, 0.125) is not None
+        # adjacent y must differ by more than both moves
+        assert spectral._order_within(np.array([0.0, 0.25, 1.0]), ones, 0.125) is None
+        z = np.array([0.3125, 0.0, 1.0])
+        assert list(spectral._order_within(z, ones, 0.125)) == [1, 0, 2]
+        # y = z / sqrt(d): a low degree widens its node's move
+        assert spectral._order_within(z, np.array([1.0, 0.25, 1.0]), 0.125) is None
+
+    def test_counts_add_up(self):
+        counts = spectral.SolveCounts()
+        g = bridged_cliques(4, 0.02)
+        partition = recursive_ncut(g, stop_ncut=0.5, counts=counts)
+        assert partition.set_count == 2
+        # one sweep splits the bridge; each 4-clique is kept whole by lambda_2
+        assert counts.fiedler_certified + counts.jacobi_fallbacks == 1
+        assert counts.kept_whole == 2
 
 
 class TestBruteForce:
