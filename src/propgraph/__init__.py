@@ -7,11 +7,12 @@ returns refined per-proposal features with the original statistics.
 """
 
 from .attention import (
-    AffinityMatrix,
+    AttendablePairs,
+    AttentionDegrees,
     AttentionGradients,
     AttentionParams,
     attend,
-    attendable_mask,
+    attendable_pairs,
     attention_gradients,
     attention_weights,
     multi_head_attend,
@@ -49,7 +50,8 @@ from .synthetic import generate_proposals
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
+    "AttendablePairs",
+    "AttentionDegrees",
     "AttentionGradients",
     "AttentionParams",
     "BoundingBox",
@@ -69,7 +71,7 @@ __all__ = [
     "SpatialDescriptor",
     "assoc",
     "attend",
-    "attendable_mask",
+    "attendable_pairs",
     "attention_gradients",
     "attention_weights",
     "augment_with_coarse",

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import io as pio
-from .attention import AttentionParams, attention_gradients, multi_head_attend
+from .attention import AttentionDegrees, AttentionParams, attention_gradients, multi_head_attend
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
 from .graph import build_graph, connected_components, filter_components
@@ -85,6 +85,10 @@ def _report(command: str, config: Optional[PipelineConfig], counts: dict,
         "timings_ms": timer.timings_ms,
         "digests": digests,
     })
+
+
+def _degree_counts(degrees: AttentionDegrees) -> dict:
+    return {f"attention_{key}": value for key, value in dataclasses.asdict(degrees).items()}
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -275,17 +279,19 @@ def _cmd_attend(args) -> int:
     with timer.measure("build"):
         features = document.feature_matrix()
         g = build_graph(document.normalized_boxes(), features, config.iou_thr)
+    degrees = AttentionDegrees()
     with timer.measure("attend"):
         refined = multi_head_attend(
             features, params, g,
-            dense_attention=config.dense_attention, iou_bias=config.iou_bias,
+            dense_attention=config.dense_attention, iou_bias=config.iou_bias, degrees=degrees,
         )
     with timer.measure("write"):
         ids = tuple(int(n) for n in g.node_ids)
         digest = pio.save_features(ids, refined, args.output)
     _report("attend", config,
             {"proposals": document.num_proposals, "edges": g.num_edges,
-             "heads": params.head_count, "output_dim": params.output_dim},
+             "heads": params.head_count, "output_dim": params.output_dim,
+             **_degree_counts(degrees)},
             timer, {args.output: digest})
     return 0
 
@@ -308,7 +314,8 @@ def _cmd_forward(args) -> int:
             {"proposals": diag.node_count, "edges": diag.edge_count,
              "components": diag.component_count, "filtered": len(diag.filtered_ids),
              "parts": diag.part_count, "coarse": diag.coarse_count,
-             "gcpool": not args.no_gcpool, **dataclasses.asdict(diag.solves)},
+             "gcpool": not args.no_gcpool, **dataclasses.asdict(diag.solves),
+             **_degree_counts(diag.attention)},
             timer, {args.output: digest})
     return 0
 

@@ -1,8 +1,9 @@
 """Verification oracles and the seeded graph generators that feed them.
 
 Each oracle reaches what the forward path computes by another route:
-exhaustive search, edge-by-edge enumeration, or central finite differences. The ``oracle`` CLI commands and the test suite
-both use this module; no forward-path module imports it.
+exhaustive search, edge-by-edge enumeration, a dense per-row attention
+kernel, or central finite differences. The ``oracle`` CLI commands and the
+test suite both use this module; no forward-path module imports it.
 """
 
 from __future__ import annotations
@@ -104,6 +105,52 @@ def edge_enumeration_ncut(g: ProposalGraph, partition: Partition) -> float:
             cut[li] += float(w)
             cut[lj] += float(w)
     return sum(c / a for c, a in zip(cut, assoc))
+
+
+def reference_attention(
+    features: np.ndarray,
+    params: AttentionParams,
+    g: ProposalGraph,
+    dense_attention: bool = False,
+    iou_bias: bool = False,
+) -> np.ndarray:
+    """``multi_head_attend`` through an M x M score matrix and mask, row by row.
+
+    Each row softmaxes its attendable scores over a stably sorted
+    denominator and sums its stably sorted (k, d) contributions with
+    ``np.sum(axis=0)``, then clips to the attendable min/max. The sparse
+    kernel must give the same bits.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    m, d = feats.shape
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    mask = np.ones((m, m), dtype=bool) if dense_attention else np.eye(m, dtype=bool)
+    mask[i, j] = True
+    mask[j, i] = True
+    head_outputs = []
+    for head in range(params.head_count):
+        left = np.einsum("md,d->m", feats, params.score_weights[head, :d])
+        right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
+        scores = left[:, None] + right[None, :] + params.score_bias[head]
+        if iou_bias:
+            on_edge = g.edge_weight > 0.0
+            bias = np.log(np.maximum(g.edge_weight[on_edge], 1e-300))
+            scores[i[on_edge], j[on_edge]] += bias
+            scores[j[on_edge], i[on_edge]] += bias
+        out = np.empty_like(feats)
+        for row in range(m):
+            idx = np.flatnonzero(mask[row])
+            shifted = np.exp(scores[row, idx] - np.max(scores[row, idx]))
+            weights = shifted / np.sum(np.sort(shifted, kind="stable"))
+            contributions = weights[:, None] * feats[idx]
+            summed = np.sum(np.sort(contributions, axis=0, kind="stable"), axis=0)
+            out[row] = np.minimum(np.maximum(summed, feats[idx].min(axis=0)),
+                                  feats[idx].max(axis=0))
+        head_outputs.append(out)
+    concatenated = np.concatenate(head_outputs, axis=1)
+    if params.output_projection is None:
+        return concatenated
+    return np.einsum("mk,ko->mo", concatenated, params.output_projection)
 
 
 def finite_difference_gradients(

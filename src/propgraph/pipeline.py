@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import AttentionParams, multi_head_attend
+from .attention import AttentionDegrees, AttentionParams, multi_head_attend
 from .config import PipelineConfig
 from .errors import InputError
 from .geometry import BoundingBox
@@ -25,7 +25,11 @@ from .spectral import SolveCounts
 
 @dataclass(frozen=True, eq=False)
 class PipelineDiagnostics:
-    """Structure report for one forward run; ``solves`` is all zeros without pooling."""
+    """Structure report for one forward run.
+
+    ``solves`` is all zeros without pooling; ``attention`` covers every row
+    attention ran on, coarse nodes included, and is all zeros with no nodes.
+    """
 
     node_count: int
     edge_count: int
@@ -35,6 +39,7 @@ class PipelineDiagnostics:
     coarse_count: int
     pseudo_labels: tuple[Optional[int], ...]
     solves: SolveCounts
+    attention: AttentionDegrees
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +132,7 @@ def forward(
         )
         coarse = []
         augmented = g
+    degrees = AttentionDegrees()
     if m == 0:
         refined = np.zeros((0, feats.shape[1]), dtype=np.float64)
     else:
@@ -136,6 +142,7 @@ def forward(
             augmented,
             dense_attention=config.dense_attention,
             iou_bias=config.iou_bias,
+            degrees=degrees,
         )
         refined = refined_all[:m]
     output = identical_normalize(
@@ -160,6 +167,7 @@ def forward(
         coarse_count=len(coarse),
         pseudo_labels=labeling.labels,
         solves=labeling.solves,
+        attention=degrees,
     )
     return RefinedProposals(
         features=output,

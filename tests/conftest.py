@@ -1,4 +1,4 @@
-"""Test-only strategies, geometry oracles and the CLI subprocess helper.
+"""Test-only strategies, geometry oracles, attention helpers and the CLI subprocess helper.
 
 The graph generators and the ncut/gradient oracles live in
 ``propgraph.oracles``, shared with the ``oracle`` CLI commands.
@@ -16,7 +16,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 import propgraph
-from propgraph import BoundingBox
+from propgraph import (
+    AttendablePairs, BoundingBox, ProposalGraph, attention_weights, graph_from_edges,
+)
 
 # Directory holding the ``propgraph`` package, so a subprocess started in
 # any working directory imports the same code as the test process.
@@ -65,6 +67,37 @@ def grid_area_iou(a: BoundingBox, b: BoundingBox, resolution: int = 2000) -> flo
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def pair_coords(pairs: AttendablePairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every attendable pair, in pair order."""
+    m = pairs.num_nodes
+    rows = np.repeat(np.arange(m), pairs.degree)
+    cols = np.tile(np.arange(m), m) if pairs.dense else pairs.indices
+    return rows, cols
+
+
+def pair_matrix(pairs: AttendablePairs, values: np.ndarray, fill=0.0) -> np.ndarray:
+    """Per-pair values laid out as an M x M matrix, ``fill`` off the attendable pairs."""
+    out = np.full((pairs.num_nodes, pairs.num_nodes), fill, dtype=np.asarray(values).dtype)
+    out[pair_coords(pairs)] = values
+    return out
+
+
+def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
+    """Softmax weights of per-pair scores, one ``attention_weights`` call per row."""
+    rows, cols = pair_coords(pairs)
+    weights = np.zeros((pairs.num_nodes, pairs.num_nodes))
+    for i in range(pairs.num_nodes):
+        weights[i, cols[rows == i]] = attention_weights(scores[rows == i])
+    return weights
+
+
+def permuted_graph(g: ProposalGraph, perm: np.ndarray) -> ProposalGraph:
+    """The graph whose node a is node ``perm[a]`` of ``g``."""
+    inverse = np.argsort(perm)
+    edges = [(int(inverse[i]), int(inverse[j]), w) for i, j, w in g.edges()]
+    return graph_from_edges(g.num_nodes, edges, features=g.features[perm])
 
 
 def run_cli(argv, cwd, env_extra=None) -> subprocess.CompletedProcess:

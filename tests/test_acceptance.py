@@ -13,12 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from propgraph import (
-    AffinityMatrix,
     AttentionParams,
     PipelineConfig,
     attend,
+    attendable_pairs,
     attention_gradients,
-    attention_weights,
     brute_force_ncut,
     build_graph,
     finite_difference_gradients,
@@ -44,7 +43,7 @@ from propgraph.oracles import (
 )
 from propgraph.spectral import Partition
 
-from conftest import run_cli
+from conftest import pair_coords, pair_matrix, permuted_graph, run_cli, weight_matrix
 
 
 @contextmanager
@@ -117,26 +116,28 @@ def test_criterion_4_attention_invariants():
             g = random_connected_graph(rng, m, features=d)
             params = AttentionParams.initialize(d, seed=int(rng.integers(0, 2**31)))
             dense = bool(rng.integers(0, 2))
-            aff = similarity_scores(g.features, params, g, dense_attention=dense)
-            weights = attention_weights(aff)
+            pairs = attendable_pairs(g, dense_attention=dense)
+            scores = similarity_scores(g.features, params, pairs)
+            weights = weight_matrix(pairs, scores)
             assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9
-            out = attend(g.features, aff)
+            out = attend(g.features, pairs, scores)
+            mask = pair_matrix(pairs, True, fill=False)
             for i in range(m):
-                idx = np.flatnonzero(aff.mask[i])
+                idx = np.flatnonzero(mask[i])
                 assert np.all(out[i] >= g.features[idx].min(axis=0))
                 assert np.all(out[i] <= g.features[idx].max(axis=0))
             # shift invariance on one row
             row = int(rng.integers(0, m))
-            shifted_scores = aff.scores.copy()
-            shifted_scores[row] += float(rng.uniform(-20, 20))
-            shifted = attend(g.features, AffinityMatrix(scores=shifted_scores, mask=aff.mask))
+            shifted_scores = scores.copy()
+            shifted_scores[pair_coords(pairs)[0] == row] += float(rng.uniform(-20, 20))
+            shifted = attend(g.features, pairs, shifted_scores)
             assert np.max(np.abs(shifted[row] - out[row])) <= 1e-12
             # exact permutation equivariance
             perm = rng.permutation(m)
+            permuted_pairs = attendable_pairs(permuted_graph(g, perm), dense_attention=dense)
+            permuted_scores = pair_matrix(pairs, scores)[np.ix_(perm, perm)]
             permuted = attend(
-                g.features[perm],
-                AffinityMatrix(scores=aff.scores[np.ix_(perm, perm)],
-                               mask=aff.mask[np.ix_(perm, perm)]),
+                g.features[perm], permuted_pairs, permuted_scores[pair_coords(permuted_pairs)]
             )
             assert np.array_equal(permuted, out[perm])
 

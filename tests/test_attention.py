@@ -1,22 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propgraph import (
-    AffinityMatrix,
+    AttentionDegrees,
     AttentionParams,
     InputError,
     NumericalError,
     attend,
+    attendable_pairs,
     attention_gradients,
-    attention_weights,
     finite_difference_gradients,
     graph_from_edges,
     multi_head_attend,
     similarity_scores,
 )
-from propgraph.oracles import max_relative_error, random_connected_graph
+from propgraph import attention
+from propgraph.oracles import max_relative_error, random_connected_graph, reference_attention
+
+from conftest import pair_coords, pair_matrix, permuted_graph, weight_matrix
 
 
 def single_head_params(weights, bias=0.0):
@@ -55,83 +60,81 @@ class TestSimilarityScores:
     def test_hand_computed_pair_score(self):
         feats = np.array([[2.0, 0.0], [0.0, 3.0]])
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
-        aff = similarity_scores(feats, single_head_params([1.0, 0.0, 0.0, 1.0]), g)
-        assert aff.scores[0, 1] == 5.0  # 2 + 3
-        assert aff.scores[0, 0] == 2.0  # self-concatenation [2,0,2,0]
-        assert aff.mask.all()
+        pairs = attendable_pairs(g)
+        params = single_head_params([1.0, 0.0, 0.0, 1.0])
+        scores = pair_matrix(pairs, similarity_scores(feats, params, pairs))
+        assert scores[0, 1] == 5.0  # 2 + 3
+        assert scores[0, 0] == 2.0  # self-concatenation [2,0,2,0]
+        assert pair_matrix(pairs, True, fill=False).all()
 
     def test_hand_computed_iou_bias(self):
         feats = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.0)], features=feats)
         params = single_head_params([1.0, 0.0, 0.0, 1.0], bias=0.25)
         for dense in (False, True):
-            aff = similarity_scores(feats, params, g, dense_attention=dense, iou_bias=True)
+            pairs = attendable_pairs(g, dense_attention=dense, iou_bias=True)
+            scores = similarity_scores(feats, params, pairs)
             expected = np.array([
                 [2.25, 5.25 + np.log(0.5), 3.25],
                 [0.25 + np.log(0.5), 3.25, 1.25],  # zero-weight edge (1, 2) stays unbiased
                 [1.25, 4.25, 2.25],
             ])
-            assert np.array_equal(aff.scores, expected)
+            assert np.array_equal(scores, expected[pair_coords(pairs)])
 
     def test_zero_parameters_give_zero_scores(self):
         feats = np.random.default_rng(0).normal(size=(4, 3))
         g = graph_from_edges(4, [(0, 1, 0.3), (2, 3, 0.4)], features=feats)
-        aff = similarity_scores(feats, single_head_params([0.0] * 6), g)
-        assert np.all(aff.scores[aff.mask] == 0.0)
+        scores = similarity_scores(feats, single_head_params([0.0] * 6), attendable_pairs(g))
+        assert np.all(scores == 0.0)
 
     def test_mask_is_neighbors_plus_self(self):
         feats = np.zeros((3, 1))
         g = graph_from_edges(3, [(0, 1, 0.9)], features=feats)
-        aff = similarity_scores(feats, single_head_params([0.0, 0.0]), g)
+        mask = pair_matrix(attendable_pairs(g), True, fill=False)
         expected = np.array([[True, True, False], [True, True, False], [False, False, True]])
-        assert np.array_equal(aff.mask, expected)
-        dense = similarity_scores(feats, single_head_params([0.0, 0.0]), g, dense_attention=True)
-        assert dense.mask.all()
+        assert np.array_equal(mask, expected)
+        dense = pair_matrix(attendable_pairs(g, dense_attention=True), True, fill=False)
+        assert dense.all()
 
     def test_dimension_mismatch_rejected(self):
         feats = np.zeros((2, 3))
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
         with pytest.raises(InputError):
-            similarity_scores(feats, single_head_params([0.0, 0.0]), g)
+            similarity_scores(feats, single_head_params([0.0, 0.0]), attendable_pairs(g))
 
 
 class TestAttend:
     def test_single_node_identity(self):
-        aff = AffinityMatrix(scores=np.zeros((1, 1)), mask=np.ones((1, 1), dtype=bool))
+        pairs = attendable_pairs(graph_from_edges(1, []))
         feats = np.array([[3.0, -1.0, 2.0]])
-        assert np.array_equal(attend(feats, aff), feats)
+        assert np.array_equal(attend(feats, pairs, np.zeros(1)), feats)
 
     def test_log_three_softmax(self):
-        aff = AffinityMatrix(
-            scores=np.array([[np.log(3.0), 0.0], [0.0, 0.0]]),
-            mask=np.ones((2, 2), dtype=bool),
-        )
-        out = attend(np.array([[1.0, 0.0], [0.0, 1.0]]), aff)
+        pairs = attendable_pairs(graph_from_edges(2, [(0, 1, 0.5)]))
+        scores = np.array([[np.log(3.0), 0.0], [0.0, 0.0]])[pair_coords(pairs)]
+        out = attend(np.array([[1.0, 0.0], [0.0, 1.0]]), pairs, scores)
         assert out[0] == pytest.approx([0.75, 0.25], abs=1e-12)
         assert out[1] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_uniform_scores_average(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(6, 3))
-        aff = AffinityMatrix(scores=np.full((6, 6), 2.5), mask=np.ones((6, 6), dtype=bool))
-        out = attend(feats, aff)
+        pairs = attendable_pairs(graph_from_edges(6, []), dense_attention=True)
+        out = attend(feats, pairs, np.full(36, 2.5))
         mean = feats.mean(axis=0)
         for row in out:
             assert row == pytest.approx(mean, abs=1e-12)
 
     def test_non_finite_attendable_score_raises(self):
-        aff = AffinityMatrix(
-            scores=np.array([[0.0, np.inf], [0.0, 0.0]]),
-            mask=np.ones((2, 2), dtype=bool),
-        )
+        pairs = attendable_pairs(graph_from_edges(2, [(0, 1, 0.5)]))
+        scores = np.array([[0.0, np.inf], [0.0, 0.0]])[pair_coords(pairs)]
         with pytest.raises(NumericalError):
-            attend(np.zeros((2, 2)), aff)
+            attend(np.zeros((2, 2)), pairs, scores)
 
     def test_masked_row_softmax_ignores_masked_entries(self):
         scores = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        mask = np.eye(3, dtype=bool)
-        mask[0, 2] = True
-        weights = attention_weights(AffinityMatrix(scores=scores, mask=mask))
+        pairs = attendable_pairs(graph_from_edges(3, [(0, 2, 0.5)]))
+        weights = weight_matrix(pairs, scores[pair_coords(pairs)])
         assert weights[0, 1] == 0.0
         assert weights[0, 0] + weights[0, 2] == pytest.approx(1.0, abs=1e-12)
 
@@ -142,13 +145,15 @@ class TestAttend:
         m = int(rng.integers(1, 12))
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
-        aff = similarity_scores(g.features, params, g)
-        weights = attention_weights(aff)
+        pairs = attendable_pairs(g)
+        scores = similarity_scores(g.features, params, pairs)
+        weights = weight_matrix(pairs, scores)
         sums = weights.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
-        out = attend(g.features, aff)
+        out = attend(g.features, pairs, scores)
+        mask = pair_matrix(pairs, True, fill=False)
         for i in range(m):
-            idx = np.flatnonzero(aff.mask[i])
+            idx = np.flatnonzero(mask[i])
             assert np.all(out[i] >= g.features[idx].min(axis=0))
             assert np.all(out[i] <= g.features[idx].max(axis=0))
 
@@ -160,11 +165,13 @@ class TestAttend:
         m = int(rng.integers(2, 10))
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
-        aff = similarity_scores(g.features, params, g)
-        base = attend(g.features, aff)
-        shifted_scores = aff.scores.copy()
-        shifted_scores[1] = shifted_scores[1] + shift
-        shifted = attend(g.features, AffinityMatrix(scores=shifted_scores, mask=aff.mask))
+        pairs = attendable_pairs(g)
+        scores = similarity_scores(g.features, params, pairs)
+        base = attend(g.features, pairs, scores)
+        shifted_scores = scores.copy()
+        row_one = pair_coords(pairs)[0] == 1
+        shifted_scores[row_one] = shifted_scores[row_one] + shift
+        shifted = attend(g.features, pairs, shifted_scores)
         assert np.max(np.abs(shifted[1] - base[1])) <= 1e-12
         others = np.delete(np.arange(m), 1)
         assert np.array_equal(shifted[others], base[others])
@@ -176,12 +183,14 @@ class TestAttend:
         m = int(rng.integers(2, 12))
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
-        aff = similarity_scores(g.features, params, g)
-        base = attend(g.features, aff)
+        pairs = attendable_pairs(g)
+        scores = similarity_scores(g.features, params, pairs)
+        base = attend(g.features, pairs, scores)
         perm = rng.permutation(m)
+        permuted_pairs = attendable_pairs(permuted_graph(g, perm))
+        permuted_scores = pair_matrix(pairs, scores)[np.ix_(perm, perm)]
         permuted = attend(
-            g.features[perm],
-            AffinityMatrix(scores=aff.scores[np.ix_(perm, perm)], mask=aff.mask[np.ix_(perm, perm)]),
+            g.features[perm], permuted_pairs, permuted_scores[pair_coords(permuted_pairs)]
         )
         assert np.array_equal(permuted, base[perm])
 
@@ -191,8 +200,10 @@ class TestMultiHead:
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 5, features=4)
         params = AttentionParams.initialize(4, head_count=1, seed=7)
-        aff = similarity_scores(g.features, params, g)
-        assert np.array_equal(multi_head_attend(g.features, params, g), attend(g.features, aff))
+        pairs = attendable_pairs(g)
+        scores = similarity_scores(g.features, params, pairs)
+        assert np.array_equal(multi_head_attend(g.features, params, g),
+                              attend(g.features, pairs, scores))
 
     def test_identical_heads_duplicate_blocks(self):
         rng = np.random.default_rng(4)
@@ -268,3 +279,107 @@ class TestGradients:
         analytic = attention_gradients(g.features, params, g, upstream, dense_attention=True)
         numeric = finite_difference_gradients(g.features, params, g, upstream, dense_attention=True)
         assert max_relative_error(analytic, numeric) < 1e-5
+
+
+class TestSparseKernel:
+    def test_pairs_are_self_plus_both_edge_directions_bucketed_by_degree(self):
+        g = graph_from_edges(5, [(0, 3, 0.5), (1, 3, 0.0), (0, 1, 0.25)])
+        pairs = attendable_pairs(g, iou_bias=True)
+        assert pairs.indptr.tolist() == [0, 3, 6, 7, 10, 11]
+        assert pairs.indices.tolist() == [0, 1, 3, 0, 1, 3, 2, 0, 1, 3, 4]
+        bias = pair_matrix(pairs, pairs.log_weight, fill=np.nan)
+        assert bias[0, 3] == bias[3, 0] == np.log(0.5)
+        assert bias[0, 1] == bias[1, 0] == np.log(0.25)
+        # self pairs and the zero-weight edge carry -0.0, which adds nothing
+        for i, j in [(1, 3), (3, 1), (0, 0), (2, 2)]:
+            assert bias[i, j] == 0.0 and np.signbit(bias[i, j])
+        assert [(k, rows.tolist()) for k, rows in pairs.buckets] == [(1, [2, 4]), (3, [0, 1, 3])]
+        dense = attendable_pairs(g, dense_attention=True)
+        assert [(k, rows.tolist()) for k, rows in dense.buckets] == [(5, [0, 1, 2, 3, 4])]
+        assert dense.pair_count == 25 and attendable_pairs(g).log_weight is None
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        dense=st.booleans(),
+        iou_bias=st.booleans(),
+        heads=st.sampled_from([1, 4]),
+        signed_zeros=st.booleans(),
+        block_floats=st.sampled_from([1, 24, 1 << 20]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_reference_bitwise(
+        self, seed, dense, iou_bias, heads, signed_zeros, block_floats
+    ):
+        # Random density leaves isolated nodes and mixes degrees (several
+        # buckets); a fifth of the edges weigh 0, which the IoU bias skips.
+        # Small blocks split buckets, and the dense bucket, across blocks.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 16))
+        d = int(rng.integers(1, 5))
+        density = rng.uniform(0.0, 0.7)
+        edges = [
+            (i, j, 0.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0)))
+            for i in range(m) for j in range(i + 1, m) if rng.random() < density
+        ]
+        if signed_zeros:
+            # Repeated values and both zeros: the unstable sort must not matter.
+            feats = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(m, d))
+        else:
+            feats = rng.normal(size=(m, d))
+        g = graph_from_edges(m, edges, features=feats)
+        out_dim = int(rng.integers(1, 6)) if heads > 1 else None
+        params = AttentionParams.initialize(d, head_count=heads, output_dim=out_dim,
+                                            seed=seed & 0xFFFF)
+        with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats):
+            out = multi_head_attend(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
+        reference = reference_attention(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
+        assert np.array_equal(out, reference)
+        assert out.tobytes() == reference.tobytes()
+
+    def test_dense_mode_builds_no_square_array(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(11)
+        m = 1000
+        g = random_connected_graph(rng, m, features=2)
+        params = AttentionParams.initialize(2, head_count=2, output_dim=2, seed=3)
+        upstream = rng.normal(size=(m, 2))
+        with mock.patch.object(attention, "_BLOCK_FLOATS", 1 << 14):
+            tracemalloc.start()
+            try:
+                multi_head_attend(g.features, params, g, dense_attention=True, iou_bias=True)
+                attention_gradients(g.features, params, g, upstream, dense_attention=True,
+                                    iou_bias=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < m * m * 8 / 4
+
+    def test_gradients_do_not_depend_on_block_size(self):
+        rng = np.random.default_rng(21)
+        g = random_connected_graph(rng, 9, features=3)
+        params = AttentionParams.initialize(3, head_count=2, output_dim=4, seed=8)
+        upstream = rng.normal(size=(9, 4))
+        for dense in (False, True):
+            whole = attention_gradients(g.features, params, g, upstream, dense_attention=dense,
+                                        iou_bias=True)
+            with mock.patch.object(attention, "_BLOCK_FLOATS", 1):
+                split = attention_gradients(g.features, params, g, upstream,
+                                            dense_attention=dense, iou_bias=True)
+            for a, b in [(whole.features, split.features),
+                         (whole.score_weights, split.score_weights),
+                         (whole.score_bias, split.score_bias),
+                         (whole.output_projection, split.output_projection)]:
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_degree_statistics_come_from_the_buckets(self):
+        g = graph_from_edges(5, [(0, 3, 0.5), (1, 3, 0.0), (0, 1, 0.25)],
+                             features=np.ones((5, 2)))
+        params = AttentionParams.initialize(2, seed=0)
+        degrees = AttentionDegrees()
+        multi_head_attend(g.features, params, g, degrees=degrees)
+        assert degrees == AttentionDegrees(min_degree=1, median_degree=3.0, max_degree=3,
+                                           buckets=2)
+        multi_head_attend(g.features, params, g, dense_attention=True, degrees=degrees)
+        assert degrees == AttentionDegrees(min_degree=5, median_degree=5.0, max_degree=5,
+                                           buckets=1)

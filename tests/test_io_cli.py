@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from propgraph import (
+    AttentionDegrees,
     AttentionParams,
     InputError,
     Partition,
@@ -17,6 +18,7 @@ from propgraph import (
     build_graph,
     gcpool,
     graph_from_edges,
+    multi_head_attend,
     two_way_ncut,
 )
 from propgraph import cli
@@ -371,6 +373,44 @@ class TestCli:
         assert counts["no-gcpool"] == dict.fromkeys(expected, 0)
         # the counts stay out of the output files
         assert set(json.loads((tmp_path / "parts.json").read_text())) == {"labels", "coarse"}
+
+    def test_reports_attention_degree_statistics(self, tmp_path, capsys):
+        doc = generate_proposals(2, 30, seed=5, feature_dim=3, jitter=0.24)
+        params = AttentionParams.initialize(3, head_count=1, output_dim=3, seed=0)
+        save_proposals(doc, str(tmp_path / "scene.json"))
+        save_params(params, str(tmp_path / "params.json"))
+        g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), 0.5)
+        degrees = AttentionDegrees()
+        multi_head_attend(g.features, params, g, degrees=degrees)
+        expected = {f"attention_{key}": value
+                    for key, value in dataclasses.asdict(degrees).items()}
+        assert expected["attention_buckets"] > 1
+        inputs = ["--input", str(tmp_path / "scene.json"),
+                  "--params", str(tmp_path / "params.json"),
+                  "--config", str(tmp_path / "config.json")]
+        counts = {}
+        for dense in (False, True):
+            (tmp_path / "config.json").write_text(
+                json.dumps({"iou_thr": 0.5, "dense_attention": dense}))
+            for name, argv in {"attend": ["attend"], "forward": ["forward"],
+                               "no-gcpool": ["forward", "--no-gcpool"]}.items():
+                output = tmp_path / f"{name}-{dense}.json"
+                assert run_command(argv + inputs + ["--output", str(output)]) == 0
+                report = json.loads(capsys.readouterr().out)
+                counts[name, dense] = {key: report["counts"][key] for key in expected}
+                # the statistics stay out of the output files
+                assert set(json.loads(output.read_text())) == {"ids", "features"}
+        assert counts["attend", False] == counts["no-gcpool", False] == expected
+        # pooling adds coarse nodes, which attend to their whole part
+        pooled = counts["forward", False]
+        assert pooled["attention_max_degree"] > expected["attention_max_degree"]
+        assert pooled["attention_min_degree"] <= pooled["attention_median_degree"] \
+            <= pooled["attention_max_degree"]
+        for name in ("attend", "no-gcpool"):
+            assert counts[name, True] == {
+                "attention_min_degree": 60, "attention_median_degree": 60.0,
+                "attention_max_degree": 60, "attention_buckets": 1,
+            }
 
     def test_oracle_commands_pass(self, tmp_path):
         proc = run_cli(
