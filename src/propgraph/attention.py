@@ -63,8 +63,10 @@ class AttentionParams:
             raise InputError("score_weights must have shape (heads, 2 * feature_dim)")
         if bias.shape[0] != weights.shape[0]:
             raise InputError("score_bias length must equal the head count")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-            raise InputError("attention parameters must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise InputError("score_weights must be finite")
+        if not np.all(np.isfinite(bias)):
+            raise InputError("score_bias must be finite")
         projection = self.output_projection
         if projection is not None:
             projection = np.asarray(projection, dtype=np.float64)

@@ -91,16 +91,6 @@ def _degree_counts(degrees: AttentionDegrees) -> dict:
     return {f"attention_{key}": value for key, value in dataclasses.asdict(degrees).items()}
 
 
-def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = pio.load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    overrides = {}
-    for name in ("iou_thr", "min_size", "stop_ncut", "lambda_"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return dataclasses.replace(config, **overrides)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="propgraph", description="Proposal-graph refinement toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -142,10 +132,6 @@ def build_parser() -> _Parser:
     forward_cmd.add_argument("--config", required=True)
     forward_cmd.add_argument("--output", required=True)
     forward_cmd.add_argument("--no-gcpool", action="store_true", dest="no_gcpool")
-    forward_cmd.add_argument("--iou-thr", type=float, default=None, dest="iou_thr")
-    forward_cmd.add_argument("--min-size", type=int, default=None, dest="min_size")
-    forward_cmd.add_argument("--stop-ncut", type=float, default=None, dest="stop_ncut")
-    forward_cmd.add_argument("--lambda", type=float, default=None, dest="lambda_")
 
     oracle = commands.add_parser("oracle", help="randomized self-checks")
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
@@ -249,16 +235,14 @@ def _cmd_cut_ncut(args) -> int:
 
 def _cmd_pool_gcpool(args) -> int:
     timer = _Timer()
-    config = _load_config(args)
+    config = pio.load_config(args.config)
     with timer.measure("load"):
         document = pio.load_proposals(args.input)
     with timer.measure("build"):
         g = build_graph(document.normalized_boxes(), document.feature_matrix(), config.iou_thr)
     with timer.measure("gcpool"):
         labeling, coarse = gcpool(
-            g, min_size=config.min_size, stop_ncut=config.stop_ncut,
-            min_part=config.min_part, eig_tol=config.eig_tol,
-            eig_max_sweeps=config.eig_max_sweeps,
+            g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
         )
     with timer.measure("write"):
         digest = pio.write_json(args.output, pio.partition_to_dict(labeling, coarse))
@@ -272,7 +256,7 @@ def _cmd_pool_gcpool(args) -> int:
 
 def _cmd_attend(args) -> int:
     timer = _Timer()
-    config = _load_config(args)
+    config = pio.load_config(args.config)
     with timer.measure("load"):
         document = pio.load_proposals(args.input)
         params = pio.load_params(args.params)
@@ -298,7 +282,7 @@ def _cmd_attend(args) -> int:
 
 def _cmd_forward(args) -> int:
     timer = _Timer()
-    config = _load_config(args)
+    config = pio.load_config(args.config)
     with timer.measure("load"):
         document = pio.load_proposals(args.input)
         params = pio.load_params(args.params)

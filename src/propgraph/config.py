@@ -1,14 +1,15 @@
 """Pipeline configuration.
 
 One frozen dataclass carries every knob: graph construction threshold,
-pooling sizes, residual mixing, normalization mode, attention flags, and
-the eigensolver budget. JSON configs mirror the field names (``lambda_`` is
-spelled ``lambda`` on disk); unknown fields are rejected.
+pooling sizes, residual mixing, normalization mode and attention flags.
+JSON configs mirror the field names (``lambda_`` is spelled ``lambda`` on
+disk); unknown fields are rejected.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
@@ -31,17 +32,18 @@ class PipelineConfig:
     dense_attention: bool = False
     iou_bias: bool = False
     per_channel: bool = False
-    eig_tol: float = 1e-10
-    eig_max_sweeps: int = 100
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            name = "lambda" if f.name == "lambda_" else f.name
             if not isinstance(value, _FIELD_TYPES[f.type]) or (
                 isinstance(value, bool) and f.type != "bool"
             ):
-                name = "lambda" if f.name == "lambda_" else f.name
                 raise InputError(f"{name} must be {f.type}, got {value!r}")
+            # An int beyond the float range would overflow in the checks below.
+            if type(value) is int and abs(value) > sys.float_info.max:
+                raise InputError(f"{name} is out of the float range")
         if not 0.0 <= self.iou_thr < 1.0:
             raise InputError(f"iou_thr must lie in [0, 1), got {self.iou_thr}")
         if self.min_size < 1:
@@ -56,10 +58,6 @@ class PipelineConfig:
             raise InputError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.norm_mode not in NORM_MODES:
             raise InputError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
-        if not math.isfinite(self.eig_tol) or self.eig_tol <= 0.0:
-            raise InputError(f"eig_tol must be finite and > 0, got {self.eig_tol}")
-        if self.eig_max_sweeps < 1:
-            raise InputError(f"eig_max_sweeps must be >= 1, got {self.eig_max_sweeps}")
 
     def to_dict(self) -> dict:
         return {

@@ -203,9 +203,9 @@ class ProposalDocument:
     def to_dict(self) -> dict:
         proposals = []
         for k in range(self.num_proposals):
-            entry: dict[str, Any] = {"box": list(self.pixel_boxes[k])}
+            entry: dict[str, Any] = {"box": self.pixel_boxes[k]}
             if self.features is not None:
-                entry["feature"] = list(self.features[k])
+                entry["feature"] = self.features[k]
             if self.scores is not None and self.scores[k] is not None:
                 entry["score"] = self.scores[k]
             proposals.append(entry)
@@ -354,7 +354,7 @@ def partition_to_dict(labeling: PseudoLabeling, coarse: list[CoarseNode]) -> dic
     return {
         "labels": list(labeling.labels),
         "coarse": [
-            {"feature": list(node.feature), "members": list(node.member_ids)}
+            {"feature": node.feature, "members": list(node.member_ids)}
             for node in coarse
         ],
     }
@@ -371,34 +371,42 @@ def save_features(ids: tuple[int, ...], features: np.ndarray, path: str) -> str:
 def params_to_dict(params: AttentionParams) -> dict:
     return {
         "head_count": params.head_count,
-        "score_weights": [list(row) for row in params.score_weights],
-        "score_bias": list(params.score_bias),
-        "output_projection": (
-            None
-            if params.output_projection is None
-            else [list(row) for row in params.output_projection]
-        ),
+        "score_weights": params.score_weights,
+        "score_bias": params.score_bias,
+        "output_projection": params.output_projection,
     }
+
+
+def _number_rows(value: Any, where: str) -> list[list[float]]:
+    """A JSON list of lists of numbers, checked row by row with ``_numbers``."""
+    _require(isinstance(value, list), f"{where} must be a list of rows")
+    rows = []
+    for k, row in enumerate(value):
+        _require(isinstance(row, list) and len(row) == len(value[0]),
+                 f"{where}[{k}] must be a list as long as row 0")
+        rows.append(_numbers(row, f"{where}[{k}]"))
+    return rows
 
 
 def params_from_dict(data: Any, source: str = "<params>") -> AttentionParams:
     _require(isinstance(data, dict), f"{source}: top level must be an object")
     for key in ("score_weights", "score_bias"):
         _require(key in data, f"{source}: missing field {key!r}")
-    try:
-        params = AttentionParams(
-            score_weights=np.array(data["score_weights"], dtype=np.float64),
-            score_bias=np.array(data["score_bias"], dtype=np.float64),
-            output_projection=(
-                np.array(data["output_projection"], dtype=np.float64)
-                if data.get("output_projection") is not None
-                else None
-            ),
-        )
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{source}: {exc}") from exc
     declared = data.get("head_count")
-    if declared is not None and int(declared) != params.head_count:
+    _require(declared is None or type(declared) is int,
+             f"{source}: head_count must be an integer, got {declared!r}")
+    weights = _number_rows(data["score_weights"], f"{source}: score_weights")
+    _require(isinstance(data["score_bias"], list), f"{source}: score_bias must be a list")
+    bias = _numbers(data["score_bias"], f"{source}: score_bias")
+    projection = data.get("output_projection")
+    if projection is not None:
+        projection = _number_rows(projection, f"{source}: output_projection")
+    try:
+        params = AttentionParams(score_weights=weights, score_bias=bias,
+                                 output_projection=projection)
+    except InputError as exc:
+        raise InputError(f"{source}: {exc}") from exc
+    if declared is not None and declared != params.head_count:
         raise InputError(f"{source}: head_count {declared} != {params.head_count} weight rows")
     return params
 

@@ -117,12 +117,7 @@ def forward(
     m = g.num_nodes
     if use_gcpool:
         labeling, coarse = gcpool(
-            g,
-            min_size=config.min_size,
-            stop_ncut=config.stop_ncut,
-            min_part=config.min_part,
-            eig_tol=config.eig_tol,
-            eig_max_sweeps=config.eig_max_sweeps,
+            g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
         )
         augmented = augment_with_coarse(g, coarse)
     else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import ProposalGraph, connected_components
-from .spectral import DEFAULT_EIG_MAX_SWEEPS, DEFAULT_EIG_TOL, SolveCounts, recursive_ncut
+from .spectral import SolveCounts, recursive_ncut
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +57,6 @@ def gcpool(
     min_size: int,
     stop_ncut: float,
     min_part: int = 1,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    eig_max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
 ) -> tuple[PseudoLabeling, list[CoarseNode]]:
     """Run the full pooling pipeline on a proposal graph.
 
@@ -75,8 +73,7 @@ def gcpool(
     for component in np.flatnonzero(components.sizes >= min_size):
         comp_idx = components.members(component)
         partition = recursive_ncut(
-            g.subgraph(comp_idx), stop_ncut, min_part=min_part,
-            eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps, counts=solves,
+            g.subgraph(comp_idx), stop_ncut, min_part=min_part, counts=solves
         )
         for label in range(partition.set_count):
             members = comp_idx[partition.labels == label]

@@ -43,8 +43,10 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graph import ProposalGraph, connected_components
 
-DEFAULT_EIG_TOL = 1e-10
-DEFAULT_EIG_MAX_SWEEPS = 100
+# The Jacobi fallback's off-diagonal target, sweep budget and Fiedler
+# residual bound; ``fiedler_vector`` reads them at call time.
+_JACOBI_TOL = 1e-10
+_JACOBI_MAX_SWEEPS = 100
 _RESIDUAL_TOL = 1e-9
 # A set stays whole without a solve only when lambda_2 > stop_ncut + this.
 # LAPACK's lambda_2 is accurate to about n * 1e-16, so a decision this far
@@ -188,8 +190,8 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def symmetric_eigendecomposition(
     matrix: np.ndarray,
-    tol: float = DEFAULT_EIG_TOL,
-    max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
+    tol: float = _JACOBI_TOL,
+    max_sweeps: int = _JACOBI_MAX_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by Jacobi rotations.
 
@@ -273,29 +275,24 @@ def symmetric_eigendecomposition(
     )
 
 
-def fiedler_vector(
-    laplacian: np.ndarray,
-    tol: float = DEFAULT_EIG_TOL,
-    max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
-    residual_tol: float = _RESIDUAL_TOL,
-) -> tuple[float, np.ndarray]:
+def fiedler_vector(laplacian: np.ndarray) -> tuple[float, np.ndarray]:
     """Eigenpair of the second-smallest eigenvalue of a symmetric Laplacian.
 
-    The vector is unit-norm with its largest-magnitude entry made positive,
-    so repeated runs agree bit-for-bit. The eigenpair residual is verified
-    against ``residual_tol``.
+    The Jacobi solver runs with a fixed tolerance and sweep budget. The
+    vector is unit-norm with its largest-magnitude entry made positive, so
+    repeated runs agree bit-for-bit. Every residual entry must be <= 1e-9.
     """
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] < 2:
         raise InputError("Fiedler pair needs a square matrix of size >= 2")
-    eigenvalues, vectors = symmetric_eigendecomposition(lap, tol=tol, max_sweeps=max_sweeps)
+    eigenvalues, vectors = symmetric_eigendecomposition(lap, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
     value = float(eigenvalues[1])
     vector = _pinned_unit(vectors[:, 1])
     residual = np.max(np.abs(np.einsum("ij,j->i", lap, vector) - value * vector))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise NumericalError(
             f"Fiedler pair of a {lap.shape[0]}x{lap.shape[0]} Laplacian has residual "
-            f"{residual:.3e}, above {residual_tol:.1e}"
+            f"{residual:.3e}, above {_RESIDUAL_TOL:.1e}"
         )
     return value, vector
 
@@ -307,16 +304,14 @@ def _pinned_unit(vector: np.ndarray) -> np.ndarray:
     return -vector if vector[anchor] < 0.0 else vector
 
 
-def _certified_order(
-    block: _Block, values: np.ndarray, vectors: np.ndarray, eig_tol: float
-) -> np.ndarray | None:
+def _certified_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> np.ndarray | None:
     """Sweep order of LAPACK's Fiedler vector if provably the Jacobi one's, else None.
 
     ``values`` and ``vectors`` are ``np.linalg.eigh(block.laplacian)``. By
     Davis & Kahan, a unit vector x with residual r = Lx - mu x lies within
     2 |r| / delta of the exact Fiedler vector (up to sign) when mu is at
     least delta from every other eigenvalue. Here delta is the spectral gap
-    around lambda_2, less LAPACK's eigenvalue error and Jacobi's ``eig_tol``.
+    around lambda_2, less LAPACK's eigenvalue error and Jacobi's tolerance.
     Jacobi's vector passes ``fiedler_vector`` only with every residual entry
     <= 1e-9, so the two vectors are within the sum of both bounds of each
     other; each residual is widened by its rounding, at most n(n + 2)eps an
@@ -325,7 +320,7 @@ def _certified_order(
     n = values.size
     lam = float(values[1])
     upper = float(values[2]) if n > 2 else np.inf
-    delta = min(lam - float(values[0]), upper - lam) - 2.0 * _CERTIFY_MARGIN - eig_tol
+    delta = min(lam - float(values[0]), upper - lam) - 2.0 * _CERTIFY_MARGIN - _JACOBI_TOL
     if not delta > 0.0:
         return None
     z = _pinned_unit(vectors[:, 1])
@@ -335,6 +330,20 @@ def _certified_order(
     # The last term covers the normalization of z and the division by sqrt(d).
     distance = 2.0 * (residual + jacobi_residual) / delta + (n + 2) * _EPS
     return _order_within(z, block.degrees, distance)
+
+
+def _sweep_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Node order for the sweep and whether LAPACK's vector was certified for it.
+
+    ``values`` and ``vectors`` are ``np.linalg.eigh(block.laplacian)``. The
+    order is the Jacobi Fiedler vector's either way: certified from LAPACK's
+    vector when possible, solved for with Jacobi when not.
+    """
+    order = _certified_order(block, values, vectors)
+    if order is not None:
+        return order, True
+    _, z = fiedler_vector(block.laplacian)
+    return np.argsort(z / np.sqrt(block.degrees), kind="stable"), False
 
 
 def _order_within(z: np.ndarray, degrees: np.ndarray, distance: float) -> np.ndarray | None:
@@ -367,8 +376,6 @@ def _canonical_two_way(in_first: np.ndarray) -> np.ndarray:
 
 def two_way_ncut(
     g: ProposalGraph,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    eig_max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
     *,
     block: _Block | None = None,
     order: np.ndarray | None = None,
@@ -381,10 +388,9 @@ def two_way_ncut(
     node-0 set, then the smaller split index.
 
     ``block`` and ``order`` are for ``recursive_ncut``, which has already
-    found ``g`` connected and built its dense block, and may have certified
-    the node order of the Jacobi Fiedler vector without solving for it.
+    found ``g`` connected, built its dense block and found the sweep order.
     Without ``block`` the graph is checked and the block built here; without
-    ``order`` the Jacobi solver gives z.
+    ``order`` it comes from ``_sweep_order``, as in ``recursive_ncut``.
     """
     if block is None:
         if g.num_nodes < 2:
@@ -394,8 +400,7 @@ def two_way_ncut(
         block = _dense_block(g)
     m = g.num_nodes
     if order is None:
-        _, z = fiedler_vector(block.laplacian, tol=eig_tol, max_sweeps=eig_max_sweeps)
-        order = np.argsort(z / np.sqrt(block.degrees), kind="stable")
+        order, _ = _sweep_order(block, *np.linalg.eigh(block.laplacian))
     w_ord = block.weights[np.ix_(order, order)]
     deg_ord = block.degrees[order]
     total_assoc = float(deg_ord.sum())
@@ -427,8 +432,6 @@ def recursive_ncut(
     g: ProposalGraph,
     stop_ncut: float,
     min_part: int = 1,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    eig_max_sweeps: int = DEFAULT_EIG_MAX_SWEEPS,
     counts: SolveCounts | None = None,
 ) -> Partition:
     """Hierarchical bipartitioning with a stop threshold on the child objective.
@@ -480,14 +483,12 @@ def recursive_ncut(
             counts.kept_whole += 1
             parts.append(idx)
             continue
-        order = _certified_order(block, values, vectors, eig_tol)
-        if order is None:
-            counts.jacobi_fallbacks += 1
-        else:
+        order, certified = _sweep_order(block, values, vectors)
+        if certified:
             counts.fiedler_certified += 1
-        partition, report = two_way_ncut(
-            sub, eig_tol=eig_tol, eig_max_sweeps=eig_max_sweeps, block=block, order=order
-        )
+        else:
+            counts.jacobi_fallbacks += 1
+        partition, report = two_way_ncut(sub, block=block, order=order)
         side_a = idx[partition.labels == 0]
         side_b = idx[partition.labels == 1]
         if report.ncut_value <= stop_ncut and min(side_a.size, side_b.size) >= min_part:

@@ -21,14 +21,16 @@ from propgraph import (
     multi_head_attend,
     two_way_ncut,
 )
-from propgraph import cli
+from propgraph import cli, spectral
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
     dumps_canonical,
     graph_from_dict,
     load_config,
+    load_params,
     load_proposals,
+    params_to_dict,
     save_graph,
     save_params,
     save_proposals,
@@ -166,6 +168,63 @@ class TestGraphFiles:
             graph_from_dict({"nodes": 1, "node_ids": [0], "edges": [[0, 0, 1.0]]})
 
 
+def _set(path, value):
+    """A params-document edit that puts ``value`` at ``path``."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+class TestParamsFiles:
+    @pytest.mark.parametrize("edit, field", [
+        (_set(["head_count"], "x"), "head_count"),
+        (_set(["head_count"], [1]), "head_count"),
+        (_set(["head_count"], 1.5), "head_count"),
+        (_set(["head_count"], True), "head_count"),
+        (_set(["score_weights", 0, 1], 10**400), "score_weights[0]"),
+        (_set(["score_weights", 0, 1], "1e400"), "score_weights"),
+        (_set(["score_weights", 1, 0], True), "score_weights[1]"),
+        (_set(["score_weights", 0, 2], "0.1"), "score_weights[0]"),
+        (_set(["score_weights", 1], 0.5), "score_weights[1]"),
+        (_set(["score_weights"], [0.5, 0.5]), "score_weights[0]"),
+        (_set(["score_weights", 1], [0.5]), "score_weights[1]"),
+        (_set(["score_bias", 0], True), "score_bias"),
+        (_set(["score_bias", 1], "0.1"), "score_bias"),
+        (_set(["score_bias"], 0.5), "score_bias"),
+        (_set(["output_projection", 3, 0], False), "output_projection[3]"),
+        (_set(["output_projection", 0], "row"), "output_projection[0]"),
+    ])
+    def test_malformed_params_rejected(self, tmp_path, capsys, edit, field):
+        doc = generate_proposals(1, 4, seed=0, feature_dim=2)
+        save_proposals(doc, str(tmp_path / "scene.json"))
+        (tmp_path / "config.json").write_text("{}")
+        data = json.loads(dumps_canonical(
+            params_to_dict(AttentionParams.initialize(2, head_count=2, output_dim=2, seed=0))))
+        edit(data)
+        # "1e400" stands for the JSON number 1e400, which json.load reads as inf.
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data).replace('"1e400"', "1e400"))
+        argv = ["forward", "--input", str(tmp_path / "scene.json"), "--params", str(path),
+                "--config", str(tmp_path / "config.json"),
+                "--output", str(tmp_path / "out.json")]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and field in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "params.json", "scene.json"]
+
+    def test_valid_params_round_trip(self, tmp_path):
+        params = AttentionParams.initialize(3, head_count=2, output_dim=4, seed=1)
+        save_params(params, str(tmp_path / "params.json"))
+        loaded = load_params(str(tmp_path / "params.json"))
+        assert np.array_equal(loaded.score_weights, params.score_weights)
+        assert np.array_equal(loaded.score_bias, params.score_bias)
+        assert np.array_equal(loaded.output_projection, params.output_projection)
+
+
 class TestConfigFiles:
     def test_lambda_spelling_and_defaults(self, tmp_path):
         path = str(tmp_path / "config.json")
@@ -185,16 +244,15 @@ class TestConfigFiles:
         config = PipelineConfig(lambda_=2.0, dense_attention=True)
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
-    @pytest.mark.parametrize("field", ["seed", "head_count"])
+    @pytest.mark.parametrize("field", ["seed", "head_count", "eig_tol", "eig_max_sweeps"])
     def test_removed_fields_rejected(self, field):
         with pytest.raises(InputError, match=field):
             PipelineConfig.from_dict({field: 0})
 
     @pytest.mark.parametrize("field, value", [
-        ("min_size", 2.5), ("min_part", True), ("eig_max_sweeps", "100"),
-        ("iou_thr", True), ("lambda", "1"), ("eig_tol", None),
+        ("min_size", 2.5), ("min_part", True), ("iou_thr", True), ("lambda", "1"),
         ("dense_attention", 1), ("iou_bias", "true"), ("per_channel", 0.0),
-        ("norm_mode", 1), ("eig_tol", float("inf")),
+        ("norm_mode", 1),
     ])
     def test_mistyped_values_rejected(self, tmp_path, field, value):
         with pytest.raises(InputError, match=field):
@@ -263,29 +321,27 @@ class TestCli:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
 
-    def test_numerical_failure_exits_two(self, tmp_path):
-        proc = run_cli(
-            ["gen", "--clusters", "1", "--per-cluster", "12", "--seed", "3",
-             "--output", "scene.json"],
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 0
+    def test_numerical_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        scene_path = tmp_path / "scene.json"
+        assert run_command(["gen", "--clusters", "1", "--per-cluster", "12", "--seed", "3",
+                            "--output", str(scene_path)]) == 0
         # Every box twice: tied Fiedler entries deny LAPACK's vector its order
         # certificate, so the one-sweep Jacobi solve must run. lambda_2 <= 2
         # always, so stop_ncut 2 keeps the lambda_2 certificate from settling
         # the cluster first.
-        scene = json.loads((tmp_path / "scene.json").read_text())
+        scene = json.loads(scene_path.read_text())
         scene["proposals"] *= 2
-        (tmp_path / "scene.json").write_text(json.dumps(scene))
-        (tmp_path / "config.json").write_text('{"eig_max_sweeps": 1, "stop_ncut": 2.0}')
-        proc = run_cli(
-            ["pool", "gcpool", "--input", "scene.json", "--config", "config.json",
-             "--output", "parts.json"],
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 2
-        assert "numerical" in proc.stderr.lower()
-        assert "24x24" in proc.stderr and "1 sweep" in proc.stderr
+        scene_path.write_text(json.dumps(scene))
+        (tmp_path / "config.json").write_text('{"stop_ncut": 2.0}')
+        monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 1)
+        capsys.readouterr()
+        code = run_command(["pool", "gcpool", "--input", str(scene_path),
+                            "--config", str(tmp_path / "config.json"),
+                            "--output", str(tmp_path / "parts.json")])
+        stderr = capsys.readouterr().err
+        assert code == 2
+        assert "numerical" in stderr.lower()
+        assert "24x24" in stderr and "1 sweep" in stderr
 
     def test_gen_is_seed_deterministic(self, tmp_path):
         for name in ("a.json", "b.json"):
