@@ -152,6 +152,10 @@ class ProposalDocument:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise InputError("image width and height must be positive")
+        # Python compares ints and floats exactly; numpy float64 against an
+        # int beyond the float range raises OverflowError instead.
+        if max(self.width, self.height) > sys.float_info.max:
+            raise InputError("image width and height must fit in a float")
         boxes = np.asarray(self.pixel_boxes, dtype=np.float64).reshape(-1, 4)
         if not np.all(np.isfinite(boxes)):
             raise InputError("pixel boxes must be finite")

@@ -138,6 +138,14 @@ class TestProposalDocuments:
                 "proposals": [{"box": [5, 0, 5, 5]}],
             })
 
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_side_beyond_float_range_rejected(self, side):
+        data = {"image_id": "x", "width": 10, "height": 10,
+                "proposals": [{"box": [0, 0, 5, 5]}]}
+        data[side] = 10**400
+        with pytest.raises(InputError, match="fit in a float"):
+            document_from_dict(data)
+
     def test_round_trip(self, tmp_path):
         doc = generate_proposals(clusters=2, per_cluster=4, seed=3, feature_dim=5)
         path = str(tmp_path / "doc.json")
@@ -250,9 +258,10 @@ class TestConfigFiles:
             PipelineConfig.from_dict({field: 0})
 
     @pytest.mark.parametrize("field, value", [
-        ("min_size", 2.5), ("min_part", True), ("iou_thr", True), ("lambda", "1"),
+        ("min_size", 2.5), ("min_part", True), ("eig_max_sweeps", "100"),
+        ("iou_thr", True), ("lambda", "1"), ("eig_tol", None),
         ("dense_attention", 1), ("iou_bias", "true"), ("per_channel", 0.0),
-        ("norm_mode", 1),
+        ("norm_mode", 1), ("eig_tol", float("inf")),
     ])
     def test_mistyped_values_rejected(self, tmp_path, field, value):
         with pytest.raises(InputError, match=field):
