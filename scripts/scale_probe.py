@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Report CLI ``forward`` wall time, edge count and peak RSS as scenes grow.
+
+Each scene is clusters x proposals-per-cluster tight clusters (jitter 0.02)
+with 64-dim features and 4 projected attention heads. It runs in a fresh
+child process, once with graph-cut pooling and once without, so each line's
+``ru_maxrss`` belongs to that run alone. The probe reports and gates nothing.
+
+Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50] [--seed 123]
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50)}
+FEATURE_DIM = 64
+HEADS = 4
+
+
+def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
+    """Write the scene's files, time one in-process CLI ``forward`` and read its report."""
+    from propgraph import AttentionParams, generate_proposals
+    from propgraph import io as pio
+    from propgraph.cli import run_command
+
+    clusters, per_cluster = SCENES[scene]
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {kind: os.path.join(directory, f"{kind}.json")
+                 for kind in ("input", "params", "config", "output")}
+        doc = generate_proposals(clusters=clusters, per_cluster=per_cluster, seed=seed,
+                                 feature_dim=FEATURE_DIM, jitter=0.02)
+        pio.save_proposals(doc, paths["input"])
+        pio.save_params(AttentionParams.initialize(FEATURE_DIM, head_count=HEADS,
+                                                   output_dim=FEATURE_DIM, seed=seed),
+                        paths["params"])
+        with open(paths["config"], "w", encoding="utf-8") as stream:
+            stream.write("{}")
+        argv = ["forward", "--input", paths["input"], "--params", paths["params"],
+                "--config", paths["config"], "--output", paths["output"]]
+        if not gcpool:
+            argv.append("--no-gcpool")
+        report = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(report):
+            code = run_command(argv)
+        wall = time.perf_counter() - start
+    counts = json.loads(report.getvalue())["counts"] if code == 0 else {}
+    return {
+        "scene": scene,
+        "gcpool": gcpool,
+        "exit": code,
+        "proposals": clusters * per_cluster,
+        "edges": counts.get("edges"),
+        "forward_s": round(wall, 3),
+        # Linux reports ru_maxrss in KiB.
+        "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scene", nargs="+", choices=sorted(SCENES), default=list(SCENES))
+    parser.add_argument("--seed", type=int, default=123)
+    parser.add_argument("--child", choices=("gcpool", "no-gcpool"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(run_scene(args.scene[0], args.seed, args.child == "gcpool")))
+        return
+    for scene in args.scene:
+        for mode in ("gcpool", "no-gcpool"):
+            child = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--scene", scene,
+                 "--seed", str(args.seed), "--child", mode],
+                capture_output=True, text=True,
+            )
+            if child.returncode != 0:
+                print(f"{scene} {mode}: child failed with exit {child.returncode}\n{child.stderr}")
+                continue
+            row = json.loads(child.stdout)
+            print(f"{scene:>7} {mode:>9}: {row['proposals']:>6} proposals "
+                  f"{row['edges']} edges  forward {row['forward_s']:.3f} s  "
+                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}")
+
+
+if __name__ == "__main__":
+    main()

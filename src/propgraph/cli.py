@@ -33,6 +33,7 @@ from .config import PipelineConfig
 from .errors import InputError, NumericalError
 from .graph import build_graph, connected_components, filter_components
 from .oracles import (
+    BRUTE_FORCE_MAX_NODES,
     bridged_cliques,
     brute_force_ncut,
     edge_enumeration_ncut,
@@ -205,6 +206,7 @@ def _cmd_cut_ncut(args) -> int:
     labels: list[Optional[int]] = [None] * g.num_nodes
     per_component = []
     next_label = 0
+    unchecked = 0
     for component in range(comp.count):
         idx = comp.members(component)
         sub = g.subgraph(idx)
@@ -214,7 +216,11 @@ def _cmd_cut_ncut(args) -> int:
         entry: dict = {"component": component, "sets": partition.set_count}
         if partition.set_count > 1:
             entry["ncut"] = ncut_value(sub, partition).ncut_value
-        if args.brute_force and idx.size >= 2:
+        if args.brute_force and idx.size > BRUTE_FORCE_MAX_NODES:
+            entry["brute_force"] = None
+            entry["unchecked"] = f"n > {BRUTE_FORCE_MAX_NODES}"
+            unchecked += 1
+        elif args.brute_force and idx.size >= 2:
             best_partition, best_report = brute_force_ncut(sub)
             spectral_partition, spectral_report = two_way_ncut(sub)
             entry["two_way"] = spectral_report.ncut_value
@@ -224,11 +230,14 @@ def _cmd_cut_ncut(args) -> int:
             )
         per_component.append(entry)
         next_label += partition.set_count
+    report = {"nodes": g.num_nodes, "edges": g.num_edges, "stop_ncut": stop}
+    if args.brute_force:
+        report["unchecked"] = unchecked
     _emit({
         "labels": labels,
         "set_count": next_label,
         "components": per_component,
-        "report": {"nodes": g.num_nodes, "edges": g.num_edges, "stop_ncut": stop},
+        "report": report,
     })
     return 0
 

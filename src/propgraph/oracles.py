@@ -17,7 +17,7 @@ from .errors import InputError
 from .graph import ProposalGraph, graph_from_edges
 from .spectral import CutReport, Partition, ncut_value
 
-_BRUTE_FORCE_MAX_NODES = 15
+BRUTE_FORCE_MAX_NODES = 15
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, features: int = 0) -> ProposalGraph:
@@ -59,8 +59,8 @@ def brute_force_ncut(g: ProposalGraph) -> tuple[Partition, CutReport]:
     m = g.num_nodes
     if m < 2:
         raise InputError("brute force needs at least 2 nodes")
-    if m > _BRUTE_FORCE_MAX_NODES:
-        raise InputError(f"brute force capped at {_BRUTE_FORCE_MAX_NODES} nodes, got {m}")
+    if m > BRUTE_FORCE_MAX_NODES:
+        raise InputError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {m}")
     w = g.adjacency()
     degrees = w.sum(axis=1)
     best_key: tuple[float, tuple[int, ...]] | None = None

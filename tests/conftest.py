@@ -31,12 +31,13 @@ GRID = 1024
 
 
 @st.composite
-def dyadic_boxes(draw) -> BoundingBox:
-    x1 = draw(st.integers(min_value=0, max_value=GRID - 1))
-    x2 = draw(st.integers(min_value=x1 + 1, max_value=GRID))
-    y1 = draw(st.integers(min_value=0, max_value=GRID - 1))
-    y2 = draw(st.integers(min_value=y1 + 1, max_value=GRID))
-    return BoundingBox(x1 / GRID, y1 / GRID, x2 / GRID, y2 / GRID)
+def dyadic_boxes(draw, grid: int = GRID) -> BoundingBox:
+    """A box with corners on the ``grid`` x ``grid`` lattice; a coarse grid makes ties common."""
+    x1 = draw(st.integers(min_value=0, max_value=grid - 1))
+    x2 = draw(st.integers(min_value=x1 + 1, max_value=grid))
+    y1 = draw(st.integers(min_value=0, max_value=grid - 1))
+    y2 = draw(st.integers(min_value=y1 + 1, max_value=grid))
+    return BoundingBox(x1 / grid, y1 / grid, x2 / grid, y2 / grid)
 
 
 def exact_iou(a: BoundingBox, b: BoundingBox) -> Fraction:

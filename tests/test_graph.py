@@ -1,3 +1,7 @@
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +13,18 @@ from propgraph import (
     build_graph,
     connected_components,
     filter_components,
+    graph,
     graph_from_edges,
     iou,
 )
 from propgraph.oracles import random_connected_graph
 
-from conftest import dyadic_boxes
+from conftest import GRID, dyadic_boxes, exact_iou
+
+# Boxes on an 8 x 8 grid share x1 and meet along edges often; GRID boxes rarely do.
+_SCENES = st.sampled_from([8, GRID]).flatmap(
+    lambda grid: st.lists(dyadic_boxes(grid), max_size=60)
+)
 
 
 def _zero_features(n):
@@ -50,19 +60,67 @@ class TestBuildGraph:
         g = build_graph([], np.zeros((0, 3)), 0.3)
         assert g.num_nodes == 0 and g.num_edges == 0
 
-    @given(st.lists(dyadic_boxes(), min_size=0, max_size=12),
-           st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+    @given(_SCENES, st.sampled_from([0.0, 0.1, 0.3, 0.5]))
     @settings(max_examples=60, deadline=None)
     def test_matches_pairwise_recomputation_exactly(self, boxes, thr):
-        g = build_graph(boxes, _zero_features(len(boxes)), thr)
         expected = {}
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 w = iou(boxes[i], boxes[j])
                 if w > thr:
-                    expected[(i, j)] = w
-        got = {(i, j): w for i, j, w in g.edges()}
-        assert got == expected  # bitwise-equal weights, identical edge set
+                    expected[(i, j)] = w.hex()
+        # Chunks of 1 and 3 pairs split boxes' candidate runs at every boundary.
+        for chunk in (1, 3, 2**20):
+            with mock.patch.object(graph, "_CHUNK_PAIRS", chunk):
+                g = build_graph(boxes, _zero_features(len(boxes)), thr)
+            got = {(i, j): w.hex() for i, j, w in g.edges()}
+            assert got == expected  # identical edge set, bitwise-equal weights
+        for i, j, w in g.edges():
+            assert abs(Fraction(w) - exact_iou(boxes[i], boxes[j])) <= 1e-15
+
+    @given(st.lists(dyadic_boxes(8), max_size=40), st.sampled_from([1, 3, 2**20]))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_stages_emit_exactly_the_overlapping_pairs(self, boxes, chunk):
+        xyxy = np.array([b.as_tuple() for b in boxes]).reshape(-1, 4)
+        pairs = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))]
+        x_overlap = {(i, j) for i, j in pairs
+                     if min(boxes[i].x2, boxes[j].x2) > max(boxes[i].x1, boxes[j].x1)}
+        area_overlap = {(i, j) for i, j in pairs if iou(boxes[i], boxes[j]) > 0.0}
+        with mock.patch.object(graph, "_CHUNK_PAIRS", chunk):
+            candidates = [tuple(sorted(pair))
+                          for a, b in graph._candidate_chunks(xyxy[:, 0], xyxy[:, 2])
+                          for pair in zip(a.tolist(), b.tolist())]
+            overlaps = [pair for i, j, _ in graph._overlap_chunks(xyxy)
+                        for pair in zip(i.tolist(), j.tolist())]
+        # Each pair once; boxes that only touch in x or y are never candidates.
+        assert sorted(candidates) == sorted(x_overlap)
+        assert sorted(overlaps) == sorted(area_overlap)
+
+    def test_full_width_strips_build_in_bounded_memory(self):
+        # Every pair overlaps in x, so the sweep tests all M^2 / 2 pairs, but
+        # the strips only meet along their long edges and no pair is an edge.
+        m = 3000
+        strips = [BoundingBox(0.0, k / 4096, 1.0, (k + 1) / 4096) for k in range(m)]
+        features = _zero_features(m)
+        tracemalloc.start()
+        try:
+            g = build_graph(strips, features, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == 0
+        assert peak < m * m * 8 / 4  # a quarter of one M x M float64 array
+
+    def test_edge_limit_stops_the_build(self, monkeypatch):
+        boxes = [BoundingBox(0.0, 0.0, 0.5, 0.5)] * 5  # 10 pairs, each of IoU 1
+        monkeypatch.setattr(graph, "_CHUNK_PAIRS", 4)
+        monkeypatch.setattr(graph, "_EDGE_LIMIT", 10)
+        assert build_graph(boxes, _zero_features(5), 0.3).num_edges == 10
+        monkeypatch.setattr(graph, "_EDGE_LIMIT", 6)
+        # The count is checked after each chunk of 4 pairs: 4, then 8 > 6.
+        with pytest.raises(InputError, match=r"^5 proposals reached 8 IoU edges at iou_thr 0.3, "
+                                             r"over the limit of 6 edges$"):
+            build_graph(boxes, _zero_features(5), 0.3)
 
 
 class TestConnectedComponents:

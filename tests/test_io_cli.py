@@ -16,18 +16,20 @@ from propgraph import (
     PipelineConfig,
     attention_gradients,
     build_graph,
+    connected_components,
     gcpool,
     graph_from_edges,
     multi_head_attend,
     two_way_ncut,
 )
-from propgraph import cli, spectral
+from propgraph import cli, graph, spectral
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
     dumps_canonical,
     graph_from_dict,
     load_config,
+    load_graph,
     load_params,
     load_proposals,
     params_to_dict,
@@ -378,6 +380,62 @@ class TestCli:
         assert data["labels"] == [0, 0, 0, 1, 1, 1]
         assert data["set_count"] == 2
         assert data["components"][0]["two_way_matches_oracle"] is True
+
+    def test_cut_ncut_brute_force_skips_oversized_components(self, tmp_path, capsys):
+        scene = str(tmp_path / "scene.json")
+        assert run_command(["gen", "--clusters", "6", "--per-cluster", "20", "--jitter", "0.2",
+                            "--seed", "3", "--output", scene]) == 0
+        sizes = {}
+        for thr in ("0.3", "0.55"):
+            graph_file = str(tmp_path / f"g{thr}.json")
+            assert run_command(["graph", "build", "--input", scene, "--iou-thr", thr,
+                                "--output", graph_file]) == 0
+            sizes[thr] = connected_components(load_graph(graph_file)).sizes.tolist()
+            capsys.readouterr()
+            assert run_command(["cut", "ncut", "--input", graph_file, "--brute-force"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            marked = 0
+            for entry, n in zip(data["components"], sizes[thr], strict=True):
+                if n > 15:
+                    assert entry["brute_force"] is None and entry["unchecked"] == "n > 15"
+                    assert "two_way" not in entry
+                    marked += 1
+                elif n >= 2:
+                    assert "unchecked" not in entry
+                    assert entry["two_way_matches_oracle"] is True
+                    assert entry["two_way"] == pytest.approx(entry["brute_force"], abs=1e-10)
+            assert data["report"]["unchecked"] == marked
+        # At 0.3 every multi-node component is too large to enumerate; at 0.55
+        # components of 2 and 14 nodes are still compared.
+        assert sorted(sizes["0.3"]) == [1, 19, 20, 20, 20, 20, 20]
+        assert {2, 14} <= set(sizes["0.55"]) and max(sizes["0.55"]) == 20
+
+    @pytest.mark.parametrize("command", ["graph build", "pool gcpool", "forward"])
+    def test_edge_limit_exits_one_without_output(self, tmp_path, capsys, monkeypatch, command):
+        scene = str(tmp_path / "scene.json")
+        assert run_command(["gen", "--clusters", "2", "--per-cluster", "10", "--seed", "4",
+                            "--feature-dim", "3", "--output", scene]) == 0
+        save_params(AttentionParams.initialize(3, head_count=1, output_dim=3, seed=0),
+                    str(tmp_path / "params.json"))
+        (tmp_path / "config.json").write_text("{}")
+        inputs = sorted(os.listdir(tmp_path))
+        output = str(tmp_path / "out.json")
+        argv = {
+            "graph build": ["graph", "build", "--input", scene, "--iou-thr", "0.3",
+                            "--output", output],
+            "pool gcpool": ["pool", "gcpool", "--input", scene, "--config",
+                            str(tmp_path / "config.json"), "--output", output],
+            "forward": ["forward", "--input", scene, "--params", str(tmp_path / "params.json"),
+                        "--config", str(tmp_path / "config.json"), "--output", output],
+        }[command]
+        monkeypatch.setattr(graph, "_EDGE_LIMIT", 5)
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 20 proposals reached ")
+        assert "over the limit of 5 edges" in captured.err
+        assert sorted(os.listdir(tmp_path)) == inputs
 
     def test_full_stage_pipeline(self, tmp_path):
         steps = [
