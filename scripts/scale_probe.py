@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Report CLI ``forward`` wall time, edge count and peak RSS as scenes grow.
 
-Each scene is clusters x proposals-per-cluster tight clusters (jitter 0.02)
-with 64-dim features and 4 projected attention heads. It runs in a fresh
-child process, once with graph-cut pooling and once without, so each line's
-``ru_maxrss`` belongs to that run alone. The probe reports and gates nothing.
+Scenes ``CxN`` are C clusters of N tight proposals (jitter 0.02).
+``chain100`` is 100 equal boxes, 0.001 of the image wide and high, each
+0.0003 right of the last: one translation-symmetric component whose splits
+all fall back to the Jacobi eigensolver. Every scene has 64-dim features and
+4 projected attention heads. It runs in a fresh child process, once with
+graph-cut pooling and once without, so each line's ``ru_maxrss`` belongs to
+that run alone. The probe reports and gates nothing.
 
-Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50] [--seed 123]
+Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100] [--seed 123]
 """
 
 import argparse
@@ -20,23 +23,40 @@ import sys
 import tempfile
 import time
 
-SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50)}
+SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50), "chain100": (1, 100)}
 FEATURE_DIM = 64
 HEADS = 4
+# Image side, in pixels, of the chain scene.
+CHAIN_IMAGE = 10000
+
+
+def make_scene(scene: str, seed: int):
+    """The scene's proposal document."""
+    import numpy as np
+    from propgraph import generate_proposals
+    from propgraph.io import ProposalDocument
+
+    clusters, per_cluster = SCENES[scene]
+    if scene != "chain100":
+        return generate_proposals(clusters=clusters, per_cluster=per_cluster, seed=seed,
+                                  feature_dim=FEATURE_DIM, jitter=0.02)
+    x1 = 3.0 * np.arange(per_cluster)
+    boxes = np.stack([x1, np.zeros_like(x1), x1 + 10.0, np.full_like(x1, 10.0)], axis=1)
+    features = np.random.default_rng(seed).normal(size=(per_cluster, FEATURE_DIM))
+    return ProposalDocument(image_id=scene, width=CHAIN_IMAGE, height=CHAIN_IMAGE,
+                            pixel_boxes=boxes, features=features)
 
 
 def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
     """Write the scene's files, time one in-process CLI ``forward`` and read its report."""
-    from propgraph import AttentionParams, generate_proposals
+    from propgraph import AttentionParams
     from propgraph import io as pio
     from propgraph.cli import run_command
 
-    clusters, per_cluster = SCENES[scene]
     with tempfile.TemporaryDirectory() as directory:
         paths = {kind: os.path.join(directory, f"{kind}.json")
                  for kind in ("input", "params", "config", "output")}
-        doc = generate_proposals(clusters=clusters, per_cluster=per_cluster, seed=seed,
-                                 feature_dim=FEATURE_DIM, jitter=0.02)
+        doc = make_scene(scene, seed)
         pio.save_proposals(doc, paths["input"])
         pio.save_params(AttentionParams.initialize(FEATURE_DIM, head_count=HEADS,
                                                    output_dim=FEATURE_DIM, seed=seed),
@@ -57,8 +77,9 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
         "scene": scene,
         "gcpool": gcpool,
         "exit": code,
-        "proposals": clusters * per_cluster,
+        "proposals": doc.num_proposals,
         "edges": counts.get("edges"),
+        "jacobi_fallbacks": counts.get("jacobi_fallbacks"),
         "forward_s": round(wall, 3),
         # Linux reports ru_maxrss in KiB.
         "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
@@ -86,7 +107,8 @@ def main() -> None:
                 continue
             row = json.loads(child.stdout)
             print(f"{scene:>7} {mode:>9}: {row['proposals']:>6} proposals "
-                  f"{row['edges']} edges  forward {row['forward_s']:.3f} s  "
+                  f"{row['edges']} edges  {row['jacobi_fallbacks']} Jacobi fallbacks  "
+                  f"forward {row['forward_s']:.3f} s  "
                   f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}")
 
 

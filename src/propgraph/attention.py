@@ -13,8 +13,13 @@ equal degree k. The kernel runs each bucket in row blocks of about
 attendable pairs; dense mode is one bucket of degree M, built block by
 block, so no M x M array ever exists.
 
+Blocks run side by side on up to one thread per CPU the process may use,
+the calling thread among them. Each output row is written by exactly one
+block, and a row's arithmetic does not depend on its block, so the bytes do
+not depend on the thread count or the block size.
+
 Reductions run in value-sorted order, which makes the outputs exactly
-invariant under node permutation and independent of thread count. A row's
+invariant under node permutation and independent of BLAS threading. A row's
 softmax denominator is ``np.sum`` of its sorted exponentials; each output
 coordinate adds its sorted contributions one after another from 0.0, as
 ``np.sum(axis=0)`` does over a (k, d) block (for d == 1 numpy sums the k
@@ -27,6 +32,8 @@ backward pass is verified against central finite differences.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -38,8 +45,9 @@ from .graph import ProposalGraph
 # Floor for IoU weights fed through log() when score biasing is enabled.
 _LOG_WEIGHT_FLOOR = 1e-300
 # Values per (r, k, d) array of one block (2 MB), which bounds attention's
-# working memory. On a Xeon with 2 MB of L2 per core, 5,000 proposals with 4
-# heads took 0.72 s at this size, 0.97 s at 2**20 and 1.18 s at 2**14.
+# working memory; the forward kernel splits it evenly among its threads. On a
+# Xeon with 2 MB of L2 per core, 5,000 proposals with 4 heads took 0.72 s at
+# this size, 0.97 s at 2**20 and 1.18 s at 2**14 on one thread.
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -150,12 +158,17 @@ class AttendablePairs:
 
 @dataclass
 class AttentionDegrees:
-    """Attendable-set sizes, self included, over the rows of one attention call."""
+    """Attendable-set sizes, self included, over the rows of one attention call.
+
+    ``workers`` counts the threads the kernel ran on, the calling thread
+    included: 1 when it ran inline.
+    """
 
     min_degree: int = 0
     median_degree: float = 0.0
     max_degree: int = 0
     buckets: int = 0
+    workers: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +208,19 @@ def attendable_pairs(
     return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets)
 
 
-def _blocks(pairs: AttendablePairs, width: int) -> Iterator[tuple]:
-    """(rows, cols, positions, log_weight) per block, each row once; (r, k) arrays."""
+def _rows_per_block(k: int, width: int, floats: int) -> int:
+    return max(1, floats // (k * max(width, 1)))
+
+
+def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
+    """(rows, cols, positions, log_weight) per block, each row once; (r, k) arrays.
+
+    A block holds about ``floats`` values per (r, k, width) array, and at
+    least one row.
+    """
     m = pairs.num_nodes
     for k, bucket in pairs.buckets:
-        step = max(1, _BLOCK_FLOATS // (k * max(width, 1)))
+        step = _rows_per_block(k, width, floats)
         for start in range(0, bucket.size, step):
             rows = bucket[start:start + step]
             if not pairs.dense:
@@ -249,7 +270,7 @@ def similarity_scores(
     """Learned per-pair scores of one head: w . [x_i ; x_j] + b (+ log w_ij)."""
     scores_of = _head_scores(features, params, pairs.num_nodes, head)
     out = np.empty(pairs.pair_count, dtype=np.float64)
-    for block in _blocks(pairs, 1):
+    for block in _blocks(pairs, 1, _BLOCK_FLOATS):
         out[block[2]] = scores_of(*block)
     return out
 
@@ -266,32 +287,84 @@ def attention_weights(scores: np.ndarray) -> np.ndarray:
     return shifted / np.sum(np.sort(shifted, axis=-1), axis=-1, keepdims=True)
 
 
-def _attend(feats: np.ndarray, pairs: AttendablePairs, heads: list[Callable]) -> np.ndarray:
+def _worker_count() -> int:
+    """The CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _attend(feats: np.ndarray, pairs: AttendablePairs,
+            heads: list[Callable]) -> tuple[np.ndarray, int]:
     """The kernel: per block and head, softmax, value-sorted sums and the hull clip.
 
-    Returns the head outputs side by side, (M, heads * d).
+    Returns the head outputs side by side, (M, heads * d), and the number of
+    threads the blocks ran on. Workers pull blocks from one generator under a
+    lock, so no block list is built; one worker, or one block, runs inline.
+    Each worker reuses two scratch arrays the calling thread allocates. A
+    worker's exception stops the others and is raised here.
     """
     m, d = feats.shape
     out = np.empty((m, len(heads) * d), dtype=np.float64)
-    for block in _blocks(pairs, d):
-        rows, cols = block[0], block[1]
-        neighbors = feats[cols]
-        lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
-        r, k = cols.shape
-        for h, scores_of in enumerate(heads):
-            # One lane of k contributions per row and coordinate, (r, d, k).
-            contributions = np.empty((r, d, k), dtype=np.float64)
-            np.multiply(neighbors.transpose(0, 2, 1), attention_weights(scores_of(*block))[:, None],
-                        out=contributions)
-            contributions.sort(axis=-1)
-            if d == 1:
-                summed = np.sum(contributions, axis=-1)
-            else:
-                summed = np.zeros((r, d), dtype=np.float64)
-                for t in range(k):
-                    summed += contributions[:, :, t]
-            out[rows, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
-    return out
+    workers = _worker_count()
+    floats = max(1, _BLOCK_FLOATS // workers)
+    steps = [(k, bucket.size, _rows_per_block(k, d, floats)) for k, bucket in pairs.buckets]
+    workers = max(1, min(workers, sum(-(-size // step) for _, size, step in steps)))
+    capacity = max((k * min(size, step) * d for k, size, step in steps), default=0)
+    blocks = _blocks(pairs, d, floats)
+    supply = threading.Lock()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def work(neighbors_buffer: np.ndarray, contributions_buffer: np.ndarray) -> None:
+        while not stop.is_set():
+            with supply:
+                block = next(blocks, None)
+            if block is None:
+                return
+            rows, cols = block[0], block[1]
+            r, k = cols.shape
+            # mode="clip" fills the buffer in place, where "raise" would fill a
+            # temporary copy first; the columns are always in range.
+            neighbors = np.take(feats, cols, axis=0, mode="clip",
+                                out=neighbors_buffer[:r * k * d].reshape(r, k, d))
+            lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
+            # One lane of k contributions per row and coordinate, along axis 1.
+            contributions = contributions_buffer[:r * k * d].reshape(r, k, d)
+            for h, scores_of in enumerate(heads):
+                np.multiply(neighbors, attention_weights(scores_of(*block))[:, :, None],
+                            out=contributions)
+                contributions.sort(axis=1)
+                # A sum over the middle axis adds each lane's values one after
+                # another from 0.0, as np.sum(axis=0) does over (k, d); with
+                # d == 1 the lane is the inner axis and numpy sums it pairwise.
+                summed = contributions.sum(axis=1)
+                out[rows, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
+
+    def guarded_work(buffers: tuple[np.ndarray, np.ndarray]) -> None:
+        try:
+            work(*buffers)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            errors.append(exc)
+            stop.set()
+
+    buffers = [(np.empty(capacity), np.empty(capacity)) for _ in range(workers)]
+    if workers == 1:
+        work(*buffers[0])
+        return out, 1
+    threads = [threading.Thread(target=guarded_work, args=(pair,)) for pair in buffers[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        guarded_work(buffers[0])
+    finally:
+        stop.set()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
+    return out, workers
 
 
 def attend(features: np.ndarray, pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
@@ -307,7 +380,7 @@ def attend(features: np.ndarray, pairs: AttendablePairs, scores: np.ndarray) -> 
         raise InputError("features must be 2-d with one row per attendable node")
     if scores.shape != (pairs.pair_count,):
         raise InputError(f"scores need shape ({pairs.pair_count},), got {scores.shape}")
-    return _attend(feats, pairs, [lambda rows, cols, positions, log_weight: scores[positions]])
+    return _attend(feats, pairs, [lambda rows, cols, positions, log_weight: scores[positions]])[0]
 
 
 def multi_head_attend(
@@ -325,12 +398,13 @@ def multi_head_attend(
     """
     feats = np.asarray(features, dtype=np.float64)
     pairs = attendable_pairs(g, dense_attention=dense_attention, iou_bias=iou_bias)
+    heads = [_head_scores(feats, params, g.num_nodes, h) for h in range(params.head_count)]
+    concatenated, workers = _attend(feats, pairs, heads) if heads else (feats, 0)
     if degrees is not None and pairs.buckets:
         degrees.min_degree, degrees.max_degree = pairs.buckets[0][0], pairs.buckets[-1][0]
         degrees.median_degree = float(np.median(pairs.degree))
         degrees.buckets = len(pairs.buckets)
-    heads = [_head_scores(feats, params, g.num_nodes, h) for h in range(params.head_count)]
-    concatenated = _attend(feats, pairs, heads) if heads else feats
+        degrees.workers = workers
     if params.output_projection is None:
         return concatenated
     return np.einsum("mk,ko->mo", concatenated, params.output_projection)
@@ -357,7 +431,7 @@ def attention_gradients(
     grad_projection = None
     grad_concat = upstream
     if params.output_projection is not None:
-        concatenated = _attend(feats, pairs, heads)
+        concatenated = _attend(feats, pairs, heads)[0]
         grad_projection = np.einsum("mk,mo->ko", concatenated, upstream)
         grad_concat = np.einsum("mo,ko->mk", upstream, params.output_projection)
 
@@ -367,7 +441,7 @@ def attention_gradients(
     for head, scores_of in enumerate(heads):
         row_sums = np.zeros(m, dtype=np.float64)
         col_sums = np.zeros(m, dtype=np.float64)
-        for block in _blocks(pairs, d):
+        for block in _blocks(pairs, d, _BLOCK_FLOATS):
             rows, cols = block[0], block[1]
             alpha = attention_weights(scores_of(*block))
             grad_out = grad_concat[rows, head * d:(head + 1) * d]

@@ -101,12 +101,15 @@ def permuted_graph(g: ProposalGraph, perm: np.ndarray) -> ProposalGraph:
     return graph_from_edges(g.num_nodes, edges, features=g.features[perm])
 
 
-def run_cli(argv, cwd, env_extra=None) -> subprocess.CompletedProcess:
-    """Run ``python -m propgraph`` in a subprocess with text output captured."""
+def run_cli(argv, cwd, env_extra=None, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run ``python -m propgraph`` in a subprocess with text output captured.
+
+    ``preexec_fn`` runs in the child before the interpreter starts.
+    """
     env = dict(os.environ)
     env.update(env_extra or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "propgraph", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=env, preexec_fn=preexec_fn,
     )

@@ -7,6 +7,7 @@ module finishes in well under a minute.
 """
 
 import json
+import os
 import time
 from contextlib import contextmanager
 
@@ -217,8 +218,13 @@ def test_criterion_8_forward_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         (tmp_path / "config.json").write_text("{}")
+        runs = [("a.json", "1", None), ("b.json", "4", None), ("c.json", "2", None)]
+        if hasattr(os, "sched_setaffinity"):
+            # Pinned to one CPU, attention runs its blocks inline.
+            cpu = min(os.sched_getaffinity(0))
+            runs.append(("d.json", "2", lambda: os.sched_setaffinity(0, {cpu})))
         outputs = []
-        for name, threads in (("a.json", "1"), ("b.json", "4"), ("c.json", "2")):
+        for name, threads, preexec_fn in runs:
             proc = run_cli(
                 ["forward", "--input", "scene.json", "--params", "params.json",
                  "--config", "config.json", "--output", name],
@@ -228,10 +234,13 @@ def test_criterion_8_forward_determinism(tmp_path):
                     "OPENBLAS_NUM_THREADS": threads,
                     "MKL_NUM_THREADS": threads,
                 },
+                preexec_fn=preexec_fn,
             )
             assert proc.returncode == 0, proc.stderr
+            if preexec_fn is not None:
+                assert json.loads(proc.stdout)["counts"]["attention_workers"] == 1
             outputs.append((tmp_path / name).read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(output == outputs[0] for output in outputs[1:])
         assert len(json.loads(outputs[0])["ids"]) == 500
 
 

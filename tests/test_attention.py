@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -330,11 +332,15 @@ class TestSparseKernel:
         out_dim = int(rng.integers(1, 6)) if heads > 1 else None
         params = AttentionParams.initialize(d, head_count=heads, output_dim=out_dim,
                                             seed=seed & 0xFFFF)
-        with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats):
-            out = multi_head_attend(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
         reference = reference_attention(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
-        assert np.array_equal(out, reference)
-        assert out.tobytes() == reference.tobytes()
+        # Each worker count also sets the block size, _BLOCK_FLOATS // workers.
+        for workers in (1, 2, 3):
+            with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
+                    mock.patch.object(attention, "_worker_count", return_value=workers):
+                out = multi_head_attend(feats, params, g, dense_attention=dense,
+                                        iou_bias=iou_bias)
+            assert np.array_equal(out, reference)
+            assert out.tobytes() == reference.tobytes()
 
     def test_dense_mode_builds_no_square_array(self):
         import tracemalloc
@@ -344,16 +350,77 @@ class TestSparseKernel:
         g = random_connected_graph(rng, m, features=2)
         params = AttentionParams.initialize(2, head_count=2, output_dim=2, seed=3)
         upstream = rng.normal(size=(m, 2))
-        with mock.patch.object(attention, "_BLOCK_FLOATS", 1 << 14):
-            tracemalloc.start()
-            try:
-                multi_head_attend(g.features, params, g, dense_attention=True, iou_bias=True)
-                attention_gradients(g.features, params, g, upstream, dense_attention=True,
-                                    iou_bias=True)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < m * m * 8 / 4
+        for workers in (1, 2):
+            with mock.patch.object(attention, "_BLOCK_FLOATS", 1 << 14), \
+                    mock.patch.object(attention, "_worker_count", return_value=workers):
+                tracemalloc.start()
+                try:
+                    degrees = AttentionDegrees()
+                    multi_head_attend(g.features, params, g, dense_attention=True,
+                                      iou_bias=True, degrees=degrees)
+                    attention_gradients(g.features, params, g, upstream, dense_attention=True,
+                                        iou_bias=True)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert degrees.workers == workers
+            assert peak < m * m * 8 / 4
+
+    def test_non_finite_score_in_another_thread_raises(self):
+        # One row per block; the calling thread holds its first block until
+        # the other worker has run one, whose scores get an infinity.
+        g = graph_from_edges(6, [], features=np.arange(6.0)[:, None])
+        params = single_head_params([1.0, -1.0])
+        softmax = attention.attention_weights
+        caller = threading.get_ident()
+        worker_ran = threading.Event()
+        poisoned = []
+        threads_before = threading.active_count()
+
+        def gated(scores):
+            if threading.get_ident() == caller:
+                assert worker_ran.wait(timeout=10)
+                return softmax(scores)
+            worker_ran.set()
+            poisoned.append(threading.get_ident())
+            return softmax(np.full_like(scores, np.inf))
+
+        with mock.patch.object(attention, "_BLOCK_FLOATS", 1), \
+                mock.patch.object(attention, "_worker_count", return_value=2), \
+                mock.patch.object(attention, "attention_weights", gated):
+            with pytest.raises(NumericalError, match="non-finite"):
+                multi_head_attend(g.features, params, g)
+        assert poisoned and caller not in poisoned
+        assert threading.active_count() == threads_before
+
+    def test_one_block_starts_no_thread(self):
+        g = graph_from_edges(4, [(0, 1, 0.5), (2, 3, 0.5)], features=np.ones((4, 2)))
+        params = AttentionParams.initialize(2, head_count=2, seed=0)
+        degrees = AttentionDegrees()
+        with mock.patch.object(attention, "_worker_count", return_value=4), \
+                mock.patch.object(threading, "Thread", side_effect=AssertionError("thread")):
+            multi_head_attend(g.features, params, g, degrees=degrees)
+        assert degrees.workers == 1
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # Eight workers race for one-row blocks with the interpreter switching
+        # threads every microsecond: a block lost or run twice, or a
+        # generator advanced by two threads at once, breaks the bytes.
+        rng = np.random.default_rng(5)
+        g = random_connected_graph(rng, 60, features=3)
+        params = AttentionParams.initialize(3, head_count=2, output_dim=3, seed=1)
+        reference = reference_attention(g.features, params, g, iou_bias=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(attention, "_BLOCK_FLOATS", 1), \
+                    mock.patch.object(attention, "_worker_count", return_value=8):
+                degrees = AttentionDegrees()
+                out = multi_head_attend(g.features, params, g, iou_bias=True, degrees=degrees)
+        finally:
+            sys.setswitchinterval(interval)
+        assert degrees.workers == 8
+        assert out.tobytes() == reference.tobytes()
 
     def test_gradients_do_not_depend_on_block_size(self):
         rng = np.random.default_rng(21)
@@ -377,9 +444,12 @@ class TestSparseKernel:
                              features=np.ones((5, 2)))
         params = AttentionParams.initialize(2, seed=0)
         degrees = AttentionDegrees()
-        multi_head_attend(g.features, params, g, degrees=degrees)
-        assert degrees == AttentionDegrees(min_degree=1, median_degree=3.0, max_degree=3,
-                                           buckets=2)
-        multi_head_attend(g.features, params, g, dense_attention=True, degrees=degrees)
-        assert degrees == AttentionDegrees(min_degree=5, median_degree=5.0, max_degree=5,
-                                           buckets=1)
+        # Three CPUs: the workers are capped at the two buckets' two blocks,
+        # and the one dense block runs inline.
+        with mock.patch.object(attention, "_worker_count", return_value=3):
+            multi_head_attend(g.features, params, g, degrees=degrees)
+            assert degrees == AttentionDegrees(min_degree=1, median_degree=3.0, max_degree=3,
+                                               buckets=2, workers=2)
+            multi_head_attend(g.features, params, g, dense_attention=True, degrees=degrees)
+            assert degrees == AttentionDegrees(min_degree=5, median_degree=5.0, max_degree=5,
+                                               buckets=1, workers=1)

@@ -22,7 +22,7 @@ from propgraph import (
     multi_head_attend,
     two_way_ncut,
 )
-from propgraph import cli, graph, spectral
+from propgraph import attention, cli, graph, spectral
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
@@ -497,17 +497,19 @@ class TestCli:
         # the counts stay out of the output files
         assert set(json.loads((tmp_path / "parts.json").read_text())) == {"labels", "coarse"}
 
-    def test_reports_attention_degree_statistics(self, tmp_path, capsys):
+    def test_reports_attention_degree_statistics(self, tmp_path, capsys, monkeypatch):
         doc = generate_proposals(2, 30, seed=5, feature_dim=3, jitter=0.24)
         params = AttentionParams.initialize(3, head_count=1, output_dim=3, seed=0)
         save_proposals(doc, str(tmp_path / "scene.json"))
         save_params(params, str(tmp_path / "params.json"))
         g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), 0.5)
+        # Two usable CPUs: several degree buckets make several blocks.
+        monkeypatch.setattr(attention, "_worker_count", lambda: 2)
         degrees = AttentionDegrees()
         multi_head_attend(g.features, params, g, degrees=degrees)
         expected = {f"attention_{key}": value
                     for key, value in dataclasses.asdict(degrees).items()}
-        assert expected["attention_buckets"] > 1
+        assert expected["attention_buckets"] > 1 and expected["attention_workers"] == 2
         inputs = ["--input", str(tmp_path / "scene.json"),
                   "--params", str(tmp_path / "params.json"),
                   "--config", str(tmp_path / "config.json")]
@@ -526,6 +528,7 @@ class TestCli:
         assert counts["attend", False] == counts["no-gcpool", False] == expected
         # pooling adds coarse nodes, which attend to their whole part
         pooled = counts["forward", False]
+        assert pooled["attention_workers"] == 2
         assert pooled["attention_max_degree"] > expected["attention_max_degree"]
         assert pooled["attention_min_degree"] <= pooled["attention_median_degree"] \
             <= pooled["attention_max_degree"]
@@ -533,6 +536,8 @@ class TestCli:
             assert counts[name, True] == {
                 "attention_min_degree": 60, "attention_median_degree": 60.0,
                 "attention_max_degree": 60, "attention_buckets": 1,
+                # one dense block of 60 rows runs inline
+                "attention_workers": 1,
             }
 
     def test_oracle_commands_pass(self, tmp_path):
