@@ -20,7 +20,7 @@ from .attention import (
 )
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
-from .geometry import BoundingBox, SpatialDescriptor, iou, spatial_descriptor
+from .geometry import BoundingBox, iou, spatial_descriptor
 from .graph import (
     ComponentLabeling,
     ProposalGraph,
@@ -68,7 +68,6 @@ __all__ = [
     "PseudoLabeling",
     "SolveCounts",
     "RefinedProposals",
-    "SpatialDescriptor",
     "assoc",
     "attend",
     "attendable_pairs",

@@ -67,8 +67,9 @@ class AttentionParams:
     def __post_init__(self) -> None:
         weights = np.asarray(self.score_weights, dtype=np.float64)
         bias = np.asarray(self.score_bias, dtype=np.float64).reshape(-1)
-        if weights.ndim != 2 or weights.shape[1] % 2 != 0 or weights.shape[1] == 0:
-            raise InputError("score_weights must have shape (heads, 2 * feature_dim)")
+        if weights.ndim != 2 or weights.shape[1] % 2 != 0 or 0 in weights.shape:
+            raise InputError(f"score_weights must have shape (heads >= 1, 2 * feature_dim >= 2), "
+                             f"got {weights.shape}")
         if bias.shape[0] != weights.shape[0]:
             raise InputError("score_bias length must equal the head count")
         if not np.all(np.isfinite(weights)):
@@ -399,7 +400,7 @@ def multi_head_attend(
     feats = np.asarray(features, dtype=np.float64)
     pairs = attendable_pairs(g, dense_attention=dense_attention, iou_bias=iou_bias)
     heads = [_head_scores(feats, params, g.num_nodes, h) for h in range(params.head_count)]
-    concatenated, workers = _attend(feats, pairs, heads) if heads else (feats, 0)
+    concatenated, workers = _attend(feats, pairs, heads)
     if degrees is not None and pairs.buckets:
         degrees.min_degree, degrees.max_degree = pairs.buckets[0][0], pairs.buckets[-1][0]
         degrees.median_degree = float(np.median(pairs.degree))

@@ -2,13 +2,16 @@
 
 All boxes live in the unit square as fractions of image width/height;
 pixel-space inputs are converted once at ingestion (see ``propgraph.io``).
+The pipeline carries boxes as (M, 4) float64 arrays of (x1, y1, x2, y2) rows;
+``BoundingBox`` and ``iou`` are the scalar reference the tests hold them to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InputError
 
@@ -55,18 +58,6 @@ class BoundingBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-class SpatialDescriptor(NamedTuple):
-    """Explicit 7-dim geometric feature: corners, center, width/height ratio."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    cx: float
-    cy: float
-    aspect: float
-
-
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes.
 
@@ -83,17 +74,24 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def spatial_descriptor(box: BoundingBox) -> SpatialDescriptor:
-    """7-tuple (x1, y1, x2, y2, cx, cy, aspect) used as a fallback node feature."""
-    height = box.y2 - box.y1
-    if height <= _MIN_EXTENT:
-        raise InputError(f"box height {height!r} too small for an aspect ratio")
-    return SpatialDescriptor(
-        box.x1,
-        box.y1,
-        box.x2,
-        box.y2,
-        (box.x1 + box.x2) / 2.0,
-        (box.y1 + box.y2) / 2.0,
-        (box.x2 - box.x1) / height,
-    )
+def first_invalid_box(boxes: np.ndarray, extent: float | np.ndarray = 1.0) -> int | None:
+    """Index of the first row of ``boxes`` that breaks ``BoundingBox``'s rules, or None.
+
+    A row must be finite with 0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h, where
+    ``extent`` is (w, h, w, h); the default is the unit square.
+    """
+    # NaN fails every comparison, so a non-finite corner breaks the rules too.
+    valid = ((boxes >= 0.0) & (boxes <= extent)).all(axis=1)
+    valid &= (boxes[:, :2] < boxes[:, 2:]).all(axis=1)
+    return None if valid.all() else int(np.argmin(valid))
+
+
+def spatial_descriptor(boxes: np.ndarray) -> np.ndarray:
+    """(M, 7) rows (x1, y1, x2, y2, cx, cy, aspect) of (M, 4) boxes; a fallback node feature."""
+    x1, y1, x2, y2 = boxes.T
+    height = y2 - y1
+    short = np.flatnonzero(height <= _MIN_EXTENT)
+    if short.size:
+        k = int(short[0])
+        raise InputError(f"boxes[{k}]: height {float(height[k])!r} too small for an aspect ratio")
+    return np.stack([x1, y1, x2, y2, (x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / height], axis=1)

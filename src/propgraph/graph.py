@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import BoundingBox
+from .geometry import first_invalid_box
 
 _EMPTY_EDGES = np.zeros((0, 2), dtype=np.int64)
 _EMPTY_WEIGHTS = np.zeros(0, dtype=np.float64)
@@ -204,25 +204,32 @@ def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, 
 
 
 def build_graph(
-    boxes: Sequence[BoundingBox],
+    boxes: np.ndarray,
     features: np.ndarray | Sequence[Sequence[float]],
     iou_thr: float,
 ) -> ProposalGraph:
     """Build the proposal graph: an edge (i, j, IoU) wherever IoU > iou_thr.
 
-    The threshold comparison is strict, so boundary-equal pairs get no edge.
-    More than ``_EDGE_LIMIT`` edges is an ``InputError``.
+    ``boxes`` is an (M, 4) array of normalized (x1, y1, x2, y2) rows, each
+    finite with 0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1. The threshold
+    comparison is strict, so boundary-equal pairs get no edge. More than
+    ``_EDGE_LIMIT`` edges is an ``InputError``.
     """
     if not 0.0 <= iou_thr < 1.0:
         raise InputError(f"iou_thr must lie in [0, 1), got {iou_thr}")
-    boxes = list(boxes)
-    m = len(boxes)
+    xyxy = np.asarray(boxes, dtype=np.float64)
+    if xyxy.ndim != 2 or xyxy.shape[1] != 4:
+        raise InputError(f"boxes must have shape (M, 4), got {xyxy.shape}")
+    k = first_invalid_box(xyxy)
+    if k is not None:
+        raise InputError(f"boxes[{k}]: expected finite 0 <= x1 < x2 <= 1 and "
+                         f"0 <= y1 < y2 <= 1, got {xyxy[k].tolist()}")
+    m = xyxy.shape[0]
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 1 and m == 0 and feats.size == 0:
         feats = feats.reshape(0, 0)
     if feats.ndim != 2 or feats.shape[0] != m:
         raise InputError(f"expected {m} feature rows, got shape {feats.shape}")
-    xyxy = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(m, 4)
     pairs, weights = [_EMPTY_EDGES], [_EMPTY_WEIGHTS]
     kept = 0
     for i, j, w in _overlap_chunks(xyxy):

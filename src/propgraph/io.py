@@ -32,7 +32,7 @@ import numpy as np
 from .attention import AttentionParams
 from .config import PipelineConfig
 from .errors import InputError
-from .geometry import BoundingBox, spatial_descriptor
+from .geometry import first_invalid_box, spatial_descriptor
 from .graph import ProposalGraph
 from .pooling import CoarseNode, PseudoLabeling
 
@@ -130,6 +130,8 @@ def read_json(path: str) -> Any:
             return json.load(stream)
     except FileNotFoundError as exc:
         raise InputError(f"{path}: file not found") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
@@ -157,21 +159,27 @@ class ProposalDocument:
         if max(self.width, self.height) > sys.float_info.max:
             raise InputError("image width and height must fit in a float")
         boxes = np.asarray(self.pixel_boxes, dtype=np.float64).reshape(-1, 4)
-        if not np.all(np.isfinite(boxes)):
-            raise InputError("pixel boxes must be finite")
-        for k, (x1, y1, x2, y2) in enumerate(boxes):
-            if not (0.0 <= x1 < x2 <= self.width and 0.0 <= y1 < y2 <= self.height):
-                raise InputError(
-                    f"proposals[{k}].box: expected 0 <= x1 < x2 <= width and "
-                    f"0 <= y1 < y2 <= height, got {[x1, y1, x2, y2]}"
-                )
+        scale = np.array([self.width, self.height, self.width, self.height], dtype=np.float64)
+        k = first_invalid_box(boxes, scale)
+        if k is not None:
+            raise InputError(
+                f"proposals[{k}].box: expected finite 0 <= x1 < x2 <= width and "
+                f"0 <= y1 < y2 <= height, got {boxes[k].tolist()}"
+            )
+        k = first_invalid_box(boxes / scale)
+        if k is not None:
+            raise InputError(
+                f"proposals[{k}].box: {boxes[k].tolist()} has x1 == x2 or y1 == y2 once "
+                f"divided by the image size {self.width}x{self.height}"
+            )
         features = self.features
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
             if features.ndim != 2 or features.shape[0] != boxes.shape[0]:
                 raise InputError("features must be one row per proposal")
-            if not np.all(np.isfinite(features)):
-                raise InputError("features must be finite")
+            finite = np.isfinite(features).all(axis=1)
+            if not finite.all():
+                raise InputError(f"proposals[{int(np.argmin(finite))}].feature: must be finite")
         scores = self.scores
         if scores is not None:
             scores = tuple(None if s is None else float(s) for s in scores)
@@ -188,21 +196,17 @@ class ProposalDocument:
     def num_proposals(self) -> int:
         return self.pixel_boxes.shape[0]
 
-    def normalized_boxes(self) -> list[BoundingBox]:
-        """Pixel boxes scaled into the unit square by image width/height."""
-        return [
-            BoundingBox(x1 / self.width, y1 / self.height, x2 / self.width, y2 / self.height)
-            for x1, y1, x2, y2 in self.pixel_boxes
-        ]
+    def normalized_boxes(self) -> np.ndarray:
+        """(M, 4) pixel boxes divided by (width, height, width, height), in the unit square."""
+        return self.pixel_boxes / np.array(
+            [self.width, self.height, self.width, self.height], dtype=np.float64
+        )
 
     def feature_matrix(self) -> np.ndarray:
         """Stored features, or the 7-dim spatial descriptor when absent."""
         if self.features is not None:
             return self.features
-        boxes = self.normalized_boxes()
-        if not boxes:
-            return np.zeros((0, 7), dtype=np.float64)
-        return np.array([spatial_descriptor(b) for b in boxes], dtype=np.float64)
+        return spatial_descriptor(self.normalized_boxes())
 
     def to_dict(self) -> dict:
         proposals = []

@@ -10,14 +10,13 @@ the output always has one row per input proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .attention import AttentionDegrees, AttentionParams, multi_head_attend
 from .config import PipelineConfig
 from .errors import InputError
-from .geometry import BoundingBox
 from .graph import build_graph, connected_components
 from .pooling import PseudoLabeling, augment_with_coarse, gcpool
 from .spectral import SolveCounts
@@ -90,7 +89,7 @@ def identical_normalize(
 
 
 def forward(
-    boxes: Sequence[BoundingBox],
+    boxes: np.ndarray,
     features: np.ndarray,
     params: AttentionParams,
     config: PipelineConfig,
@@ -98,16 +97,14 @@ def forward(
 ) -> RefinedProposals:
     """Full refinement pass; ``use_gcpool=False`` skips pooling and coarse injection.
 
-    Deterministic for fixed (inputs, params, config) regardless of thread
-    count. The attention output dimension must equal the input feature
-    dimension so the residual mix is well-defined.
+    ``boxes`` is the (M, 4) array ``build_graph`` takes. Deterministic for
+    fixed (inputs, params, config) regardless of thread count. The attention
+    output dimension must equal the input feature dimension so the residual
+    mix is well-defined.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise InputError("features must be a 2-d matrix")
-    boxes = list(boxes)
-    if len(boxes) != feats.shape[0]:
-        raise InputError(f"{len(boxes)} boxes for {feats.shape[0]} feature rows")
     if params.output_dim != feats.shape[1] and feats.shape[0] > 0:
         raise InputError(
             f"attention output dim {params.output_dim} must equal feature dim "

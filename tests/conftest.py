@@ -40,6 +40,11 @@ def dyadic_boxes(draw, grid: int = GRID) -> BoundingBox:
     return BoundingBox(x1 / grid, y1 / grid, x2 / grid, y2 / grid)
 
 
+def box_array(boxes: list[BoundingBox]) -> np.ndarray:
+    """The (M, 4) array ``build_graph`` takes, one row per reference box."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def exact_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
     """Rational-arithmetic IoU; independent of the float implementation."""
     ax1, ay1, ax2, ay2 = (Fraction(v) for v in a.as_tuple())

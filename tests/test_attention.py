@@ -49,6 +49,12 @@ class TestParams:
         with pytest.raises(InputError):
             single_head_params([np.inf, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("projection", [None, np.zeros((0, 3))])
+    def test_zero_heads_rejected(self, projection):
+        with pytest.raises(InputError, match=r"heads >= 1.*got \(0, 4\)"):
+            AttentionParams(score_weights=np.zeros((0, 4)), score_bias=np.zeros(0),
+                            output_projection=projection)
+
     def test_projection_shape_checked(self):
         with pytest.raises(InputError):
             AttentionParams(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from propgraph import BoundingBox, InputError, iou, spatial_descriptor
 
-from conftest import GRID, dyadic_boxes, exact_iou, grid_area_iou
+from conftest import GRID, box_array, dyadic_boxes, exact_iou, grid_area_iou
 
 
 class TestIoU:
@@ -76,32 +76,39 @@ class TestIoU:
         assert iou(a, b) == pytest.approx(float(exact_iou(a, b)), abs=1e-14)
 
 
+def descriptor(*boxes):
+    """``spatial_descriptor`` of the given corner tuples as an (M, 4) array."""
+    return spatial_descriptor(np.array(boxes, dtype=np.float64))
+
+
 class TestSpatialDescriptor:
     def test_reference_values(self):
-        desc = spatial_descriptor(BoundingBox(0.2, 0.1, 0.6, 0.5))
-        assert desc[:4] == (0.2, 0.1, 0.6, 0.5)
-        assert desc.cx == pytest.approx(0.4, abs=1e-15)
-        assert desc.cy == pytest.approx(0.3, abs=1e-15)
-        assert desc.aspect == pytest.approx(1.0, rel=1e-12)
+        desc = descriptor((0.2, 0.1, 0.6, 0.5))[0]
+        assert tuple(desc[:4]) == (0.2, 0.1, 0.6, 0.5)
+        assert desc[4] == pytest.approx(0.4, abs=1e-15)
+        assert desc[5] == pytest.approx(0.3, abs=1e-15)
+        assert desc[6] == pytest.approx(1.0, rel=1e-12)
 
     def test_full_image_box(self):
-        assert spatial_descriptor(BoundingBox(0, 0, 1, 1)) == (0, 0, 1, 1, 0.5, 0.5, 1.0)
+        assert tuple(descriptor((0, 0, 1, 1))[0]) == (0, 0, 1, 1, 0.5, 0.5, 1.0)
 
     def test_wide_box(self):
-        desc = spatial_descriptor(BoundingBox(0.1, 0.1, 0.5, 0.3))
-        assert desc.cx == pytest.approx(0.3, abs=1e-15)
-        assert desc.cy == pytest.approx(0.2, abs=1e-15)
-        assert desc.aspect == pytest.approx(2.0, rel=1e-12)
+        desc = descriptor((0.1, 0.1, 0.5, 0.3))[0]
+        assert desc[4] == pytest.approx(0.3, abs=1e-15)
+        assert desc[5] == pytest.approx(0.2, abs=1e-15)
+        assert desc[6] == pytest.approx(2.0, rel=1e-12)
 
     def test_tiny_height_rejected(self):
-        with pytest.raises(InputError):
-            spatial_descriptor(BoundingBox(0.0, 0.0, 0.5, 1e-17))
+        with pytest.raises(InputError, match=r"^boxes\[1\]: height"):
+            descriptor((0.0, 0.0, 0.5, 0.5), (0.0, 0.0, 0.5, 1e-17))
 
-    @given(dyadic_boxes())
+    @given(st.lists(dyadic_boxes(), min_size=1, max_size=8))
     @settings(max_examples=50)
-    def test_centers_are_exact_midpoints(self, box):
-        desc = spatial_descriptor(box)
-        assert desc.cx == (box.x1 + box.x2) / 2.0
-        assert desc.cy == (box.y1 + box.y2) / 2.0
-        assert desc.aspect > 0.0
-        assert np.asarray(desc).shape == (7,)
+    def test_centers_are_exact_midpoints(self, boxes):
+        desc = spatial_descriptor(box_array(boxes))
+        assert desc.shape == (len(boxes), 7) and desc.dtype == np.float64
+        for box, row in zip(boxes, desc.tolist()):
+            assert row[:4] == list(box.as_tuple())
+            assert row[4] == (box.x1 + box.x2) / 2.0
+            assert row[5] == (box.y1 + box.y2) / 2.0
+            assert row[6] == (box.x2 - box.x1) / (box.y2 - box.y1) > 0.0

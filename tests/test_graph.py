@@ -19,7 +19,7 @@ from propgraph import (
 )
 from propgraph.oracles import random_connected_graph
 
-from conftest import GRID, dyadic_boxes, exact_iou
+from conftest import GRID, box_array, dyadic_boxes, exact_iou
 
 # Boxes on an 8 x 8 grid share x1 and meet along edges often; GRID boxes rarely do.
 _SCENES = st.sampled_from([8, GRID]).flatmap(
@@ -31,33 +31,50 @@ def _zero_features(n):
     return np.zeros((n, 1))
 
 
+# Corner values at and just past the unit square's edges, non-finite values
+# and signed zeros; drawing from few values makes equal corners common.
+_CORNERS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1.0, 0.5,
+                     float(np.nextafter(0.0, -1.0)), float(np.nextafter(1.0, 2.0))]),
+    st.floats(min_value=-0.25, max_value=1.25),
+)
+
+
+def _reference_rejects(row):
+    try:
+        BoundingBox(*row)
+    except InputError:
+        return True
+    return False
+
+
 class TestBuildGraph:
     def test_disjoint_boxes_make_no_edges(self):
-        boxes = [BoundingBox(0, 0, 0.1, 0.1), BoundingBox(0.5, 0.5, 0.6, 0.6)]
+        boxes = np.array([[0, 0, 0.1, 0.1], [0.5, 0.5, 0.6, 0.6]])
         g = build_graph(boxes, _zero_features(2), 0.0)
         assert g.num_edges == 0
 
     def test_threshold_is_strict(self):
-        boxes = [BoundingBox(0, 0, 0.2, 0.2), BoundingBox(0.1, 0.1, 0.3, 0.3)]
+        boxes = np.array([[0, 0, 0.2, 0.2], [0.1, 0.1, 0.3, 0.3]])
         g = build_graph(boxes, _zero_features(2), 0.1)
         assert g.num_edges == 1
         assert g.edges()[0][2] == pytest.approx(1.0 / 7.0, abs=1e-15)
         # 1/7 < 0.2, so the same pair disappears at the higher threshold
         assert build_graph(boxes, _zero_features(2), 0.2).num_edges == 0
         # strict: exact-equal threshold drops the edge too
-        exact = iou(boxes[0], boxes[1])
+        exact = iou(BoundingBox(*boxes[0]), BoundingBox(*boxes[1]))
         assert build_graph(boxes, _zero_features(2), exact).num_edges == 0
 
     def test_mismatched_counts_rejected(self):
         with pytest.raises(InputError):
-            build_graph([BoundingBox(0, 0, 0.5, 0.5)], _zero_features(2), 0.3)
+            build_graph(np.array([[0, 0, 0.5, 0.5]]), _zero_features(2), 0.3)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(InputError):
-            build_graph([], np.zeros((0, 1)), 1.0)
+            build_graph(np.zeros((0, 4)), np.zeros((0, 1)), 1.0)
 
     def test_empty_input(self):
-        g = build_graph([], np.zeros((0, 3)), 0.3)
+        g = build_graph(np.zeros((0, 4)), np.zeros((0, 3)), 0.3)
         assert g.num_nodes == 0 and g.num_edges == 0
 
     @given(_SCENES, st.sampled_from([0.0, 0.1, 0.3, 0.5]))
@@ -72,7 +89,7 @@ class TestBuildGraph:
         # Chunks of 1 and 3 pairs split boxes' candidate runs at every boundary.
         for chunk in (1, 3, 2**20):
             with mock.patch.object(graph, "_CHUNK_PAIRS", chunk):
-                g = build_graph(boxes, _zero_features(len(boxes)), thr)
+                g = build_graph(box_array(boxes), _zero_features(len(boxes)), thr)
             got = {(i, j): w.hex() for i, j, w in g.edges()}
             assert got == expected  # identical edge set, bitwise-equal weights
         for i, j, w in g.edges():
@@ -81,7 +98,7 @@ class TestBuildGraph:
     @given(st.lists(dyadic_boxes(8), max_size=40), st.sampled_from([1, 3, 2**20]))
     @settings(max_examples=60, deadline=None)
     def test_sweep_stages_emit_exactly_the_overlapping_pairs(self, boxes, chunk):
-        xyxy = np.array([b.as_tuple() for b in boxes]).reshape(-1, 4)
+        xyxy = box_array(boxes)
         pairs = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))]
         x_overlap = {(i, j) for i, j in pairs
                      if min(boxes[i].x2, boxes[j].x2) > max(boxes[i].x1, boxes[j].x1)}
@@ -96,11 +113,38 @@ class TestBuildGraph:
         assert sorted(candidates) == sorted(x_overlap)
         assert sorted(overlaps) == sorted(area_overlap)
 
+    @given(st.tuples(_CORNERS, _CORNERS, _CORNERS, _CORNERS))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_a_row_exactly_when_the_reference_box_does(self, row):
+        boxes = np.array([row])
+        if _reference_rejects(row):
+            with pytest.raises(InputError, match=r"^boxes\[0\]: "):
+                build_graph(boxes, _zero_features(1), 0.3)
+        else:
+            assert build_graph(boxes, _zero_features(1), 0.3).num_nodes == 1
+
+    @given(st.lists(st.tuples(_CORNERS, _CORNERS, _CORNERS, _CORNERS), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_error_names_the_first_rejected_row(self, rows):
+        rejected = [k for k, row in enumerate(rows) if _reference_rejects(row)]
+        boxes = np.array(rows)
+        if rejected:
+            with pytest.raises(InputError, match=rf"^boxes\[{rejected[0]}\]: "):
+                build_graph(boxes, _zero_features(len(rows)), 0.3)
+        else:
+            assert build_graph(boxes, _zero_features(len(rows)), 0.3).num_nodes == len(rows)
+
+    @pytest.mark.parametrize("boxes", [np.zeros(0), np.zeros((2, 3)), np.zeros((1, 2, 4))])
+    def test_box_array_shape_checked(self, boxes):
+        with pytest.raises(InputError, match=r"shape \(M, 4\)"):
+            build_graph(boxes, _zero_features(len(boxes)), 0.3)
+
     def test_full_width_strips_build_in_bounded_memory(self):
         # Every pair overlaps in x, so the sweep tests all M^2 / 2 pairs, but
         # the strips only meet along their long edges and no pair is an edge.
         m = 3000
-        strips = [BoundingBox(0.0, k / 4096, 1.0, (k + 1) / 4096) for k in range(m)]
+        k = np.arange(m)
+        strips = np.stack([np.zeros(m), k / 4096, np.ones(m), (k + 1) / 4096], axis=1)
         features = _zero_features(m)
         tracemalloc.start()
         try:
@@ -112,7 +156,7 @@ class TestBuildGraph:
         assert peak < m * m * 8 / 4  # a quarter of one M x M float64 array
 
     def test_edge_limit_stops_the_build(self, monkeypatch):
-        boxes = [BoundingBox(0.0, 0.0, 0.5, 0.5)] * 5  # 10 pairs, each of IoU 1
+        boxes = np.tile([0.0, 0.0, 0.5, 0.5], (5, 1))  # 10 pairs, each of IoU 1
         monkeypatch.setattr(graph, "_CHUNK_PAIRS", 4)
         monkeypatch.setattr(graph, "_EDGE_LIMIT", 10)
         assert build_graph(boxes, _zero_features(5), 0.3).num_edges == 10

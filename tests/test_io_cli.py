@@ -22,7 +22,7 @@ from propgraph import (
     multi_head_attend,
     two_way_ncut,
 )
-from propgraph import attention, cli, graph, spectral
+from propgraph import attention, cli, geometry, graph, spectral
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
@@ -98,8 +98,9 @@ class TestProposalDocuments:
             "image_id": "img", "width": 200, "height": 200,
             "proposals": [{"box": [10, 10, 110, 110]}],
         })
-        box = doc.normalized_boxes()[0]
-        assert box.as_tuple() == (0.05, 0.05, 0.55, 0.55)
+        boxes = doc.normalized_boxes()
+        assert boxes.shape == (1, 4) and boxes.dtype == np.float64
+        assert tuple(boxes[0].tolist()) == (0.05, 0.05, 0.55, 0.55)
 
     def test_empty_document_valid(self):
         doc = document_from_dict(
@@ -606,6 +607,83 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and field in captured.err
         assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+    @pytest.mark.parametrize("width, proposal, field, shown", [
+        (10, '{"box": [NaN, 0, 5, 5]}', "box", "got [nan, 0.0, 5.0, 5.0]"),
+        (10, '{"box": [0, 0, 1e999, 5]}', "box", "got [0.0, 0.0, inf, 5.0]"),
+        (10, '{"box": [0, 0, 5, 10.5]}', "box", "got [0.0, 0.0, 5.0, 10.5]"),
+        # Distinct pixel corners whose quotients by the width 3 round equal.
+        (3, '{"box": [1.7148085531751387, 0, 1.714808553175139, 5]}', "box",
+         "[1.7148085531751387, 0.0, 1.714808553175139, 5.0] has x1 == x2"),
+        (10, '{"box": [0, 0, 2, 2], "feature": [1.0, NaN]}', "feature", "must be finite"),
+        (10, '{"box": [0, 0, 2, 2], "feature": [-1e999, 0.0]}', "feature", "must be finite"),
+    ])
+    def test_box_and_feature_rejections_name_the_file_and_field(self, tmp_path, capsys, width,
+                                                               proposal, field, shown):
+        valid = '{"box": [1, 1, 2, 2], "feature": [0.0, 0.0]}' if field == "feature" else \
+            '{"box": [1, 1, 2, 2]}'
+        path = tmp_path / "in.json"
+        path.write_text(f'{{"image_id": "x", "width": {width}, "height": 10, '
+                        f'"proposals": [{valid}, {proposal}]}}')
+        argv = ["graph", "build", "--input", str(path), "--iou-thr", "0.3",
+                "--output", str(tmp_path / "out.json")]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: proposals[1].{field}: ")
+        assert shown in captured.err and "np.float64" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+    @pytest.mark.parametrize("kind", ["proposals", "params", "config", "graph"])
+    def test_non_utf8_file_exits_one_naming_it(self, tmp_path, capsys, kind):
+        scene, params, config = (str(tmp_path / name) for name in
+                                 ("scene.json", "params.json", "config.json"))
+        assert run_command(["gen", "--clusters", "1", "--per-cluster", "3", "--seed", "0",
+                            "--feature-dim", "2", "--output", scene]) == 0
+        save_params(AttentionParams.initialize(2, seed=0), params)
+        (tmp_path / "config.json").write_text("{}")
+        save_graph(graph_from_edges(2, [(0, 1, 0.5)]), str(tmp_path / "graph.json"))
+        bad = tmp_path / ("scene.json" if kind == "proposals" else f"{kind}.json")
+        bad.write_bytes(b'{"image_id": "\xff"}')
+        inputs = sorted(os.listdir(tmp_path))
+        output = ["--output", str(tmp_path / "out.json")]
+        argv = {
+            "proposals": ["graph", "build", "--input", scene, "--iou-thr", "0.3", *output],
+            "params": ["forward", "--input", scene, "--params", params, "--config", config,
+                       *output],
+            "config": ["pool", "gcpool", "--input", scene, "--config", config, *output],
+            "graph": ["graph", "components", "--input", str(bad), "--min-size", "1"],
+        }[kind]
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8")
+        assert sorted(os.listdir(tmp_path)) == inputs
+
+    def test_commands_run_without_the_reference_box_type(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("BoundingBox built on the CLI path")
+
+        monkeypatch.setattr(geometry.BoundingBox, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            geometry.BoundingBox(0.0, 0.0, 1.0, 1.0)
+        (tmp_path / "config.json").write_text("{}")
+        config = str(tmp_path / "config.json")
+        for feature_dim, d in ((3, 3), (0, 7)):  # without features: the 7-dim descriptor
+            scene, params = str(tmp_path / "scene.json"), str(tmp_path / "params.json")
+            assert run_command(["gen", "--clusters", "2", "--per-cluster", "6", "--seed", "5",
+                                "--feature-dim", str(feature_dim), "--output", scene]) == 0
+            save_params(AttentionParams.initialize(d, output_dim=d, seed=0), params)
+            output = ["--output", str(tmp_path / "out.json")]
+            for argv in (
+                ["forward", "--input", scene, "--params", params, "--config", config, *output],
+                ["attend", "--input", scene, "--params", params, "--config", config, *output],
+                ["pool", "gcpool", "--input", scene, "--config", config, *output],
+                ["graph", "build", "--input", scene, "--iou-thr", "0.3", *output],
+            ):
+                assert run_command(argv) == 0, (argv, capsys.readouterr().err)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag, value", [("--min-part", "0"), ("--stop-ncut", "-1")])
     def test_cut_ncut_rejects_bad_options_on_an_edgeless_graph(self, tmp_path, capsys,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from propgraph import (
     AttentionParams,
-    BoundingBox,
     InputError,
     PipelineConfig,
     forward,
@@ -20,8 +19,8 @@ def far_apart_boxes(count):
     for k in range(count):
         x = (k % 4) * 0.25
         y = (k // 4) * 0.25
-        boxes.append(BoundingBox(x + 0.02, y + 0.02, x + 0.2, y + 0.2))
-    return boxes
+        boxes.append((x + 0.02, y + 0.02, x + 0.2, y + 0.2))
+    return np.array(boxes)
 
 
 def two_box_clusters():
@@ -34,7 +33,7 @@ def two_box_clusters():
         (0.61, 0.60, 0.86, 0.86),
         (0.60, 0.62, 0.85, 0.87),
     ]
-    return [BoundingBox(*b) for b in base]
+    return np.array(base)
 
 
 class TestIdenticalNormalize:
@@ -88,7 +87,7 @@ class TestIdenticalNormalize:
 
 class TestForward:
     def test_single_proposal_identity_with_lambda_zero(self):
-        boxes = [BoundingBox(0.1, 0.1, 0.4, 0.4)]
+        boxes = np.array([[0.1, 0.1, 0.4, 0.4]])
         features = np.array([[2.0, -1.0, 0.5]])
         params = AttentionParams.initialize(3, seed=0)
         config = PipelineConfig(lambda_=0.0)
@@ -153,7 +152,7 @@ class TestForward:
 
     def test_empty_input(self):
         params = AttentionParams.initialize(3, seed=0)
-        result = forward([], np.zeros((0, 3)), params, PipelineConfig())
+        result = forward(np.zeros((0, 4)), np.zeros((0, 3)), params, PipelineConfig())
         assert result.features.shape == (0, 3)
         assert result.original_ids == ()
 

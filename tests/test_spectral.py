@@ -385,7 +385,7 @@ def loose_scene(seed, boxes=12, duplicate_first=False):
     doc = generate_proposals(1, boxes, seed=seed, feature_dim=2, jitter=0.24)
     boxes, features = doc.normalized_boxes(), doc.feature_matrix()
     if duplicate_first:
-        boxes, features = boxes + boxes[:1], np.vstack([features, features[:1]])
+        boxes, features = np.vstack([boxes, boxes[:1]]), np.vstack([features, features[:1]])
     g = build_graph(boxes, features, 0.5)
     components = connected_components(g)
     return g.subgraph(components.members(int(components.labels[0])))
