@@ -7,9 +7,13 @@ Scenes ``CxN`` are C clusters of N tight proposals (jitter 0.02).
 all fall back to the Jacobi eigensolver. Every scene has 64-dim features and
 4 projected attention heads. It runs in a fresh child process, once with
 graph-cut pooling and once without, so each line's ``ru_maxrss`` belongs to
-that run alone. The probe reports and gates nothing.
+that run alone. The pooled run also reports ``pool``: the in-process time of
+``gcpool`` plus ``augment_with_coarse`` on the scene's graph, taken after
+``ru_maxrss`` is read. ``2000x50`` (100,000 proposals, 2.45M edges, a
+150 MB proposal file) runs only when named. The probe reports and gates
+nothing.
 
-Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100] [--seed 123]
+Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100 2000x50] [--seed 123]
 """
 
 import argparse
@@ -23,7 +27,9 @@ import sys
 import tempfile
 import time
 
-SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50), "chain100": (1, 100)}
+SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50), "chain100": (1, 100),
+          "2000x50": (2000, 50)}
+DEFAULT_SCENES = ["1x400", "4x400", "400x50", "chain100"]
 FEATURE_DIM = 64
 HEADS = 4
 # Image side, in pixels, of the chain scene.
@@ -49,7 +55,7 @@ def make_scene(scene: str, seed: int):
 
 def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
     """Write the scene's files, time one in-process CLI ``forward`` and read its report."""
-    from propgraph import AttentionParams
+    from propgraph import AttentionParams, PipelineConfig, build_graph, pooling
     from propgraph import io as pio
     from propgraph.cli import run_command
 
@@ -73,7 +79,7 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
             code = run_command(argv)
         wall = time.perf_counter() - start
     counts = json.loads(report.getvalue())["counts"] if code == 0 else {}
-    return {
+    row = {
         "scene": scene,
         "gcpool": gcpool,
         "exit": code,
@@ -83,12 +89,22 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
         "forward_s": round(wall, 3),
         # Linux reports ru_maxrss in KiB.
         "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "pool_s": None,
     }
+    if gcpool and code == 0:
+        config = PipelineConfig()
+        g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), config.iou_thr)
+        start = time.perf_counter()
+        _, coarse = pooling.gcpool(g, min_size=config.min_size, stop_ncut=config.stop_ncut,
+                                   min_part=config.min_part)
+        pooling.augment_with_coarse(g, coarse)
+        row["pool_s"] = round(time.perf_counter() - start, 3)
+    return row
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scene", nargs="+", choices=sorted(SCENES), default=list(SCENES))
+    parser.add_argument("--scene", nargs="+", choices=sorted(SCENES), default=DEFAULT_SCENES)
     parser.add_argument("--seed", type=int, default=123)
     parser.add_argument("--child", choices=("gcpool", "no-gcpool"), help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -106,10 +122,11 @@ def main() -> None:
                 print(f"{scene} {mode}: child failed with exit {child.returncode}\n{child.stderr}")
                 continue
             row = json.loads(child.stdout)
+            pool = f"  pool {row['pool_s']:.3f} s" if row["pool_s"] is not None else ""
             print(f"{scene:>7} {mode:>9}: {row['proposals']:>6} proposals "
                   f"{row['edges']} edges  {row['jacobi_fallbacks']} Jacobi fallbacks  "
                   f"forward {row['forward_s']:.3f} s  "
-                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}")
+                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}{pool}")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .graph import (
     connected_components,
     filter_components,
     graph_from_edges,
+    induced_subgraphs,
 )
 from .io import ProposalDocument, load_proposals, save_proposals
 from .oracles import brute_force_ncut, finite_difference_gradients
@@ -85,6 +86,7 @@ __all__ = [
     "generate_proposals",
     "graph_from_edges",
     "identical_normalize",
+    "induced_subgraphs",
     "iou",
     "load_proposals",
     "multi_head_attend",

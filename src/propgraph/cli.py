@@ -31,7 +31,7 @@ from . import io as pio
 from .attention import AttentionDegrees, AttentionParams, attention_gradients, multi_head_attend
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
-from .graph import build_graph, connected_components, filter_components
+from .graph import build_graph, connected_components, filter_components, induced_subgraphs
 from .oracles import (
     BRUTE_FORCE_MAX_NODES,
     bridged_cliques,
@@ -207,10 +207,8 @@ def _cmd_cut_ncut(args) -> int:
     per_component = []
     next_label = 0
     unchecked = 0
-    for component in range(comp.count):
-        idx = comp.members(component)
-        sub = g.subgraph(idx)
-        partition = recursive_ncut(sub, stop, min_part=args.min_part)
+    for component, (idx, sub) in enumerate(induced_subgraphs(g, comp.labels, comp.count)):
+        partition = recursive_ncut(sub, stop, min_part=args.min_part, connected=True)
         for local, node in enumerate(idx):
             labels[int(node)] = next_label + int(partition.labels[local])
         entry: dict = {"component": component, "sets": partition.set_count}

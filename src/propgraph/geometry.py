@@ -86,12 +86,17 @@ def first_invalid_box(boxes: np.ndarray, extent: float | np.ndarray = 1.0) -> in
     return None if valid.all() else int(np.argmin(valid))
 
 
+def first_flat_box(boxes: np.ndarray) -> int | None:
+    """Index of the first (x1, y1, x2, y2) row too flat for ``spatial_descriptor``, or None."""
+    flat = np.flatnonzero(boxes[:, 3] - boxes[:, 1] <= _MIN_EXTENT)
+    return int(flat[0]) if flat.size else None
+
+
 def spatial_descriptor(boxes: np.ndarray) -> np.ndarray:
     """(M, 7) rows (x1, y1, x2, y2, cx, cy, aspect) of (M, 4) boxes; a fallback node feature."""
     x1, y1, x2, y2 = boxes.T
     height = y2 - y1
-    short = np.flatnonzero(height <= _MIN_EXTENT)
-    if short.size:
-        k = int(short[0])
+    k = first_flat_box(boxes)
+    if k is not None:
         raise InputError(f"boxes[{k}]: height {float(height[k])!r} too small for an aspect ratio")
     return np.stack([x1, y1, x2, y2, (x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / height], axis=1)

@@ -32,7 +32,7 @@ import numpy as np
 from .attention import AttentionParams
 from .config import PipelineConfig
 from .errors import InputError
-from .geometry import first_invalid_box, spatial_descriptor
+from .geometry import first_flat_box, first_invalid_box, spatial_descriptor
 from .graph import ProposalGraph
 from .pooling import CoarseNode, PseudoLabeling
 
@@ -166,14 +166,25 @@ class ProposalDocument:
                 f"proposals[{k}].box: expected finite 0 <= x1 < x2 <= width and "
                 f"0 <= y1 < y2 <= height, got {boxes[k].tolist()}"
             )
-        k = first_invalid_box(boxes / scale)
+        normalized = boxes / scale
+        k = first_invalid_box(normalized)
         if k is not None:
             raise InputError(
                 f"proposals[{k}].box: {boxes[k].tolist()} has x1 == x2 or y1 == y2 once "
                 f"divided by the image size {self.width}x{self.height}"
             )
         features = self.features
-        if features is not None:
+        if features is None:
+            # feature_matrix() will stand the spatial descriptor in for the
+            # features; name the box here, where the file and field are known.
+            k = first_flat_box(normalized)
+            if k is not None:
+                raise InputError(
+                    f"proposals[{k}].box: {boxes[k].tolist()} is too flat once divided by "
+                    f"the image height {self.height} for the aspect ratio of the spatial "
+                    f"descriptor that stands in for the missing features"
+                )
+        else:
             features = np.asarray(features, dtype=np.float64)
             if features.ndim != 2 or features.shape[0] != boxes.shape[0]:
                 raise InputError("features must be one row per proposal")

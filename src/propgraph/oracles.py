@@ -2,20 +2,32 @@
 
 Each oracle reaches what the forward path computes by another route:
 exhaustive search, edge-by-edge enumeration, a dense per-row attention
-kernel, or central finite differences. The ``oracle`` CLI commands and the
+kernel, pooling through one induced ``subgraph`` per set, or central finite
+differences. The ``oracle`` CLI commands and the
 test suite both use this module; no forward-path module imports it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .attention import AttentionGradients, AttentionParams, multi_head_attend
 from .errors import InputError
-from .graph import ProposalGraph, graph_from_edges
-from .spectral import CutReport, Partition, ncut_value
+from .graph import ProposalGraph, connected_components, graph_from_edges
+from .pooling import CoarseNode, PseudoLabeling, _pooled
+from .spectral import (
+    _CERTIFY_MARGIN,
+    CutReport,
+    Partition,
+    SolveCounts,
+    _check_split_rule,
+    _dense_block,
+    _sweep_order,
+    ncut_value,
+    two_way_ncut,
+)
 
 BRUTE_FORCE_MAX_NODES = 15
 
@@ -105,6 +117,120 @@ def edge_enumeration_ncut(g: ProposalGraph, partition: Partition) -> float:
             cut[li] += float(w)
             cut[lj] += float(w)
     return sum(c / a for c, a in zip(cut, assoc))
+
+
+def reference_recursive_ncut(
+    g: ProposalGraph,
+    stop_ncut: float,
+    min_part: int = 1,
+    counts: SolveCounts | None = None,
+) -> Partition:
+    """``recursive_ncut`` through one induced subgraph per set.
+
+    Every set is cut from ``g`` with ``subgraph``, labelled with
+    ``connected_components`` and given its own dense block, so the
+    partition and the counts must equal ``recursive_ncut``'s bit for bit.
+    """
+    if counts is None:
+        counts = SolveCounts()
+    _check_split_rule(stop_ncut, min_part)
+    m = g.num_nodes
+    if m == 0:
+        raise InputError("cannot partition an empty graph")
+    parts: list[np.ndarray] = []
+    stack: list[np.ndarray] = [np.arange(m, dtype=np.int64)]
+    while stack:
+        idx = stack.pop()
+        if idx.size == 1:
+            parts.append(idx)
+            continue
+        sub = g.subgraph(idx)
+        components = connected_components(sub)
+        if components.count > 1:
+            first = idx[components.labels == 0]
+            rest = idx[components.labels != 0]
+            if min(first.size, rest.size) >= min_part:
+                stack.append(rest)
+                stack.append(first)
+            else:
+                parts.append(idx)
+            continue
+        block = _dense_block(sub)
+        values, vectors = np.linalg.eigh(block.laplacian)
+        if values[1] > stop_ncut + _CERTIFY_MARGIN:
+            counts.kept_whole += 1
+            parts.append(idx)
+            continue
+        order, certified = _sweep_order(block, values, vectors)
+        if certified:
+            counts.fiedler_certified += 1
+        else:
+            counts.jacobi_fallbacks += 1
+        partition, report = two_way_ncut(sub, block=block, order=order)
+        side_a = idx[partition.labels == 0]
+        side_b = idx[partition.labels == 1]
+        if report.ncut_value <= stop_ncut and min(side_a.size, side_b.size) >= min_part:
+            stack.append(side_b)
+            stack.append(side_a)
+        else:
+            parts.append(idx)
+    parts.sort(key=lambda members: int(members[0]))
+    labels = np.zeros(m, dtype=np.int64)
+    for label, members in enumerate(parts):
+        labels[members] = label
+    return Partition(labels=labels, set_count=len(parts))
+
+
+def reference_gcpool(
+    g: ProposalGraph, min_size: int, stop_ncut: float, min_part: int = 1
+) -> tuple[PseudoLabeling, list[CoarseNode]]:
+    """``gcpool`` through one ``subgraph`` per component and ``reference_recursive_ncut``."""
+    if min_size < 1:
+        raise InputError(f"min_size must be >= 1, got {min_size}")
+    _check_split_rule(stop_ncut, min_part)
+    parts: list[np.ndarray] = []
+    solves = SolveCounts()
+    components = connected_components(g)
+    for component in np.flatnonzero(components.sizes >= min_size):
+        comp_idx = components.members(component)
+        partition = reference_recursive_ncut(
+            g.subgraph(comp_idx), stop_ncut, min_part=min_part, counts=solves
+        )
+        for label in range(partition.set_count):
+            members = comp_idx[partition.labels == label]
+            if members.size >= min_size:
+                parts.append(members)
+    return _pooled(g, parts, components.count, solves)
+
+
+def reference_augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> ProposalGraph:
+    """``augment_with_coarse`` through ``index_of``, one ``subgraph`` per part and the
+    checking constructor, which sorts the appended edges itself."""
+    if not coarse:
+        return g
+    m = g.num_nodes
+    next_id = int(g.node_ids.max()) + 1 if m > 0 else 0
+    all_members = g.index_of([nid for node in coarse for nid in node.member_ids])
+    part_sizes = np.array([len(node.member_ids) for node in coarse], dtype=np.int64)
+    weights = []
+    for member_idx in np.split(all_members, np.cumsum(part_sizes)[:-1]):
+        n = member_idx.size
+        if n <= 1:
+            weights.append(np.ones(n))
+            continue
+        ascending = np.sort(member_idx)
+        pos = np.searchsorted(ascending, member_idx)
+        block = g.subgraph(ascending).adjacency()[np.ix_(pos, pos)]
+        weights.append(block[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
+    coarse_index = np.repeat(np.arange(m, m + len(coarse), dtype=np.int64), part_sizes)
+    return ProposalGraph(
+        features=np.concatenate([g.features, np.stack([node.feature for node in coarse])]),
+        edge_index=np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)]),
+        edge_weight=np.concatenate([g.edge_weight, *weights]),
+        node_ids=np.concatenate(
+            [g.node_ids, np.arange(next_id, next_id + len(coarse), dtype=np.int64)]
+        ),
+    )
 
 
 def reference_attention(

@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graph import ProposalGraph, connected_components
+from .graph import ProposalGraph, connected_components, induced_subgraphs
 
 # The Jacobi fallback's off-diagonal target, sweep budget and Fiedler
 # residual bound; ``fiedler_vector`` reads them at call time.
@@ -160,7 +160,10 @@ class _Block:
 
 
 def _dense_block(g: ProposalGraph) -> _Block:
-    w = g.adjacency()
+    return _block_of(g.adjacency())
+
+
+def _block_of(w: np.ndarray) -> _Block:
     degrees = w.sum(axis=1)
     if np.any(degrees <= 0.0):
         raise InputError("normalized Laplacian undefined for zero-degree nodes")
@@ -375,7 +378,7 @@ def _canonical_two_way(in_first: np.ndarray) -> np.ndarray:
 
 
 def two_way_ncut(
-    g: ProposalGraph,
+    g: ProposalGraph | None,
     *,
     block: _Block | None = None,
     order: np.ndarray | None = None,
@@ -388,9 +391,12 @@ def two_way_ncut(
     node-0 set, then the smaller split index.
 
     ``block`` and ``order`` are for ``recursive_ncut``, which has already
-    found ``g`` connected, built its dense block and found the sweep order.
-    Without ``block`` the graph is checked and the block built here; without
-    ``order`` it comes from ``_sweep_order``, as in ``recursive_ncut``.
+    found the set connected, built its dense block and found the sweep
+    order. With ``block`` given, ``g`` is not read: ``recursive_ncut``
+    passes None, because its sets are index subsets of one dense block, not
+    graphs. Without ``block`` the graph is checked and the block built here;
+    without ``order`` it comes from ``_sweep_order``, as in
+    ``recursive_ncut``.
     """
     if block is None:
         if g.num_nodes < 2:
@@ -398,7 +404,7 @@ def two_way_ncut(
         if connected_components(g).count != 1:
             raise InputError("two-way cut requires a connected graph")
         block = _dense_block(g)
-    m = g.num_nodes
+    m = block.weights.shape[0]
     if order is None:
         order, _ = _sweep_order(block, *np.linalg.eigh(block.laplacian))
     w_ord = block.weights[np.ix_(order, order)]
@@ -428,11 +434,36 @@ def two_way_ncut(
     return partition, _cut_report(block.weights, block.degrees, partition)
 
 
+def _check_split_rule(stop_ncut: float, min_part: int) -> None:
+    """``recursive_ncut``'s argument checks, shared with ``pooling.gcpool``."""
+    if not np.isfinite(stop_ncut) or stop_ncut < 0.0:
+        raise InputError(f"stop_ncut must be finite and >= 0, got {stop_ncut}")
+    if min_part < 1:
+        raise InputError(f"min_part must be >= 1, got {min_part}")
+
+
+def _first_component(linked: np.ndarray) -> np.ndarray:
+    """Mask of the nodes joined to node 0 in the boolean edge-existence block ``linked``.
+
+    Breadth-first search: each node joins the frontier once, so the cost is
+    O(n^2) for an n x n block.
+    """
+    reached = np.zeros(linked.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached
+
+
 def recursive_ncut(
     g: ProposalGraph,
     stop_ncut: float,
     min_part: int = 1,
     counts: SolveCounts | None = None,
+    *,
+    connected: bool = False,
 ) -> Partition:
     """Hierarchical bipartitioning with a stop threshold on the child objective.
 
@@ -449,35 +480,73 @@ def recursive_ncut(
     Otherwise the sweep runs on LAPACK's Fiedler vector when its node order
     is certified to be the Jacobi vector's, and on the Jacobi vector when
     not. ``counts``, when given, is incremented by how each set was settled.
+
+    ``g``'s components are peeled from the edge lists, so dense blocks are
+    only ever as large as one component; ``connected=True`` says the caller
+    knows ``g`` is one component, which skips labelling it.
     """
     if counts is None:
         counts = SolveCounts()
-    if not np.isfinite(stop_ncut) or stop_ncut < 0.0:
-        raise InputError(f"stop_ncut must be finite and >= 0, got {stop_ncut}")
-    if min_part < 1:
-        raise InputError(f"min_part must be >= 1, got {min_part}")
+    _check_split_rule(stop_ncut, min_part)
     m = g.num_nodes
     if m == 0:
         raise InputError("cannot partition an empty graph")
+    if connected:
+        parts = _split_connected(g, stop_ncut, min_part, counts)
+    else:
+        components = connected_components(g)
+        parts = []
+        remaining = m
+        groups = induced_subgraphs(g, components.labels, components.count)
+        for label, (members, sub) in enumerate(groups):
+            remaining -= members.size
+            if remaining and min(members.size, remaining) < min_part:
+                # Peeling this component would leave a side under min_part,
+                # so it and every later component stay one set.
+                parts.append(np.flatnonzero(components.labels >= label))
+                break
+            parts.extend(members[p] for p in _split_connected(sub, stop_ncut, min_part, counts))
+    parts.sort(key=lambda members: int(members[0]))
+    labels = np.zeros(m, dtype=np.int64)
+    for label, members in enumerate(parts):
+        labels[members] = label
+    return Partition(labels=labels, set_count=len(parts))
+
+
+def _split_connected(
+    g: ProposalGraph, stop_ncut: float, min_part: int, counts: SolveCounts
+) -> list[np.ndarray]:
+    """``recursive_ncut``'s final sets of the connected graph ``g``, as ascending indices.
+
+    ``g``'s dense weight block and boolean edge-existence block are built
+    once; every set is an ascending index subset of them. A set's
+    components come from the existence block, so a zero-weight edge
+    connects its endpoints just as it does in ``connected_components``.
+    """
+    m = g.num_nodes
+    weights = g.adjacency()
+    linked = np.zeros((m, m), dtype=bool)
+    linked[g.edge_index[:, 0], g.edge_index[:, 1]] = True
+    linked[g.edge_index[:, 1], g.edge_index[:, 0]] = True
     parts: list[np.ndarray] = []
-    stack: list[np.ndarray] = [np.arange(m, dtype=np.int64)]
+    # Each entry is a set of ascending indices and whether it is known connected.
+    stack: list[tuple[np.ndarray, bool]] = [(np.arange(m, dtype=np.int64), True)]
     while stack:
-        idx = stack.pop()
+        idx, known_connected = stack.pop()
         if idx.size == 1:
             parts.append(idx)
             continue
-        sub = g.subgraph(idx)
-        components = connected_components(sub)
-        if components.count > 1:
-            first = idx[components.labels == 0]
-            rest = idx[components.labels != 0]
-            if min(first.size, rest.size) >= min_part:
-                stack.append(rest)
-                stack.append(first)
-            else:
-                parts.append(idx)
-            continue
-        block = _dense_block(sub)
+        square = np.ix_(idx, idx)
+        if not known_connected:
+            first = _first_component(linked[square])
+            if not first.all():
+                if min(np.count_nonzero(first), np.count_nonzero(~first)) >= min_part:
+                    stack.append((idx[~first], False))
+                    stack.append((idx[first], True))
+                else:
+                    parts.append(idx)
+                continue
+        block = _block_of(weights[square])
         values, vectors = np.linalg.eigh(block.laplacian)
         if values[1] > stop_ncut + _CERTIFY_MARGIN:
             counts.kept_whole += 1
@@ -488,16 +557,12 @@ def recursive_ncut(
             counts.fiedler_certified += 1
         else:
             counts.jacobi_fallbacks += 1
-        partition, report = two_way_ncut(sub, block=block, order=order)
+        partition, report = two_way_ncut(None, block=block, order=order)
         side_a = idx[partition.labels == 0]
         side_b = idx[partition.labels == 1]
         if report.ncut_value <= stop_ncut and min(side_a.size, side_b.size) >= min_part:
-            stack.append(side_b)
-            stack.append(side_a)
+            stack.append((side_b, False))
+            stack.append((side_a, False))
         else:
             parts.append(idx)
-    parts.sort(key=lambda members: int(members[0]))
-    labels = np.zeros(m, dtype=np.int64)
-    for label, members in enumerate(parts):
-        labels[members] = label
-    return Partition(labels=labels, set_count=len(parts))
+    return parts

@@ -15,6 +15,7 @@ from propgraph import (
     filter_components,
     graph,
     graph_from_edges,
+    induced_subgraphs,
     iou,
 )
 from propgraph.oracles import random_connected_graph
@@ -294,6 +295,31 @@ class TestSubgraph:
         g = graph_from_edges(3, [(0, 1, 0.3)])
         with pytest.raises(InputError):
             g.subgraph(np.array([2, 1]))
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_induced_subgraphs_equal_subgraph(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 25))
+        ii, jj = np.triu_indices(n, k=1)
+        hit = rng.random(ii.size) < 0.3
+        g = graph_from_edges(n, zip(ii[hit], jj[hit], rng.choice([0.0, 0.5, 1.0], hit.sum())),
+                             features=rng.normal(size=(n, 2)),
+                             node_ids=rng.permutation(3 * n)[:n])
+        count = int(rng.integers(0, 5))
+        labels = rng.integers(-1, count, size=n) if count else np.full(n, -1)
+        groups = list(induced_subgraphs(g, labels, count))
+        assert len(groups) == count
+        for k, (members, sub) in enumerate(groups):
+            assert np.array_equal(members, np.flatnonzero(labels == k))
+            expected = g.subgraph(members)
+            for name in ("features", "edge_index", "edge_weight", "node_ids"):
+                assert np.array_equal(getattr(sub, name), getattr(expected, name))
+                assert getattr(sub, name).dtype == getattr(expected, name).dtype
+            # The unchecked graph is one the checking constructor accepts unchanged.
+            checked = graph_from_edges(sub.num_nodes, sub.edges(), features=sub.features,
+                                       node_ids=sub.node_ids)
+            assert np.array_equal(checked.edge_index, sub.edge_index)
 
     def test_duplicate_edges_rejected(self):
         with pytest.raises(InputError):

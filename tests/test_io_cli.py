@@ -22,7 +22,7 @@ from propgraph import (
     multi_head_attend,
     two_way_ncut,
 )
-from propgraph import attention, cli, geometry, graph, spectral
+from propgraph import attention, cli, geometry, graph, pipeline, spectral
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
@@ -38,6 +38,7 @@ from propgraph.io import (
     save_proposals,
     write_json,
 )
+from propgraph.oracles import reference_augment_with_coarse, reference_gcpool
 from propgraph.synthetic import generate_proposals
 
 from conftest import run_cli
@@ -633,6 +634,64 @@ class TestCli:
         assert captured.err.startswith(f"error: {path}: proposals[1].{field}: ")
         assert shown in captured.err and "np.float64" not in captured.err
         assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+    @pytest.mark.parametrize("command", ["graph build", "pool gcpool", "forward"])
+    def test_box_too_flat_for_the_descriptor_names_the_file_and_field(self, tmp_path, capsys,
+                                                                      command):
+        # Without features the 7-dim spatial descriptor stands in; its aspect
+        # ratio divides by the normalized height, 1e-14 / 480 here.
+        path = tmp_path / "in.json"
+        path.write_text('{"image_id": "x", "width": 640, "height": 480, "proposals": '
+                        '[{"box": [0, 0, 5, 5]}, {"box": [0, 0, 5, 1e-14]}]}')
+        save_params(AttentionParams.initialize(7, seed=0), str(tmp_path / "params.json"))
+        (tmp_path / "config.json").write_text("{}")
+        inputs = sorted(os.listdir(tmp_path))
+        output = ["--output", str(tmp_path / "out.json")]
+        argv = {
+            "graph build": ["graph", "build", "--input", str(path), "--iou-thr", "0.3", *output],
+            "pool gcpool": ["pool", "gcpool", "--input", str(path), "--config",
+                            str(tmp_path / "config.json"), *output],
+            "forward": ["forward", "--input", str(path), "--params",
+                        str(tmp_path / "params.json"), "--config",
+                        str(tmp_path / "config.json"), *output],
+        }[command]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: proposals[1].box: [0.0, 0.0, 5.0, 1e-14]")
+        assert "aspect ratio" in captured.err
+        assert sorted(os.listdir(tmp_path)) == inputs
+
+    def test_forward_pools_without_subgraphs_or_id_lookups(self, tmp_path, capsys, monkeypatch):
+        scene, params, config = (str(tmp_path / name) for name in
+                                 ("scene.json", "params.json", "config.json"))
+        assert run_command(["gen", "--clusters", "6", "--per-cluster", "20", "--seed", "3",
+                            "--jitter", "0.2", "--feature-dim", "4", "--output", scene]) == 0
+        save_params(AttentionParams.initialize(4, seed=0), params)
+        (tmp_path / "config.json").write_text('{"iou_thr": 0.5}')
+
+        def forward_bytes():
+            out = tmp_path / "out.json"
+            capsys.readouterr()
+            argv = ["forward", "--input", scene, "--params", params, "--config", config,
+                    "--output", str(out)]
+            assert run_command(argv) == 0, capsys.readouterr().err
+            return out.read_bytes(), json.loads(capsys.readouterr().out)["counts"]
+
+        with pytest.MonkeyPatch.context() as mp:  # the subgraph route, as the reference
+            mp.setattr(pipeline, "gcpool", reference_gcpool)
+            mp.setattr(pipeline, "augment_with_coarse", reference_augment_with_coarse)
+            expected, expected_counts = forward_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("subgraph or index_of called on the forward path")
+
+        monkeypatch.setattr(graph.ProposalGraph, "subgraph", refuse)
+        monkeypatch.setattr(graph.ProposalGraph, "index_of", refuse)
+        got, counts = forward_bytes()
+        assert got == expected and counts == expected_counts
+        # The scene sweeps components and filters proposals, so every pooling step ran.
+        assert counts["fiedler_certified"] > 0 and counts["filtered"] > 0 and counts["coarse"] > 0
 
     @pytest.mark.parametrize("kind", ["proposals", "params", "config", "graph"])
     def test_non_utf8_file_exits_one_naming_it(self, tmp_path, capsys, kind):

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propgraph import (
     CoarseNode,
     InputError,
+    NumericalError,
     augment_with_coarse,
     gcpool,
     graph_from_edges,
     pool_part,
+    recursive_ncut,
 )
-from propgraph.oracles import bridged_cliques
+from propgraph.oracles import (
+    bridged_cliques,
+    reference_augment_with_coarse,
+    reference_gcpool,
+    reference_recursive_ncut,
+)
 
 
 def bridged_triangles_plus_isolated():
@@ -120,6 +127,18 @@ class TestGcpool:
         assert base_parts == permuted_parts
 
 
+    @pytest.mark.parametrize("stop_ncut, min_part, field", [
+        (float("nan"), 1, "stop_ncut"), (-0.5, 1, "stop_ncut"), (float("inf"), 1, "stop_ncut"),
+        (0.5, 0, "min_part"), (float("nan"), 0, "stop_ncut"),
+    ])
+    def test_split_rule_checked_when_no_component_survives(self, stop_ncut, min_part, field):
+        g = bridged_triangles_plus_isolated()  # components of 6 and 1 nodes
+        with pytest.raises(InputError, match=field):
+            gcpool(g, min_size=7, stop_ncut=stop_ncut, min_part=min_part)
+        with pytest.raises(InputError, match=field):
+            gcpool(graph_from_edges(0, []), min_size=1, stop_ncut=stop_ncut, min_part=min_part)
+
+
 class TestAugment:
     def test_no_coarse_nodes_is_identity(self):
         g = bridged_triangles_plus_isolated()
@@ -146,6 +165,20 @@ class TestAugment:
             edge = [e for e in augmented.edges()
                     if e[1] == base + c.source_part and e[0] == c.member_ids[0]]
             assert edge and edge[0][2] == 1.0
+
+    def test_unknown_or_shared_members_rejected(self):
+        g = bridged_triangles_plus_isolated()
+        feature = np.zeros(2)
+        with pytest.raises(InputError, match="unknown node id 9"):
+            augment_with_coarse(g, [CoarseNode(feature, (0, 9), 0)])
+        with pytest.raises(InputError, match="share members"):
+            augment_with_coarse(g, [CoarseNode(feature, (0, 1), 0), CoarseNode(feature, (1, 2), 1)])
+        with pytest.raises(InputError, match="share members"):
+            augment_with_coarse(g, [CoarseNode(feature, (3, 3), 0)])
+        with pytest.raises(InputError, match="dimension"):
+            augment_with_coarse(g, [CoarseNode(np.zeros(3), (0, 1), 0)])
+        with pytest.raises(InputError, match="finite"):
+            augment_with_coarse(g, [CoarseNode(np.array([0.0, np.nan]), (0, 1), 0)])
 
     def test_original_structure_untouched(self):
         g = bridged_triangles_plus_isolated()
@@ -193,3 +226,113 @@ class TestAugment:
                 expected = adjacency[idx, others].mean() if others.size else 1.0
                 assert got[(int(idx), n + k)] == expected
         assert len(got) == g.num_edges + n
+
+
+def pooling_scene(rng):
+    """A graph of several components in which pooling meets its hard cases.
+
+    Components are random trees plus chords. About one edge in eight weighs
+    0.0, which still connects its endpoints. Twins copy another node's
+    edges exactly, so their Fiedler entries tie. The nodes are shuffled, so
+    components interleave in index order, and the ids neither start at 0
+    nor ascend with the index.
+    """
+    def weight():
+        return 0.0 if rng.random() < 0.12 else float(rng.choice([0.25, 0.5, rng.uniform(0.05, 1)]))
+
+    edges: dict = {}
+    size = 0
+    for _ in range(int(rng.integers(1, 6))):
+        n = int(rng.integers(1, 14))
+        for node in range(size + 1, size + n):
+            edges[(int(rng.integers(size, node)), node)] = weight()
+        for _ in range(int(rng.integers(0, 2 * n))):
+            i, j = sorted(rng.integers(size, size + n, size=2))
+            if i != j:
+                edges[(int(i), int(j))] = weight()
+        for _ in range(int(rng.integers(0, 3))):
+            source, twin = int(rng.integers(size, size + n)), size + n
+            for (i, j), w in list(edges.items()):
+                if source in (i, j):
+                    other = j if i == source else i
+                    edges[(min(other, twin), max(other, twin))] = w
+            if rng.random() < 0.5:
+                edges[(source, twin)] = weight()
+            n += 1
+        size += n
+    perm = rng.permutation(size)
+    ids = rng.permutation(4 * size)[:size] + 7
+    features = rng.normal(size=(size, 3))
+    return graph_from_edges(size, [(int(perm[i]), int(perm[j]), w) for (i, j), w in edges.items()],
+                            features=features, node_ids=ids)
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (InputError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def raised(result) -> bool:
+    return isinstance(result, tuple) and isinstance(result[0], type)
+
+
+def assert_same_graph(got, expected):
+    for name in ("features", "edge_index", "edge_weight", "node_ids"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestGroupedEdgeSlices:
+    """Pooling from grouped edge slices gives the subgraph route's bits."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0, 2.0]),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    # Random draws seldom make a sweep side that falls apart (seed 33) or that
+    # holds together only through a zero-weight edge (seed 83).
+    @example(seed=33, min_size=1, stop_ncut=0.5, min_part=1)
+    @example(seed=83, min_size=1, stop_ncut=0.5, min_part=1)
+    def test_matches_the_subgraph_reference_bitwise(self, seed, min_size, stop_ncut, min_part):
+        g = pooling_scene(np.random.default_rng(seed))
+        got = outcome(gcpool, g, min_size, stop_ncut, min_part=min_part)
+        expected = outcome(reference_gcpool, g, min_size, stop_ncut, min_part=min_part)
+        if raised(expected):
+            assert got == expected
+            return
+        (labeling, coarse), (ref_labeling, ref_coarse) = got, expected
+        assert labeling.labels == ref_labeling.labels
+        assert labeling.part_count == ref_labeling.part_count
+        assert labeling.component_count == ref_labeling.component_count
+        assert labeling.solves == ref_labeling.solves
+        assert [c.member_ids for c in coarse] == [c.member_ids for c in ref_coarse]
+        assert [c.source_part for c in coarse] == [c.source_part for c in ref_coarse]
+        assert [c.feature.tobytes() for c in coarse] == [c.feature.tobytes() for c in ref_coarse]
+        assert_same_graph(augment_with_coarse(g, coarse), reference_augment_with_coarse(g, coarse))
+
+        partition = outcome(recursive_ncut, g, stop_ncut, min_part=min_part)
+        reference = outcome(reference_recursive_ncut, g, stop_ncut, min_part=min_part)
+        if raised(reference):
+            assert partition == reference
+        else:
+            assert partition.set_count == reference.set_count
+            assert np.array_equal(partition.labels, reference.labels)
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_augment_matches_for_parts_in_any_member_order(self, seed):
+        rng = np.random.default_rng(seed)
+        g = pooling_scene(rng)
+        n = g.num_nodes
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        parts = [p for p in np.split(rng.permutation(n), cuts) if rng.random() < 0.8]
+        coarse = [CoarseNode(feature=rng.normal(size=3),
+                             member_ids=tuple(int(i) for i in g.node_ids[p]), source_part=k)
+                  for k, p in enumerate(parts)]
+        assert_same_graph(augment_with_coarse(g, coarse), reference_augment_with_coarse(g, coarse))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,29 @@ class TestRecursiveNcut:
         partition = recursive_ncut(bridged_cliques(4, 0.02), stop_ncut=0.5)
         first_of = [int(np.flatnonzero(partition.labels == s)[0]) for s in range(partition.set_count)]
         assert first_of == sorted(first_of)
+
+    def test_dense_blocks_stay_component_sized(self):
+        # 1,000 triangles with interleaved indices: one 3,000-node dense block
+        # would take 72 MB of weights alone.
+        perm = np.random.default_rng(3).permutation(3000)
+        edges = [(int(perm[a]), int(perm[b]), 1.0) for t in range(1000)
+                 for a, b in ((3 * t, 3 * t + 1), (3 * t, 3 * t + 2), (3 * t + 1, 3 * t + 2))]
+        g = graph_from_edges(3000, edges)
+        tracemalloc.start()
+        try:
+            partition = recursive_ncut(g, stop_ncut=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert partition.set_count == 1000
+        assert peak < 3000 * 3000 / 8
+
+    def test_peeling_stops_where_a_side_would_be_too_small(self):
+        # Components {0, 1, 2}, {3, 4} and {5}: with min_part 2 the last two
+        # stay one set, because peeling {3, 4} would leave {5} alone.
+        g = graph_from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0)])
+        assert list(recursive_ncut(g, stop_ncut=0.5, min_part=2).labels) == [0, 0, 0, 1, 1, 1]
+        assert list(recursive_ncut(g, stop_ncut=0.5, min_part=1).labels) == [0, 0, 0, 1, 1, 2]
 
 
 def lambda_2(g):
