@@ -7,11 +7,12 @@ Scenes ``CxN`` are C clusters of N tight proposals (jitter 0.02).
 all fall back to the Jacobi eigensolver. Every scene has 64-dim features and
 4 projected attention heads. It runs in a fresh child process, once with
 graph-cut pooling and once without, so each line's ``ru_maxrss`` belongs to
-that run alone. The pooled run also reports ``pool``: the in-process time of
-``gcpool`` plus ``augment_with_coarse`` on the scene's graph, taken after
-``ru_maxrss`` is read. ``2000x50`` (100,000 proposals, 2.45M edges, a
-150 MB proposal file) runs only when named. The probe reports and gates
-nothing.
+that run alone. Each line shows the CLI report's ``load`` and ``write``
+milliseconds, the JSON I/O share of the run. The pooled run also reports
+``pool``: the in-process time of ``gcpool`` plus ``augment_with_coarse`` on
+the scene's graph, taken after ``ru_maxrss`` is read. ``2000x50`` (100,000
+proposals, 2.45M edges, a 150 MB proposal file) runs only when named. The
+probe reports and gates nothing.
 
 Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100 2000x50] [--seed 123]
 """
@@ -73,12 +74,14 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
                 "--config", paths["config"], "--output", paths["output"]]
         if not gcpool:
             argv.append("--no-gcpool")
-        report = io.StringIO()
+        stdout = io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(report):
+        with contextlib.redirect_stdout(stdout):
             code = run_command(argv)
         wall = time.perf_counter() - start
-    counts = json.loads(report.getvalue())["counts"] if code == 0 else {}
+    report = json.loads(stdout.getvalue()) if code == 0 else {}
+    counts = report.get("counts", {})
+    timings_ms = report.get("timings_ms", {})
     row = {
         "scene": scene,
         "gcpool": gcpool,
@@ -87,6 +90,8 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
         "edges": counts.get("edges"),
         "jacobi_fallbacks": counts.get("jacobi_fallbacks"),
         "forward_s": round(wall, 3),
+        "load_ms": timings_ms.get("load"),
+        "write_ms": timings_ms.get("write"),
         # Linux reports ru_maxrss in KiB.
         "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "pool_s": None,
@@ -122,11 +127,13 @@ def main() -> None:
                 print(f"{scene} {mode}: child failed with exit {child.returncode}\n{child.stderr}")
                 continue
             row = json.loads(child.stdout)
+            io_ms = f"  load {row['load_ms']:.0f} ms  write {row['write_ms']:.0f} ms" \
+                if row["exit"] == 0 else ""
             pool = f"  pool {row['pool_s']:.3f} s" if row["pool_s"] is not None else ""
             print(f"{scene:>7} {mode:>9}: {row['proposals']:>6} proposals "
                   f"{row['edges']} edges  {row['jacobi_fallbacks']} Jacobi fallbacks  "
                   f"forward {row['forward_s']:.3f} s  "
-                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}{pool}")
+                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}{io_ms}{pool}")
 
 
 if __name__ == "__main__":

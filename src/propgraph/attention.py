@@ -255,12 +255,15 @@ def _head_scores(features: np.ndarray, params: AttentionParams, num_nodes: int,
     if not 0 <= head < params.head_count:
         raise InputError(f"head {head} out of range for {params.head_count} heads")
     d = params.feature_dim
-    left = np.einsum("md,d->m", feats, params.score_weights[head, :d])
-    right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
+    # A score that overflows is left to attention_weights' finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = np.einsum("md,d->m", feats, params.score_weights[head, :d])
+        right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
 
     def scores(rows, cols, positions, log_weight) -> np.ndarray:
-        out = left[rows, None] + right[cols] + params.score_bias[head]
-        return out if log_weight is None else out + log_weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = left[rows, None] + right[cols] + params.score_bias[head]
+            return out if log_weight is None else out + log_weight
 
     return scores
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AttentionDegrees, AttentionParams, multi_head_attend
 from .config import PipelineConfig
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .graph import build_graph, connected_components
 from .pooling import PseudoLabeling, augment_with_coarse, gcpool
 from .spectral import SolveCounts
@@ -66,6 +66,8 @@ def identical_normalize(
     deviation, so the output keeps the original statistics; epsilon only
     floors the standardizing scale, which keeps lambda_ = 0 an exact
     identity. Statistics are over all entries unless ``per_channel``.
+    Raises NumericalError naming the first non-finite output row and every
+    statistic that overflowed, which finite inputs near the float range can do.
     """
     refined = np.asarray(refined, dtype=np.float64)
     original = np.asarray(original, dtype=np.float64)
@@ -77,15 +79,42 @@ def identical_normalize(
         raise InputError(f"lambda must be >= 0, got {lambda_}")
     if refined.size == 0:
         return original.copy()
+    if mode not in ("literal", "moment_match"):
+        raise InputError(f"unknown normalization mode {mode!r}")
     axis = 0 if per_channel else None
-    mixed = lambda_ * refined + original
-    if mode == "literal":
-        return (mixed - original.mean(axis=axis)) / (original.var(axis=axis) + epsilon)
-    if mode == "moment_match":
-        scale = np.maximum(mixed.std(axis=axis), epsilon)
-        standardized = (mixed - mixed.mean(axis=axis)) / scale
-        return standardized * original.std(axis=axis) + original.mean(axis=axis)
-    raise InputError(f"unknown normalization mode {mode!r}")
+    # Finite inputs can still overflow a square or a product; the check
+    # below reports that instead of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = lambda_ * refined + original
+        if mode == "literal":
+            statistics = {
+                "original mean": original.mean(axis=axis),
+                "original variance": original.var(axis=axis),
+            }
+            mean, var = statistics.values()
+            output = (mixed - mean) / (var + epsilon)
+        else:
+            statistics = {
+                "mixed mean": mixed.mean(axis=axis),
+                "mixed std": mixed.std(axis=axis),
+                "original mean": original.mean(axis=axis),
+                "original std": original.std(axis=axis),
+            }
+            mixed_mean, mixed_std, mean, std = statistics.values()
+            standardized = (mixed - mixed_mean) / np.maximum(mixed_std, epsilon)
+            output = standardized * std + mean
+    k = _first_non_finite_row(output)
+    causes = [name for name, value in statistics.items() if not np.isfinite(value).all()]
+    if k is not None or causes:
+        problems = [f"output row {k} is not finite"] if k is not None else []
+        problems += [f"overflowed: {', '.join(causes)}"] if causes else []
+        raise NumericalError(f"{mode} normalization: {'; '.join(problems)}")
+    return output
+
+
+def _first_non_finite_row(matrix: np.ndarray) -> Optional[int]:
+    finite = np.isfinite(matrix).reshape(matrix.shape[0] if matrix.ndim else 1, -1).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def forward(
@@ -137,6 +166,9 @@ def forward(
             degrees=degrees,
         )
         refined = refined_all[:m]
+        k = _first_non_finite_row(refined)
+        if k is not None:
+            raise NumericalError(f"attention: output row {k} is not finite")
     output = identical_normalize(
         refined,
         feats,

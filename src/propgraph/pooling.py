@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .graph import ProposalGraph, connected_components, induced_subgraphs
 from .spectral import SolveCounts, _check_split_rule, recursive_ncut
 
@@ -105,9 +105,16 @@ def _pooled(
         for node in members:
             labels[int(node)] = part_label
         member_ids = tuple(sorted(int(n) for n in g.node_ids[members]))
+        with np.errstate(over="ignore"):
+            feature = pool_part(g.features[members])
+        if not np.isfinite(feature).all():
+            raise NumericalError(
+                f"pooling: the mean feature of part {part_label} ({members.size} members) "
+                f"is not finite"
+            )
         coarse.append(
             CoarseNode(
-                feature=pool_part(g.features[members]),
+                feature=feature,
                 member_ids=member_ids,
                 source_part=part_label,
             )

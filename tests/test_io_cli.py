@@ -1,6 +1,10 @@
 import dataclasses
+import hashlib
 import json
+import math
 import os
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,17 +26,20 @@ from propgraph import (
     multi_head_attend,
     two_way_ncut,
 )
-from propgraph import attention, cli, geometry, graph, pipeline, spectral
+from propgraph import attention, cli, geometry, graph, io, pipeline, spectral
 from propgraph.cli import run_command
 from propgraph.io import (
     document_from_dict,
     dumps_canonical,
     graph_from_dict,
+    graph_to_dict,
     load_config,
     load_graph,
     load_params,
     load_proposals,
     params_to_dict,
+    partition_to_dict,
+    save_features,
     save_graph,
     save_params,
     save_proposals,
@@ -42,6 +49,69 @@ from propgraph.oracles import reference_augment_with_coarse, reference_gcpool
 from propgraph.synthetic import generate_proposals
 
 from conftest import run_cli
+
+
+def reference_json(value) -> str:
+    """Canonical JSON one Python value at a time, each float through format(x, ".17g")."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(str(k), ensure_ascii=False) + ":" + reference_json(v)
+                              for k, v in value.items()) + "}"
+    return "[" + ",".join(map(reference_json, value)) + "]"
+
+
+def _neighbours(x: float, ulps: int = 3) -> list[float]:
+    """x and the floats up to ``ulps`` steps either side of it."""
+    out = [x]
+    below = above = x
+    for _ in range(ulps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _halfway_ties() -> list[float]:
+    """Floats m * 2**-k whose exact decimal has 18 significant digits, the last a 5.
+
+    They lie exactly halfway between two 17-digit decimals, so ".17g" must
+    round them half to even; e.g. 3 * 2**-24 = 1.78813934326171875e-07.
+    """
+    rng = np.random.default_rng(5)
+    ties = [3 * 2.0**-24]
+    for k in range(1, 64):
+        low, high = -(-10**17 // 5**k), min((10**18 - 1) // 5**k, 2**53 - 1)
+        for m in [low, high, *rng.integers(low, high, size=6).tolist()] if low <= high else []:
+            m |= 1
+            x = m * 2.0**-k
+            if Fraction(x) == Fraction(m, 2**k) and len(str(m * 5**k)) == 18:
+                ties.append(x)
+    return ties
+
+
+def _float_families() -> list[float]:
+    """Floats where a whole-array formatter could part from format(x, ".17g")."""
+    values = [v for e in range(-7, 18) for v in _neighbours(10.0**e)]
+    values += _halfway_ties()
+    values += _neighbours(1e-4) + _neighbours(1e16)
+    values += [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-310, 1.7976931348623157e308]
+    bits = np.random.default_rng(6).integers(0, 2**64, size=2000, dtype=np.uint64)
+    values += [v for v in bits.view(np.float64).tolist() if math.isfinite(v)]
+    return values + [-v for v in values]
+
+
+FLOAT_FAMILIES = _float_families()
 
 
 class TestCanonicalJson:
@@ -65,6 +135,9 @@ class TestCanonicalJson:
         elements=st.one_of(
             st.floats(allow_nan=False, allow_infinity=False),
             st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e308, -1e308, 3.0, -7.0, 1e16]),
+            st.sampled_from(FLOAT_FAMILIES),
+            st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+            .filter(math.isfinite),
         ),
     ))
     @settings(max_examples=200, deadline=None)
@@ -72,6 +145,21 @@ class TestCanonicalJson:
         # The nested-list path formats one Python float at a time.
         assert dumps_canonical(array) == dumps_canonical(array.tolist())
         assert dumps_canonical({"f": array}) == dumps_canonical({"f": array.tolist()})
+        assert dumps_canonical(array) == reference_json(array)
+
+    def test_float_families_encode_like_format(self):
+        values = np.array(FLOAT_FAMILIES)
+        assert len(values) > 4000
+        text = dumps_canonical(values)
+        assert text == "[" + ",".join(format(v, ".17g") for v in FLOAT_FAMILIES) + "]"
+        assert "1.7881393432617188e-07" in text  # 3 * 2**-24, rounded half to even
+
+    def test_log_uniform_sweep_encodes_like_format(self):
+        rng = np.random.default_rng(12)
+        values = 10.0 ** rng.uniform(-5.0, 17.0, size=100_000)
+        values *= rng.choice([-1.0, 1.0], size=values.size)
+        for array in (values, values.reshape(-1, 40)):
+            assert dumps_canonical(array) == reference_json(array)
 
     def test_float_array_text(self):
         array = np.array([[-0.0, 1.0, 5e-324], [0.1, -1e308, 2.0 ** 53]])
@@ -160,6 +248,90 @@ class TestProposalDocuments:
         assert np.array_equal(loaded.pixel_boxes, doc.pixel_boxes)
         assert np.array_equal(loaded.features, doc.features)
         assert loaded.scores == doc.scores
+
+
+class TestFileBytes:
+    """Whole-array writers give the bytes of formatting one float at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_proposal_files(self, tmp_path, seed):
+        doc = generate_proposals(clusters=3, per_cluster=5, seed=seed, feature_dim=6)
+        # Some proposals without a score, and features past the fast range.
+        scores = list(doc.scores)
+        scores[1::3] = [None] * len(scores[1::3])
+        features = doc.features.copy()
+        features[0, :3] = [0.0, -1e-300, 3e20]
+        doc = dataclasses.replace(doc, features=features, scores=tuple(scores))
+        plain = dataclasses.replace(doc, features=None, scores=None)
+        for document in (doc, plain):
+            path = tmp_path / "scene.json"
+            digest = save_proposals(document, str(path))
+            expected = (reference_json(document.to_dict()) + "\n").encode()
+            assert path.read_bytes() == expected
+            assert digest == hashlib.sha256(expected).hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_feature_params_and_partition_files(self, tmp_path, seed):
+        doc = generate_proposals(clusters=4, per_cluster=6, seed=seed, feature_dim=5,
+                                 jitter=0.2)
+        features = doc.features * 10.0 ** np.random.default_rng(seed).integers(-6, 18, (1, 5))
+        params = AttentionParams.initialize(5, head_count=2, output_dim=5, seed=seed)
+        g = build_graph(doc.normalized_boxes(), features, 0.3)
+        labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
+        assert coarse
+        ids = tuple(int(n) for n in g.node_ids)
+        cases = [
+            (save_features(ids, features, str(tmp_path / "f.json")), "f.json",
+             {"ids": list(ids), "features": features}),
+            (save_params(params, str(tmp_path / "p.json")), "p.json", params_to_dict(params)),
+            (write_json(str(tmp_path / "c.json"), partition_to_dict(labeling, coarse)), "c.json",
+             {"labels": list(labeling.labels),
+              "coarse": [{"feature": node.feature, "members": list(node.member_ids)}
+                         for node in coarse]}),
+        ]
+        cases.append((save_graph(g, str(tmp_path / "g.json")), "g.json", graph_to_dict(g)))
+        empty = graph_from_edges(3, [], node_ids=[4, -2**63, 2**63 - 1])
+        cases.append((save_graph(empty, str(tmp_path / "e.json")), "e.json",
+                      graph_to_dict(empty)))
+        for digest, name, value in cases:
+            expected = (reference_json(value) + "\n").encode()
+            assert (tmp_path / name).read_bytes() == expected
+            assert digest == hashlib.sha256(expected).hexdigest()
+
+
+class TestLoader:
+    def test_columns_agree_with_the_row_walk(self):
+        doc = generate_proposals(clusters=2, per_cluster=4, seed=3, feature_dim=3)
+        data = json.loads(dumps_canonical(doc.to_dict()))
+        proposals = data["proposals"]
+        # Ints, ints past 2**53 and 2**64, and a proposal without a score.
+        proposals[0]["box"] = [0, 1, 5, 7]
+        proposals[1]["feature"] = [2**53 + 1, -(2**64) - 1, 2**70]
+        del proposals[2]["score"]
+        columns = io._proposal_columns(proposals)
+        walked = io._walk_proposals(proposals, "<test>")
+        assert columns is not None
+        assert np.array_equal(columns[0], walked[0]) and np.array_equal(columns[1], walked[1])
+        assert columns[1][1].tolist() == [float(2**53 + 1), float(-(2**64) - 1), float(2**70)]
+        assert columns[2] == walked[2] and columns[2][2] is None
+        loaded = document_from_dict(data)
+        assert np.array_equal(loaded.features, walked[1])
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p[1].__setitem__("box", [0, 0, 5, 10**400]),
+        lambda p: p[2].__setitem__("feature", [1.0, True, 0.0]),
+        lambda p: p[0].pop("feature"),
+        lambda p: p[3].__setitem__("feature", [1.0]),
+        lambda p: p[1].__setitem__("score", "0.5"),
+        lambda p: p.__setitem__(2, [0, 0, 1, 1]),
+    ])
+    def test_columns_leave_a_bad_proposal_to_the_row_walk(self, edit):
+        doc = generate_proposals(clusters=1, per_cluster=4, seed=3, feature_dim=3)
+        proposals = json.loads(dumps_canonical(doc.to_dict()))["proposals"]
+        edit(proposals)
+        assert io._proposal_columns(proposals) is None
+        with pytest.raises(InputError, match=r"<test>: proposals\[\d\]"):
+            io._walk_proposals(proposals, "<test>")
 
 
 class TestGraphFiles:
@@ -355,6 +527,37 @@ class TestCli:
         assert code == 2
         assert "numerical" in stderr.lower()
         assert "24x24" in stderr and "1 sweep" in stderr
+
+    @pytest.mark.parametrize("feature, params, stage", [
+        # Finite features whose squares overflow the moments.
+        (lambda k: [1e155 * k, 1.0], None,
+         "moment_match normalization: output row 0 is not finite; overflowed: mixed std"),
+        (lambda k: [1.5e308, 1.0], None,
+         "pooling: the mean feature of part 0 (4 members) is not finite"),
+        # Zero scores, and a projection that scales a feature near the float maximum.
+        (lambda k: [1e308 if k == 1 else 1.0, 1.0],
+         {"head_count": 1, "score_weights": [[0, 0, 0, 0]], "score_bias": [0],
+          "output_projection": [[8, 0], [0, 1]]},
+         "attention: output row 0 is not finite"),
+    ])
+    def test_overflowing_features_exit_two_without_output(self, tmp_path, feature, params, stage):
+        proposals = [{"box": [10 * k, 10, 10 * k + 30, 40], "feature": feature(k)}
+                     for k in range(1, 5)]
+        (tmp_path / "in.json").write_text(json.dumps(
+            {"image_id": "x", "width": 200, "height": 200, "proposals": proposals}))
+        if params is None:
+            save_params(AttentionParams.initialize(2, seed=0), str(tmp_path / "params.json"))
+        else:
+            (tmp_path / "params.json").write_text(json.dumps(params))
+        (tmp_path / "config.json").write_text("{}")
+        inputs = sorted(os.listdir(tmp_path))
+        proc = run_cli(["forward", "--input", "in.json", "--params", "params.json",
+                        "--config", "config.json", "--output", "out.json"], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"numerical failure: {stage}")
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+        assert sorted(os.listdir(tmp_path)) == inputs
 
     def test_gen_is_seed_deterministic(self, tmp_path):
         for name in ("a.json", "b.json"):

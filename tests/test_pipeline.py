@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from propgraph import (
     AttentionParams,
     InputError,
+    NumericalError,
     PipelineConfig,
     forward,
     generate_proposals,
@@ -83,6 +84,20 @@ class TestIdenticalNormalize:
     def test_empty_input(self):
         out = identical_normalize(np.zeros((0, 4)), np.zeros((0, 4)), lambda_=1.0, epsilon=1e-8)
         assert out.shape == (0, 4)
+
+    @pytest.mark.parametrize("mode, per_channel, cause", [
+        ("moment_match", False, "mixed std"),
+        ("moment_match", True, "original std"),
+        ("literal", False, "original variance"),
+    ])
+    def test_overflowing_statistics_raise_naming_the_first_bad_row(self, mode, per_channel,
+                                                                   cause):
+        original = np.array([[1.0, 2.0], [3.0, 4.0], [1e200, 5.0], [6.0, 7.0]])
+        # A variance past the float range divides the literal output down to zeros.
+        with pytest.raises(NumericalError, match=rf"{mode} normalization: (output row "
+                                                 rf"\d is not finite; )?overflowed: .*{cause}"):
+            identical_normalize(np.zeros_like(original), original, lambda_=1.0, epsilon=1e-8,
+                                mode=mode, per_channel=per_channel)
 
 
 class TestForward:
