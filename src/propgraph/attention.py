@@ -291,6 +291,15 @@ def attention_weights(scores: np.ndarray) -> np.ndarray:
     return shifted / np.sum(np.sort(shifted, axis=-1), axis=-1, keepdims=True)
 
 
+def _block_weights(scores: np.ndarray, rows: np.ndarray, head: int) -> np.ndarray:
+    """``attention_weights`` of one block; a failure names the head and first bad row."""
+    try:
+        return attention_weights(scores)
+    except NumericalError as exc:
+        row = int(rows[np.argmin(np.isfinite(scores).all(axis=1))])
+        raise NumericalError(f"attention: head {head}, row {row}: {exc}") from exc
+
+
 def _worker_count() -> int:
     """The CPUs this process may use."""
     if hasattr(os, "sched_getaffinity"):
@@ -336,7 +345,7 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
             # One lane of k contributions per row and coordinate, along axis 1.
             contributions = contributions_buffer[:r * k * d].reshape(r, k, d)
             for h, scores_of in enumerate(heads):
-                np.multiply(neighbors, attention_weights(scores_of(*block))[:, :, None],
+                np.multiply(neighbors, _block_weights(scores_of(*block), rows, h)[:, :, None],
                             out=contributions)
                 contributions.sort(axis=1)
                 # A sum over the middle axis adds each lane's values one after
@@ -447,7 +456,7 @@ def attention_gradients(
         col_sums = np.zeros(m, dtype=np.float64)
         for block in _blocks(pairs, d, _BLOCK_FLOATS):
             rows, cols = block[0], block[1]
-            alpha = attention_weights(scores_of(*block))
+            alpha = _block_weights(scores_of(*block), rows, head)
             grad_out = grad_concat[rows, head * d:(head + 1) * d]
             # Through the aggregation O = alpha X.
             np.add.at(grad_features, cols, alpha[:, :, None] * grad_out[:, None, :])

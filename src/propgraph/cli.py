@@ -20,6 +20,7 @@ output file print their result document instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import time
@@ -31,7 +32,7 @@ from . import io as pio
 from .attention import AttentionDegrees, AttentionParams, attention_gradients, multi_head_attend
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
-from .graph import build_graph, connected_components, filter_components, induced_subgraphs
+from .graph import build_graph, connected_components, induced_subgraphs
 from .oracles import (
     BRUTE_FORCE_MAX_NODES,
     bridged_cliques,
@@ -43,7 +44,7 @@ from .oracles import (
 )
 from .pipeline import forward
 from .pooling import gcpool
-from .spectral import Partition, ncut_value, recursive_ncut, two_way_ncut
+from .spectral import Partition, _check_split_rule, ncut_value, recursive_ncut, two_way_ncut
 from .synthetic import generate_proposals
 
 
@@ -56,21 +57,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-class _Timer:
-    def __init__(self) -> None:
-        self.timings_ms: dict[str, float] = {}
-
-    def measure(self, name: str):
-        timer = self
-
-        class _Span:
-            def __enter__(self) -> None:
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc) -> None:
-                timer.timings_ms[name] = (time.perf_counter() - self.start) * 1000.0
-
-        return _Span()
+@contextlib.contextmanager
+def _timed(timings_ms: dict, name: str):
+    start = time.perf_counter()
+    yield
+    timings_ms[name] = (time.perf_counter() - start) * 1000.0
 
 
 def _emit(value) -> None:
@@ -78,12 +69,12 @@ def _emit(value) -> None:
 
 
 def _report(command: str, config: Optional[PipelineConfig], counts: dict,
-            timer: _Timer, digests: dict) -> None:
+            timings_ms: dict, digests: dict) -> None:
     _emit({
         "command": command,
         "config": config.to_dict() if config is not None else None,
         "counts": counts,
-        "timings_ms": timer.timings_ms,
+        "timings_ms": timings_ms,
         "digests": digests,
     })
 
@@ -102,9 +93,11 @@ def build_parser() -> _Parser:
     graph_build.add_argument("--input", required=True)
     graph_build.add_argument("--iou-thr", type=float, required=True, dest="iou_thr")
     graph_build.add_argument("--output", required=True)
+    graph_build.set_defaults(handler=_cmd_graph_build)
     graph_components = graph_sub.add_parser("components", help="label connected components")
     graph_components.add_argument("--input", required=True)
     graph_components.add_argument("--min-size", type=int, required=True, dest="min_size")
+    graph_components.set_defaults(handler=_cmd_graph_components)
 
     cut = commands.add_parser("cut", help="normalized-cut partitioning")
     cut_sub = cut.add_subparsers(dest="subcommand", required=True)
@@ -113,6 +106,7 @@ def build_parser() -> _Parser:
     cut_ncut.add_argument("--stop-ncut", type=float, default=None, dest="stop_ncut")
     cut_ncut.add_argument("--min-part", type=int, default=1, dest="min_part")
     cut_ncut.add_argument("--brute-force", action="store_true", dest="brute_force")
+    cut_ncut.set_defaults(handler=_cmd_cut_ncut)
 
     pool = commands.add_parser("pool", help="graph-cut pooling")
     pool_sub = pool.add_subparsers(dest="subcommand", required=True)
@@ -120,12 +114,14 @@ def build_parser() -> _Parser:
     pool_gcpool.add_argument("--input", required=True)
     pool_gcpool.add_argument("--config", required=True)
     pool_gcpool.add_argument("--output", required=True)
+    pool_gcpool.set_defaults(handler=_cmd_pool_gcpool)
 
     attend_cmd = commands.add_parser("attend", help="graph attention over proposals")
     attend_cmd.add_argument("--input", required=True)
     attend_cmd.add_argument("--params", required=True)
     attend_cmd.add_argument("--config", required=True)
     attend_cmd.add_argument("--output", required=True)
+    attend_cmd.set_defaults(handler=_cmd_attend)
 
     forward_cmd = commands.add_parser("forward", help="full refinement pipeline")
     forward_cmd.add_argument("--input", required=True)
@@ -133,6 +129,7 @@ def build_parser() -> _Parser:
     forward_cmd.add_argument("--config", required=True)
     forward_cmd.add_argument("--output", required=True)
     forward_cmd.add_argument("--no-gcpool", action="store_true", dest="no_gcpool")
+    forward_cmd.set_defaults(handler=_cmd_forward)
 
     oracle = commands.add_parser("oracle", help="randomized self-checks")
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
@@ -140,9 +137,11 @@ def build_parser() -> _Parser:
     oracle_ncut.add_argument("--max-n", type=int, default=10, dest="max_n")
     oracle_ncut.add_argument("--trials", type=int, default=100)
     oracle_ncut.add_argument("--seed", type=int, default=0)
+    oracle_ncut.set_defaults(handler=_cmd_oracle_ncut)
     oracle_grad = oracle_sub.add_parser("grad", help="analytic vs finite-difference gradients")
     oracle_grad.add_argument("--trials", type=int, default=50)
     oracle_grad.add_argument("--seed", type=int, default=0)
+    oracle_grad.set_defaults(handler=_cmd_oracle_grad)
 
     gen = commands.add_parser("gen", help="generate a synthetic proposal fixture")
     gen.add_argument("--clusters", type=int, required=True)
@@ -153,6 +152,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--image-height", type=int, default=480, dest="image_height")
     gen.add_argument("--feature-dim", type=int, default=0, dest="feature_dim")
     gen.add_argument("--jitter", type=float, default=0.02)
+    gen.set_defaults(handler=_cmd_gen)
 
     params = commands.add_parser("params", help="attention parameter files")
     params_sub = params.add_subparsers(dest="subcommand", required=True)
@@ -162,6 +162,7 @@ def build_parser() -> _Parser:
     params_init.add_argument("--out-dim", type=int, default=None, dest="out_dim")
     params_init.add_argument("--seed", type=int, default=0)
     params_init.add_argument("--output", required=True)
+    params_init.set_defaults(handler=_cmd_params_init)
 
     return parser
 
@@ -170,29 +171,38 @@ def build_parser() -> _Parser:
 # Command implementations
 # ----------------------------------------------------------------------
 
-def _cmd_graph_build(args) -> int:
-    timer = _Timer()
-    with timer.measure("load"):
+def _load_scene(args, timings_ms: dict, iou_thr: float, with_params: bool = False):
+    """The proposal document, its features, its IoU graph and, if asked, the params."""
+    with _timed(timings_ms, "load"):
         document = pio.load_proposals(args.input)
-    with timer.measure("build"):
-        g = build_graph(document.normalized_boxes(), document.feature_matrix(), args.iou_thr)
-    with timer.measure("write"):
+        params = pio.load_params(args.params) if with_params else None
+    with _timed(timings_ms, "build"):
+        features = document.feature_matrix()
+        g = build_graph(document.normalized_boxes(), features, iou_thr)
+    return document, features, g, params
+
+
+def _cmd_graph_build(args) -> int:
+    timings_ms: dict = {}
+    document, _, g, _ = _load_scene(args, timings_ms, args.iou_thr)
+    with _timed(timings_ms, "write"):
         digest = pio.save_graph(g, args.output)
     config = PipelineConfig(iou_thr=args.iou_thr)
     _report("graph build", config,
             {"proposals": document.num_proposals, "nodes": g.num_nodes, "edges": g.num_edges},
-            timer, {args.output: digest})
+            timings_ms, {args.output: digest})
     return 0
 
 
 def _cmd_graph_components(args) -> int:
     g = pio.load_graph(args.input)
+    if args.min_size < 1:
+        raise InputError(f"min_size must be >= 1, got {args.min_size}")
     comp = connected_components(g)
-    _filtered, removed = filter_components(g, args.min_size)
     _emit({
         "labels": [int(label) for label in comp.labels],
         "sizes": [int(s) for s in comp.sizes],
-        "removed": removed,
+        "removed": sorted(g.node_ids[comp.sizes[comp.labels] < args.min_size].tolist()),
         "report": {"nodes": g.num_nodes, "edges": g.num_edges,
                    "components": comp.count, "min_size": args.min_size},
     })
@@ -202,6 +212,7 @@ def _cmd_graph_components(args) -> int:
 def _cmd_cut_ncut(args) -> int:
     g = pio.load_graph(args.input)
     stop = args.stop_ncut if args.stop_ncut is not None else PipelineConfig().stop_ncut
+    _check_split_rule(stop, args.min_part)
     comp = connected_components(g)
     labels: list[Optional[int]] = [None] * g.num_nodes
     per_component = []
@@ -241,64 +252,57 @@ def _cmd_cut_ncut(args) -> int:
 
 
 def _cmd_pool_gcpool(args) -> int:
-    timer = _Timer()
+    timings_ms: dict = {}
     config = pio.load_config(args.config)
-    with timer.measure("load"):
-        document = pio.load_proposals(args.input)
-    with timer.measure("build"):
-        g = build_graph(document.normalized_boxes(), document.feature_matrix(), config.iou_thr)
-    with timer.measure("gcpool"):
+    document, _, g, _ = _load_scene(args, timings_ms, config.iou_thr)
+    with _timed(timings_ms, "gcpool"):
         labeling, coarse = gcpool(
             g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
         )
-    with timer.measure("write"):
+    with _timed(timings_ms, "write"):
         digest = pio.write_json(args.output, pio.partition_to_dict(labeling, coarse))
     _report("pool gcpool", config,
             {"proposals": document.num_proposals, "edges": g.num_edges,
              "parts": labeling.part_count, "coarse": len(coarse),
              **dataclasses.asdict(labeling.solves)},
-            timer, {args.output: digest})
+            timings_ms, {args.output: digest})
     return 0
 
 
 def _cmd_attend(args) -> int:
-    timer = _Timer()
+    timings_ms: dict = {}
     config = pio.load_config(args.config)
-    with timer.measure("load"):
-        document = pio.load_proposals(args.input)
-        params = pio.load_params(args.params)
-    with timer.measure("build"):
-        features = document.feature_matrix()
-        g = build_graph(document.normalized_boxes(), features, config.iou_thr)
+    document, features, g, params = _load_scene(args, timings_ms, config.iou_thr,
+                                                with_params=True)
     degrees = AttentionDegrees()
-    with timer.measure("attend"):
+    with _timed(timings_ms, "attend"):
         refined = multi_head_attend(
             features, params, g,
             dense_attention=config.dense_attention, iou_bias=config.iou_bias, degrees=degrees,
         )
-    with timer.measure("write"):
+    with _timed(timings_ms, "write"):
         ids = tuple(int(n) for n in g.node_ids)
         digest = pio.save_features(ids, refined, args.output)
     _report("attend", config,
             {"proposals": document.num_proposals, "edges": g.num_edges,
              "heads": params.head_count, "output_dim": params.output_dim,
              **_degree_counts(degrees)},
-            timer, {args.output: digest})
+            timings_ms, {args.output: digest})
     return 0
 
 
 def _cmd_forward(args) -> int:
-    timer = _Timer()
+    timings_ms: dict = {}
     config = pio.load_config(args.config)
-    with timer.measure("load"):
+    with _timed(timings_ms, "load"):
         document = pio.load_proposals(args.input)
         params = pio.load_params(args.params)
-    with timer.measure("forward"):
+    with _timed(timings_ms, "forward"):
         result = forward(
             document.normalized_boxes(), document.feature_matrix(), params, config,
             use_gcpool=not args.no_gcpool,
         )
-    with timer.measure("write"):
+    with _timed(timings_ms, "write"):
         digest = pio.save_features(result.original_ids, result.features, args.output)
     diag = result.diagnostics
     _report("forward", config,
@@ -307,11 +311,13 @@ def _cmd_forward(args) -> int:
              "parts": diag.part_count, "coarse": diag.coarse_count,
              "gcpool": not args.no_gcpool, **dataclasses.asdict(diag.solves),
              **_degree_counts(diag.attention)},
-            timer, {args.output: digest})
+            timings_ms, {args.output: digest})
     return 0
 
 
 def _cmd_oracle_ncut(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst_gap = 0.0
     worst_eval = 0.0
@@ -352,6 +358,8 @@ def _cmd_oracle_ncut(args) -> int:
 
 
 def _cmd_oracle_grad(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     failures = 0
@@ -385,11 +393,10 @@ def _cmd_gen(args) -> int:
         jitter=args.jitter,
     )
     digest = pio.save_proposals(document, args.output)
-    timer = _Timer()
     _report("gen", None,
             {"clusters": args.clusters, "per_cluster": args.per_cluster,
              "proposals": document.num_proposals, "feature_dim": args.feature_dim},
-            timer, {args.output: digest})
+            {}, {args.output: digest})
     return 0
 
 
@@ -398,26 +405,11 @@ def _cmd_params_init(args) -> int:
         args.feature_dim, head_count=args.heads, output_dim=args.out_dim, seed=args.seed
     )
     digest = pio.save_params(params, args.output)
-    timer = _Timer()
     _report("params init", None,
             {"heads": params.head_count, "feature_dim": params.feature_dim,
              "output_dim": params.output_dim},
-            timer, {args.output: digest})
+            {}, {args.output: digest})
     return 0
-
-
-_HANDLERS = {
-    ("graph", "build"): _cmd_graph_build,
-    ("graph", "components"): _cmd_graph_components,
-    ("cut", "ncut"): _cmd_cut_ncut,
-    ("pool", "gcpool"): _cmd_pool_gcpool,
-    ("attend", None): _cmd_attend,
-    ("forward", None): _cmd_forward,
-    ("oracle", "ncut"): _cmd_oracle_ncut,
-    ("oracle", "grad"): _cmd_oracle_grad,
-    ("gen", None): _cmd_gen,
-    ("params", "init"): _cmd_params_init,
-}
 
 
 def run_command(argv: Sequence[str]) -> int:
@@ -430,9 +422,8 @@ def run_command(argv: Sequence[str]) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
-        return handler(args)
+        return args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

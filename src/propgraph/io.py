@@ -281,6 +281,10 @@ def read_json(path: str) -> Any:
         raise InputError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the int conversion limit
+        raise InputError(f"{path}: JSON number too long to convert") from exc
 
 
 # ----------------------------------------------------------------------
@@ -598,12 +602,8 @@ def partition_to_dict(labeling: PseudoLabeling, coarse: list[CoarseNode]) -> dic
     }
 
 
-def features_to_dict(ids: tuple[int, ...], features: np.ndarray) -> dict:
-    return {"ids": list(ids), "features": np.asarray(features)}
-
-
 def save_features(ids: tuple[int, ...], features: np.ndarray, path: str) -> str:
-    return write_json(path, features_to_dict(ids, features))
+    return write_json(path, {"ids": list(ids), "features": np.asarray(features)})
 
 
 def params_to_dict(params: AttentionParams) -> dict:

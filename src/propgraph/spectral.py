@@ -193,7 +193,6 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def symmetric_eigendecomposition(
     matrix: np.ndarray,
-    tol: float = _JACOBI_TOL,
     max_sweeps: int = _JACOBI_MAX_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by Jacobi rotations.
@@ -202,7 +201,7 @@ def symmetric_eigendecomposition(
     every index pair once, organized as rounds of mutually disjoint pairs so
     each round's rotations apply as one vectorized orthogonal update.
     Convergence is declared when the off-diagonal Frobenius norm drops below
-    ``tol``; exhausting ``max_sweeps`` raises NumericalError. The iteration
+    ``_JACOBI_TOL``; exhausting ``max_sweeps`` raises NumericalError. The iteration
     is pure numpy with a fixed rotation order, so results are
     bit-reproducible and independent of any BLAS threading.
     """
@@ -222,12 +221,12 @@ def symmetric_eigendecomposition(
         return a[0, :1].copy(), vectors
     rounds = _round_robin_rounds(n)
     # Entries below skip_tol stay unrotated; together they cannot lift the
-    # off-norm above tol.
-    skip_tol = tol / (2.0 * n)
+    # off-norm above _JACOBI_TOL.
+    skip_tol = _JACOBI_TOL / (2.0 * n)
     for sweep in range(max_sweeps + 1):
         upper = np.triu(a, 1)
         off = np.sqrt(2.0 * np.sum(upper * upper))
-        if off <= tol:
+        if off <= _JACOBI_TOL:
             eigenvalues = np.diag(a).copy()
             order = np.argsort(eigenvalues, kind="stable")
             return eigenvalues[order], vectors[:, order]
@@ -274,7 +273,7 @@ def symmetric_eigendecomposition(
             vectors[:, q] = s[None, :] * vec_p + c[None, :] * vec_q
     raise NumericalError(
         f"Jacobi eigensolver on a {n}x{n} matrix did not converge: off-diagonal norm "
-        f"{off:.3e} after {max_sweeps} sweep(s), target {tol:.1e}"
+        f"{off:.3e} after {max_sweeps} sweep(s), target {_JACOBI_TOL:.1e}"
     )
 
 
@@ -288,7 +287,7 @@ def fiedler_vector(laplacian: np.ndarray) -> tuple[float, np.ndarray]:
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] < 2:
         raise InputError("Fiedler pair needs a square matrix of size >= 2")
-    eigenvalues, vectors = symmetric_eigendecomposition(lap, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
+    eigenvalues, vectors = symmetric_eigendecomposition(lap, max_sweeps=_JACOBI_MAX_SWEEPS)
     value = float(eigenvalues[1])
     vector = _pinned_unit(vectors[:, 1])
     residual = np.max(np.abs(np.einsum("ij,j->i", lap, vector) - value * vector))

@@ -399,6 +399,19 @@ class TestSparseKernel:
         assert poisoned and caller not in poisoned
         assert threading.active_count() == threads_before
 
+    def test_non_finite_score_names_the_head_and_row(self):
+        # Only head 1 overflows, and only on node 2, the second row of the
+        # degree-3 block [1, 2].
+        feats = np.array([[1.0, 0.0], [1.0, 0.0], [1e308, 0.0], [1.0, 0.0]])
+        g = graph_from_edges(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)], features=feats)
+        params = AttentionParams(score_weights=np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0]]),
+                                 score_bias=np.zeros(2))
+        message = "attention: head 1, row 2: non-finite attention score"
+        with pytest.raises(NumericalError, match=message):
+            multi_head_attend(feats, params, g)
+        with pytest.raises(NumericalError, match=message):
+            attention_gradients(feats, params, g, np.ones((4, 4)))
+
     def test_one_block_starts_no_thread(self):
         g = graph_from_edges(4, [(0, 1, 0.5), (2, 3, 0.5)], features=np.ones((4, 2)))
         params = AttentionParams.initialize(2, head_count=2, seed=0)

@@ -539,6 +539,11 @@ class TestCli:
          {"head_count": 1, "score_weights": [[0, 0, 0, 0]], "score_bias": [0],
           "output_projection": [[8, 0], [0, 1]]},
          "attention: output row 0 is not finite"),
+        # A score that overflows in head 1 only, on proposal 0's row.
+        (lambda k: [1e308 if k == 1 else 1.0, 1.0],
+         {"head_count": 2, "score_weights": [[0, 0, 0, 0], [2, 0, 0, 0]], "score_bias": [0, 0],
+          "output_projection": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+         "attention: head 1, row 0: non-finite attention score"),
     ])
     def test_overflowing_features_exit_two_without_output(self, tmp_path, feature, params, stage):
         proposals = [{"box": [10 * k, 10, 10 * k + 30, 40], "feature": feature(k)}
@@ -756,6 +761,13 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["max_relative_error"] < 1e-5
 
+    @pytest.mark.parametrize("command", ["ncut", "grad"])
+    def test_oracle_rejects_zero_trials(self, capsys, command):
+        assert run_command(["oracle", command, "--trials", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 1, got 0\n"
+
     def test_forward_seed_flag_rejected(self, capsys):
         argv = ["forward", "--input", "scene.json", "--params", "params.json",
                 "--config", "config.json", "--output", "out.json", "--seed", "1"]
@@ -896,8 +908,9 @@ class TestCli:
         # The scene sweeps components and filters proposals, so every pooling step ran.
         assert counts["fiedler_certified"] > 0 and counts["filtered"] > 0 and counts["coarse"] > 0
 
-    @pytest.mark.parametrize("kind", ["proposals", "params", "config", "graph"])
-    def test_non_utf8_file_exits_one_naming_it(self, tmp_path, capsys, kind):
+    @staticmethod
+    def _reader_of(tmp_path, kind: str, content: bytes) -> tuple:
+        """Valid input files, the ``kind`` one overwritten with ``content``; (path, argv)."""
         scene, params, config = (str(tmp_path / name) for name in
                                  ("scene.json", "params.json", "config.json"))
         assert run_command(["gen", "--clusters", "1", "--per-cluster", "3", "--seed", "0",
@@ -906,21 +919,42 @@ class TestCli:
         (tmp_path / "config.json").write_text("{}")
         save_graph(graph_from_edges(2, [(0, 1, 0.5)]), str(tmp_path / "graph.json"))
         bad = tmp_path / ("scene.json" if kind == "proposals" else f"{kind}.json")
-        bad.write_bytes(b'{"image_id": "\xff"}')
-        inputs = sorted(os.listdir(tmp_path))
+        bad.write_bytes(content)
         output = ["--output", str(tmp_path / "out.json")]
-        argv = {
+        return bad, {
             "proposals": ["graph", "build", "--input", scene, "--iou-thr", "0.3", *output],
             "params": ["forward", "--input", scene, "--params", params, "--config", config,
                        *output],
             "config": ["pool", "gcpool", "--input", scene, "--config", config, *output],
             "graph": ["graph", "components", "--input", str(bad), "--min-size", "1"],
         }[kind]
+
+    @pytest.mark.parametrize("kind", ["proposals", "params", "config", "graph"])
+    def test_non_utf8_file_exits_one_naming_it(self, tmp_path, capsys, kind):
+        bad, argv = self._reader_of(tmp_path, kind, b'{"image_id": "\xff"}')
+        inputs = sorted(os.listdir(tmp_path))
         capsys.readouterr()
         assert run_command(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: not UTF-8")
+        assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("kind", ["proposals", "params", "config", "graph"])
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 100_000, "JSON nested too deeply"),
+        # Past CPython's int conversion limit; json.dumps cannot write it either.
+        (b'{"width": ' + b"9" * 5001 + b"}", "JSON number too long to convert"),
+    ], ids=["deep", "long-int"])
+    def test_undecodable_json_exits_one_naming_it(self, tmp_path, capsys, kind, content,
+                                                  reason):
+        bad, argv = self._reader_of(tmp_path, kind, content)
+        inputs = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {reason}\n"
         assert sorted(os.listdir(tmp_path)) == inputs
 
     def test_commands_run_without_the_reference_box_type(self, tmp_path, capsys, monkeypatch):
@@ -950,9 +984,14 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [("--min-part", "0"), ("--stop-ncut", "-1")])
     def test_cut_ncut_rejects_bad_options_on_an_edgeless_graph(self, tmp_path, capsys,
                                                                flag, value):
-        save_graph(graph_from_edges(3, []), str(tmp_path / "g.json"))
-        assert run_command(["cut", "ncut", "--input", str(tmp_path / "g.json"), flag, value]) == 1
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        # With 0 nodes no component is partitioned, so the command checks the options itself.
+        for nodes in (3, 0):
+            save_graph(graph_from_edges(nodes, []), str(tmp_path / "g.json"))
+            argv = ["cut", "ncut", "--input", str(tmp_path / "g.json"), flag, value]
+            assert run_command(argv) == 1, nodes
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert flag[2:].replace("-", "_") in captured.err
 
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0
