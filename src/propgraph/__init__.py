@@ -26,7 +26,6 @@ from .graph import (
     ProposalGraph,
     build_graph,
     connected_components,
-    filter_components,
     graph_from_edges,
     induced_subgraphs,
 )
@@ -38,7 +37,6 @@ from .spectral import (
     CutReport,
     Partition,
     SolveCounts,
-    assoc,
     fiedler_vector,
     ncut_value,
     normalized_laplacian,
@@ -69,7 +67,6 @@ __all__ = [
     "PseudoLabeling",
     "SolveCounts",
     "RefinedProposals",
-    "assoc",
     "attend",
     "attendable_pairs",
     "attention_gradients",
@@ -79,7 +76,6 @@ __all__ = [
     "build_graph",
     "connected_components",
     "fiedler_vector",
-    "filter_components",
     "finite_difference_gradients",
     "forward",
     "gcpool",

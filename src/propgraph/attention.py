@@ -115,6 +115,10 @@ class AttentionParams:
         """Seeded uniform init in [-1/sqrt(2d), 1/sqrt(2d)] for every parameter."""
         if feature_dim < 1 or head_count < 1:
             raise InputError("feature_dim and head_count must be >= 1")
+        if output_dim is not None and output_dim < 1:
+            raise InputError(f"output_dim must be >= 1, got {output_dim}")
+        if seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(2.0 * feature_dim)
         weights = rng.uniform(-bound, bound, size=(head_count, 2 * feature_dim))
@@ -313,9 +317,11 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
 
     Returns the head outputs side by side, (M, heads * d), and the number of
     threads the blocks ran on. Workers pull blocks from one generator under a
-    lock, so no block list is built; one worker, or one block, runs inline.
-    Each worker reuses two scratch arrays the calling thread allocates. A
-    worker's exception stops the others and is raised here.
+    lock, so no block list is built; the calling thread is one of them, and
+    with one worker it runs every block itself. Each worker reuses two
+    scratch arrays the calling thread allocates. A worker's exception, or a
+    thread that fails to start, stops every worker after its current block;
+    the first is raised here once the started threads are joined.
     """
     m, d = feats.shape
     out = np.empty((m, len(heads) * d), dtype=np.float64)
@@ -326,55 +332,47 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
     capacity = max((k * min(size, step) * d for k, size, step in steps), default=0)
     blocks = _blocks(pairs, d, floats)
     supply = threading.Lock()
-    stop = threading.Event()
     errors: list[BaseException] = []
 
     def work(neighbors_buffer: np.ndarray, contributions_buffer: np.ndarray) -> None:
-        while not stop.is_set():
-            with supply:
-                block = next(blocks, None)
-            if block is None:
-                return
-            rows, cols = block[0], block[1]
-            r, k = cols.shape
-            # mode="clip" fills the buffer in place, where "raise" would fill a
-            # temporary copy first; the columns are always in range.
-            neighbors = np.take(feats, cols, axis=0, mode="clip",
-                                out=neighbors_buffer[:r * k * d].reshape(r, k, d))
-            lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
-            # One lane of k contributions per row and coordinate, along axis 1.
-            contributions = contributions_buffer[:r * k * d].reshape(r, k, d)
-            for h, scores_of in enumerate(heads):
-                np.multiply(neighbors, _block_weights(scores_of(*block), rows, h)[:, :, None],
-                            out=contributions)
-                contributions.sort(axis=1)
-                # A sum over the middle axis adds each lane's values one after
-                # another from 0.0, as np.sum(axis=0) does over (k, d); with
-                # d == 1 the lane is the inner axis and numpy sums it pairwise.
-                summed = contributions.sum(axis=1)
-                out[rows, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
-
-    def guarded_work(buffers: tuple[np.ndarray, np.ndarray]) -> None:
         try:
-            work(*buffers)
+            while not errors:
+                with supply:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                rows, cols = block[0], block[1]
+                r, k = cols.shape
+                # mode="clip" fills the buffer in place, where "raise" would fill a
+                # temporary copy first; the columns are always in range.
+                neighbors = np.take(feats, cols, axis=0, mode="clip",
+                                    out=neighbors_buffer[:r * k * d].reshape(r, k, d))
+                lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
+                # One lane of k contributions per row and coordinate, along axis 1.
+                contributions = contributions_buffer[:r * k * d].reshape(r, k, d)
+                for h, scores_of in enumerate(heads):
+                    np.multiply(neighbors, _block_weights(scores_of(*block), rows, h)[:, :, None],
+                                out=contributions)
+                    contributions.sort(axis=1)
+                    # A sum over the middle axis adds each lane's values one after
+                    # another from 0.0, as np.sum(axis=0) does over (k, d); with
+                    # d == 1 the lane is the inner axis and numpy sums it pairwise.
+                    summed = contributions.sum(axis=1)
+                    out[rows, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
         except BaseException as exc:  # handed to the calling thread, which raises it
             errors.append(exc)
-            stop.set()
 
     buffers = [(np.empty(capacity), np.empty(capacity)) for _ in range(workers)]
-    if workers == 1:
-        work(*buffers[0])
-        return out, 1
-    threads = [threading.Thread(target=guarded_work, args=(pair,)) for pair in buffers[1:]]
+    threads = [threading.Thread(target=work, args=pair) for pair in buffers[1:]]
     try:
         for thread in threads:
             thread.start()
-        guarded_work(buffers[0])
-    finally:
-        stop.set()
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
+    except BaseException as exc:
+        errors.append(exc)
+    work(*buffers[0])
+    for thread in threads:
+        if thread.ident is not None:  # started
+            thread.join()
     if errors:
         raise errors[0]
     return out, workers

@@ -219,24 +219,28 @@ def _cmd_cut_ncut(args) -> int:
     next_label = 0
     unchecked = 0
     for component, (idx, sub) in enumerate(induced_subgraphs(g, comp.labels, comp.count)):
-        partition = recursive_ncut(sub, stop, min_part=args.min_part, connected=True)
+        try:
+            partition = recursive_ncut(sub, stop, min_part=args.min_part, connected=True)
+            entry: dict = {"component": component, "sets": partition.set_count}
+            if partition.set_count > 1:
+                entry["ncut"] = ncut_value(sub, partition).ncut_value
+            if args.brute_force and idx.size > BRUTE_FORCE_MAX_NODES:
+                entry["brute_force"] = None
+                entry["unchecked"] = f"n > {BRUTE_FORCE_MAX_NODES}"
+                unchecked += 1
+            elif args.brute_force and idx.size >= 2:
+                best_partition, best_report = brute_force_ncut(sub)
+                spectral_partition, spectral_report = two_way_ncut(sub)
+                entry["two_way"] = spectral_report.ncut_value
+                entry["brute_force"] = best_report.ncut_value
+                entry["two_way_matches_oracle"] = bool(
+                    np.array_equal(best_partition.labels, spectral_partition.labels)
+                )
+        except (InputError, NumericalError) as exc:
+            where = f"{args.input}: component {component} ({idx.size} nodes)"
+            raise type(exc)(f"{where}: {exc}") from exc
         for local, node in enumerate(idx):
             labels[int(node)] = next_label + int(partition.labels[local])
-        entry: dict = {"component": component, "sets": partition.set_count}
-        if partition.set_count > 1:
-            entry["ncut"] = ncut_value(sub, partition).ncut_value
-        if args.brute_force and idx.size > BRUTE_FORCE_MAX_NODES:
-            entry["brute_force"] = None
-            entry["unchecked"] = f"n > {BRUTE_FORCE_MAX_NODES}"
-            unchecked += 1
-        elif args.brute_force and idx.size >= 2:
-            best_partition, best_report = brute_force_ncut(sub)
-            spectral_partition, spectral_report = two_way_ncut(sub)
-            entry["two_way"] = spectral_report.ncut_value
-            entry["brute_force"] = best_report.ncut_value
-            entry["two_way_matches_oracle"] = bool(
-                np.array_equal(best_partition.labels, spectral_partition.labels)
-            )
         per_component.append(entry)
         next_label += partition.set_count
     report = {"nodes": g.num_nodes, "edges": g.num_edges, "stop_ncut": stop}
@@ -315,10 +319,19 @@ def _cmd_forward(args) -> int:
     return 0
 
 
-def _cmd_oracle_ncut(args) -> int:
+def _oracle_rng(args) -> np.random.Generator:
+    """The oracle commands' generator, after checking ``--trials`` and ``--seed``."""
     if args.trials < 1:
         raise InputError(f"trials must be >= 1, got {args.trials}")
-    rng = np.random.default_rng(args.seed)
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
+    return np.random.default_rng(args.seed)
+
+
+def _cmd_oracle_ncut(args) -> int:
+    rng = _oracle_rng(args)
+    if args.max_n < 2:
+        raise InputError(f"max_n must be >= 2, got {args.max_n}")
     worst_gap = 0.0
     worst_eval = 0.0
     failures = 0
@@ -334,7 +347,7 @@ def _cmd_oracle_ncut(args) -> int:
                 or not np.array_equal(partition.labels, expected):
             failures += 1
     for _ in range(args.trials):
-        n = int(rng.integers(2, max(args.max_n, 2) + 1))
+        n = int(rng.integers(2, args.max_n + 1))
         g = random_connected_graph(rng, n)
         labels = rng.integers(0, 2, size=n)
         labels[int(rng.integers(0, n))] = 0
@@ -358,9 +371,7 @@ def _cmd_oracle_ncut(args) -> int:
 
 
 def _cmd_oracle_grad(args) -> int:
-    if args.trials < 1:
-        raise InputError(f"trials must be >= 1, got {args.trials}")
-    rng = np.random.default_rng(args.seed)
+    rng = _oracle_rng(args)
     worst = 0.0
     failures = 0
     for trial in range(args.trials):

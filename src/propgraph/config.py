@@ -13,6 +13,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
+from .spectral import _check_split_rule
 
 NORM_MODES = ("moment_match", "literal")
 
@@ -48,10 +49,7 @@ class PipelineConfig:
             raise InputError(f"iou_thr must lie in [0, 1), got {self.iou_thr}")
         if self.min_size < 1:
             raise InputError(f"min_size must be >= 1, got {self.min_size}")
-        if not math.isfinite(self.stop_ncut) or self.stop_ncut < 0.0:
-            raise InputError(f"stop_ncut must be finite and >= 0, got {self.stop_ncut}")
-        if self.min_part < 1:
-            raise InputError(f"min_part must be >= 1, got {self.min_part}")
+        _check_split_rule(self.stop_ncut, self.min_part)
         if not math.isfinite(self.lambda_) or self.lambda_ < 0.0:
             raise InputError(f"lambda must be finite and >= 0, got {self.lambda_}")
         if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:

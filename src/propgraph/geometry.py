@@ -43,14 +43,6 @@ class BoundingBox:
             raise InputError(f"degenerate box {coords}: requires x1 < x2 and y1 < y2")
 
     @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 

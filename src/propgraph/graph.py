@@ -136,10 +136,6 @@ class ProposalGraph:
             a[j, i] = self.edge_weight
         return a
 
-    def degrees(self) -> np.ndarray:
-        """Weighted degree per node (row sums of the dense adjacency)."""
-        return self.adjacency().sum(axis=1)
-
     def subgraph(self, indices: Sequence[int] | np.ndarray) -> "ProposalGraph":
         """Induced subgraph on ``indices`` (ascending internal indices)."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
@@ -343,19 +339,3 @@ def induced_subgraphs(
 
     return map(group, range(count))
 
-
-def filter_components(
-    g: ProposalGraph, min_size: int
-) -> tuple[ProposalGraph, list[int]]:
-    """Drop every connected component with fewer than ``min_size`` nodes.
-
-    Returns the induced subgraph on the survivors plus the removed external
-    node ids, sorted ascending.
-    """
-    if min_size < 1:
-        raise InputError(f"min_size must be >= 1, got {min_size}")
-    comp = connected_components(g)
-    keep_component = comp.sizes >= min_size
-    keep_idx = np.flatnonzero(keep_component[comp.labels])
-    removed = sorted(int(n) for n in g.node_ids[~keep_component[comp.labels]])
-    return g.subgraph(keep_idx), removed

@@ -22,8 +22,8 @@ from .spectral import (
     CutReport,
     Partition,
     SolveCounts,
+    _block_of,
     _check_split_rule,
-    _dense_block,
     _sweep_order,
     ncut_value,
     two_way_ncut,
@@ -155,7 +155,7 @@ def reference_recursive_ncut(
             else:
                 parts.append(idx)
             continue
-        block = _dense_block(sub)
+        block = _block_of(sub.adjacency())
         values, vectors = np.linalg.eigh(block.laplacian)
         if values[1] > stop_ncut + _CERTIFY_MARGIN:
             counts.kept_whole += 1

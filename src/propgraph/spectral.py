@@ -36,7 +36,6 @@ the BLAS thread count; neither use of it reaches the output bytes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import InputError, NumericalError
 from .graph import ProposalGraph, connected_components, induced_subgraphs
 
 # The Jacobi fallback's off-diagonal target, sweep budget and Fiedler
-# residual bound; ``fiedler_vector`` reads them at call time.
+# residual bound; the solvers read them at call time.
 _JACOBI_TOL = 1e-10
 _JACOBI_MAX_SWEEPS = 100
 _RESIDUAL_TOL = 1e-9
@@ -88,9 +87,6 @@ class Partition:
         if np.unique(labels).size != self.set_count:
             raise InputError("every set in a partition must be non-empty")
 
-    def members(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
 
 @dataclass(frozen=True)
 class CutReport:
@@ -98,16 +94,6 @@ class CutReport:
 
     ncut_value: float
     per_set: tuple[tuple[float, float], ...]
-
-
-def assoc(g: ProposalGraph, nodes: Iterable[int] | np.ndarray) -> float:
-    """Total connection from ``nodes`` to the whole graph: sum of weighted degrees."""
-    idx = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes, dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= g.num_nodes:
-        raise InputError("node index out of range")
-    return float(g.degrees()[idx].sum())
 
 
 def ncut_value(g: ProposalGraph, partition: Partition) -> CutReport:
@@ -147,7 +133,7 @@ def normalized_laplacian(g: ProposalGraph) -> np.ndarray:
     """
     if g.num_nodes == 0:
         raise InputError("empty graph has no Laplacian")
-    return _dense_block(g).laplacian
+    return _block_of(g.adjacency()).laplacian
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +143,6 @@ class _Block:
     weights: np.ndarray
     degrees: np.ndarray
     laplacian: np.ndarray
-
-
-def _dense_block(g: ProposalGraph) -> _Block:
-    return _block_of(g.adjacency())
 
 
 def _block_of(w: np.ndarray) -> _Block:
@@ -191,18 +173,15 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def symmetric_eigendecomposition(
-    matrix: np.ndarray,
-    max_sweeps: int = _JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by Jacobi rotations.
 
     Returns (eigenvalues ascending, eigenvector columns). One sweep visits
     every index pair once, organized as rounds of mutually disjoint pairs so
     each round's rotations apply as one vectorized orthogonal update.
     Convergence is declared when the off-diagonal Frobenius norm drops below
-    ``_JACOBI_TOL``; exhausting ``max_sweeps`` raises NumericalError. The iteration
-    is pure numpy with a fixed rotation order, so results are
+    ``_JACOBI_TOL``; exhausting ``_JACOBI_MAX_SWEEPS`` raises NumericalError.
+    The iteration is pure numpy with a fixed rotation order, so results are
     bit-reproducible and independent of any BLAS threading.
     """
     a = np.array(matrix, dtype=np.float64)
@@ -223,14 +202,14 @@ def symmetric_eigendecomposition(
     # Entries below skip_tol stay unrotated; together they cannot lift the
     # off-norm above _JACOBI_TOL.
     skip_tol = _JACOBI_TOL / (2.0 * n)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         upper = np.triu(a, 1)
         off = np.sqrt(2.0 * np.sum(upper * upper))
         if off <= _JACOBI_TOL:
             eigenvalues = np.diag(a).copy()
             order = np.argsort(eigenvalues, kind="stable")
             return eigenvalues[order], vectors[:, order]
-        if sweep == max_sweeps:
+        if sweep == _JACOBI_MAX_SWEEPS:
             break
         # Rounding in the two-sided updates drifts symmetry by ~eps per
         # sweep; rebuild from the upper triangle to keep it exact.
@@ -273,7 +252,7 @@ def symmetric_eigendecomposition(
             vectors[:, q] = s[None, :] * vec_p + c[None, :] * vec_q
     raise NumericalError(
         f"Jacobi eigensolver on a {n}x{n} matrix did not converge: off-diagonal norm "
-        f"{off:.3e} after {max_sweeps} sweep(s), target {_JACOBI_TOL:.1e}"
+        f"{off:.3e} after {_JACOBI_MAX_SWEEPS} sweep(s), target {_JACOBI_TOL:.1e}"
     )
 
 
@@ -287,7 +266,7 @@ def fiedler_vector(laplacian: np.ndarray) -> tuple[float, np.ndarray]:
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] < 2:
         raise InputError("Fiedler pair needs a square matrix of size >= 2")
-    eigenvalues, vectors = symmetric_eigendecomposition(lap, max_sweeps=_JACOBI_MAX_SWEEPS)
+    eigenvalues, vectors = symmetric_eigendecomposition(lap)
     value = float(eigenvalues[1])
     vector = _pinned_unit(vectors[:, 1])
     residual = np.max(np.abs(np.einsum("ij,j->i", lap, vector) - value * vector))
@@ -402,7 +381,7 @@ def two_way_ncut(
             raise InputError("two-way cut needs at least 2 nodes")
         if connected_components(g).count != 1:
             raise InputError("two-way cut requires a connected graph")
-        block = _dense_block(g)
+        block = _block_of(g.adjacency())
     m = block.weights.shape[0]
     if order is None:
         order, _ = _sweep_order(block, *np.linalg.eigh(block.laplacian))
@@ -434,7 +413,7 @@ def two_way_ncut(
 
 
 def _check_split_rule(stop_ncut: float, min_part: int) -> None:
-    """``recursive_ncut``'s argument checks, shared with ``pooling.gcpool``."""
+    """``recursive_ncut``'s argument checks, shared with ``PipelineConfig`` and ``gcpool``."""
     if not np.isfinite(stop_ncut) or stop_ncut < 0.0:
         raise InputError(f"stop_ncut must be finite and >= 0, got {stop_ncut}")
     if min_part < 1:

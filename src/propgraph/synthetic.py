@@ -41,6 +41,10 @@ def generate_proposals(
         raise InputError("image dimensions must be at least 2 pixels")
     if not 0.0 < jitter < 0.25:
         raise InputError(f"jitter must lie in (0, 0.25), got {jitter}")
+    if feature_dim < 0:
+        raise InputError(f"feature_dim must be >= 0, got {feature_dim}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cols = math.ceil(math.sqrt(clusters))
     rows = math.ceil(clusters / cols)

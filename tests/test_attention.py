@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -397,6 +398,40 @@ class TestSparseKernel:
             with pytest.raises(NumericalError, match="non-finite"):
                 multi_head_attend(g.features, params, g)
         assert poisoned and caller not in poisoned
+        assert threading.active_count() == threads_before
+
+    def test_thread_that_fails_to_start_is_raised_after_the_started_are_joined(self):
+        # Of two extra workers the first starts and takes a block, and the
+        # second fails to start. The first stops after its block, the caller
+        # runs none, and the start failure is raised once the first is joined.
+        g = graph_from_edges(6, [], features=np.arange(6.0)[:, None])
+        params = single_head_params([1.0, -1.0])
+        softmax = attention.attention_weights
+        start = threading.Thread.start
+        caller = threading.get_ident()
+        in_block = threading.Event()
+        finished = []
+        threads_before = threading.active_count()
+
+        def slow(scores):
+            in_block.set()
+            time.sleep(0.2)
+            finished.append(threading.get_ident())
+            return softmax(scores)
+
+        def start_once(thread):
+            if in_block.is_set():
+                raise RuntimeError("can't start new thread")
+            start(thread)
+            in_block.wait(timeout=10)
+
+        with mock.patch.object(attention, "_BLOCK_FLOATS", 1), \
+                mock.patch.object(attention, "_worker_count", return_value=3), \
+                mock.patch.object(attention, "attention_weights", slow), \
+                mock.patch.object(threading.Thread, "start", start_once):
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                multi_head_attend(g.features, params, g)
+        assert len(finished) == 1 and caller not in finished
         assert threading.active_count() == threads_before
 
     def test_non_finite_score_names_the_head_and_row(self):

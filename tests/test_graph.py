@@ -12,7 +12,6 @@ from propgraph import (
     InputError,
     build_graph,
     connected_components,
-    filter_components,
     graph,
     graph_from_edges,
     induced_subgraphs,
@@ -230,58 +229,6 @@ class TestConnectedComponents:
         g = random_connected_graph(rng, n)
         comp = connected_components(g)
         assert int(comp.sizes.sum()) == n
-
-
-class TestFilterComponents:
-    def test_small_component_removed(self):
-        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (5, 6, 1.0)]
-        g = graph_from_edges(7, edges)
-        filtered, removed = filter_components(g, 3)
-        assert filtered.num_nodes == 5
-        assert removed == [5, 6]
-
-    def test_min_size_one_is_identity(self):
-        g = graph_from_edges(4, [(0, 1, 0.5)])
-        filtered, removed = filter_components(g, 1)
-        assert removed == []
-        assert filtered.num_nodes == 4
-        assert filtered.edges() == g.edges()
-
-    def test_everything_removed(self):
-        g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        filtered, removed = filter_components(g, 3)
-        assert filtered.num_nodes == 0
-        assert removed == [0, 1, 2, 3]
-
-    @given(st.integers(min_value=0, max_value=2**31),
-           st.integers(min_value=1, max_value=5))
-    @settings(max_examples=50)
-    def test_idempotent_and_sizes_bounded(self, seed, min_size):
-        rng = np.random.default_rng(seed)
-        pieces = []
-        offset = 0
-        num_nodes = 0
-        for _ in range(int(rng.integers(1, 4))):
-            n = int(rng.integers(1, 6))
-            sub = random_connected_graph(rng, n)
-            pieces.extend((i + offset, j + offset, w) for i, j, w in sub.edges())
-            offset += n
-            num_nodes += n
-        g = graph_from_edges(num_nodes, pieces)
-        once, removed = filter_components(g, min_size)
-        twice, removed_again = filter_components(once, min_size)
-        assert removed_again == []
-        assert list(once.node_ids) == list(twice.node_ids)
-        assert once.edges() == twice.edges()
-        comp = connected_components(once)
-        assert comp.count == 0 or int(comp.sizes.min()) >= min_size
-        # survivors keep their ids and exactly the surviving induced edges
-        survivors = set(int(n) for n in once.node_ids)
-        assert survivors.isdisjoint(removed)
-        original = {(i, j): w for i, j, w in g.edges()}
-        for i, j, w in once.edges():
-            a, b = int(once.node_ids[i]), int(once.node_ids[j])
-            assert original[(min(a, b), max(a, b))] == w
 
 
 class TestSubgraph:

@@ -16,6 +16,7 @@ from propgraph import (
     AttentionDegrees,
     AttentionParams,
     InputError,
+    NumericalError,
     Partition,
     PipelineConfig,
     attention_gradients,
@@ -992,6 +993,65 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert flag[2:].replace("-", "_") in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--clusters", "2", "--per-cluster", "2", "--seed", "-1", "--output", "s.json"],
+        ["gen", "--clusters", "2", "--per-cluster", "2", "--seed", "0", "--feature-dim", "-3",
+         "--output", "s.json"],
+        ["params", "init", "--feature-dim", "2", "--seed", "-1", "--output", "p.json"],
+        ["params", "init", "--feature-dim", "2", "--out-dim", "-1", "--output", "p.json"],
+        ["params", "init", "--feature-dim", "2", "--out-dim", "0", "--output", "p.json"],
+        ["oracle", "ncut", "--seed", "-1", "--trials", "1"],
+        ["oracle", "grad", "--seed", "-1", "--trials", "1"],
+        ["oracle", "ncut", "--max-n", "-5"],
+        ["oracle", "ncut", "--max-n", "1"],
+    ], ids=["gen-seed", "gen-feature-dim", "params-seed", "params-out-dim",
+            "params-out-dim-zero", "ncut-seed", "grad-seed", "ncut-max-n", "ncut-max-n-one"])
+    def test_negative_seeds_and_dimensions_exit_one(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("brute_force", [[], ["--brute-force"]], ids=["cut", "brute-force"])
+    @pytest.mark.parametrize("document", [
+        {"nodes": 2, "node_ids": [0, 1], "edges": [[0, 1, 0.0]]},
+        {"nodes": 3, "node_ids": [0, 1, 2], "edges": [[0, 1, 0.0], [1, 2, 0.5]]},
+    ], ids=["2-nodes", "3-nodes"])
+    def test_cut_ncut_errors_name_the_file_and_component(self, tmp_path, capsys, document,
+                                                         brute_force):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(document))
+        assert run_command(["cut", "ncut", "--input", str(path), *brute_force]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: component 0 ({document['nodes']} nodes): "
+                                "normalized Laplacian undefined for zero-degree nodes\n")
+
+    def test_cut_ncut_numerical_failure_keeps_exit_two(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("no convergence")
+
+        monkeypatch.setattr(cli, "recursive_ncut", failing)
+        path = str(tmp_path / "g.json")
+        save_graph(graph_from_edges(3, [(0, 1, 0.5)]), path)
+        assert run_command(["cut", "ncut", "--input", path]) == 2
+        assert capsys.readouterr().err == \
+            f"numerical failure: {path}: component 0 (2 nodes): no convergence\n"
+
+    def test_graph_components_checks_min_size_after_loading(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        missing = str(tmp_path / "missing.json")
+        save_graph(graph_from_edges(2, [(0, 1, 0.5)]), path)
+        for input_path, message in ((missing, f"{missing}: file not found"),
+                                    (path, "min_size must be >= 1, got 0")):
+            argv = ["graph", "components", "--input", input_path, "--min-size", "0"]
+            assert run_command(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0

@@ -81,6 +81,17 @@ class TestIdenticalNormalize:
         with pytest.raises(InputError):
             identical_normalize(np.zeros((2, 2)), np.zeros((3, 2)), lambda_=1.0, epsilon=1e-8)
 
+    @pytest.mark.parametrize("options, message", [
+        ({"epsilon": 0.0}, "epsilon must be > 0, got 0.0"),
+        ({"epsilon": -1e-8}, "epsilon must be > 0, got -1e-08"),
+        ({"lambda_": -0.5}, "lambda must be >= 0, got -0.5"),
+        ({"mode": "median"}, "unknown normalization mode 'median'"),
+    ])
+    def test_bad_options_rejected(self, options, message):
+        kwargs = {"lambda_": 1.0, "epsilon": 1e-8, **options}
+        with pytest.raises(InputError, match=f"^{message}$"):
+            identical_normalize(np.zeros((2, 2)), np.ones((2, 2)), **kwargs)
+
     def test_empty_input(self):
         out = identical_normalize(np.zeros((0, 4)), np.zeros((0, 4)), lambda_=1.0, epsilon=1e-8)
         assert out.shape == (0, 4)
@@ -170,6 +181,11 @@ class TestForward:
         result = forward(np.zeros((0, 4)), np.zeros((0, 3)), params, PipelineConfig())
         assert result.features.shape == (0, 3)
         assert result.original_ids == ()
+
+    def test_one_dimensional_features_rejected(self):
+        params = AttentionParams.initialize(3, seed=0)
+        with pytest.raises(InputError, match="^features must be a 2-d matrix$"):
+            forward(far_apart_boxes(2), np.zeros(2), params, PipelineConfig())
 
     def test_output_dim_mismatch_rejected(self):
         boxes = far_apart_boxes(2)

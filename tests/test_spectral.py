@@ -10,7 +10,6 @@ from propgraph import (
     InputError,
     NumericalError,
     Partition,
-    assoc,
     brute_force_ncut,
     build_graph,
     connected_components,
@@ -23,7 +22,7 @@ from propgraph import (
     symmetric_eigendecomposition,
     two_way_ncut,
 )
-from propgraph.oracles import bridged_cliques, random_connected_graph
+from propgraph.oracles import bridged_cliques, random_connected_graph, reference_recursive_ncut
 
 
 def path4():
@@ -32,25 +31,6 @@ def path4():
 
 def triangle(weight=1.0, offset=0):
     return [(offset, offset + 1, weight), (offset, offset + 2, weight), (offset + 1, offset + 2, weight)]
-
-
-class TestAssoc:
-    def test_empty_set(self):
-        assert assoc(path4(), []) == 0.0
-
-    def test_path_prefix(self):
-        # degrees along the path are 1, 2, 2, 1
-        g = path4()
-        assert assoc(g, [0, 1]) == 3.0
-        # cross-check by brute-force edge enumeration
-        total = 0.0
-        for i, j, w in g.edges():
-            total += w * ((i in (0, 1)) + (j in (0, 1)))
-        assert assoc(g, [0, 1]) == total
-
-    def test_whole_graph_is_twice_total_weight(self):
-        g = path4()
-        assert assoc(g, range(4)) == 2.0 * sum(w for _, _, w in g.edges())
 
 
 class TestNcutValue:
@@ -117,7 +97,7 @@ class TestNormalizedLaplacian:
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 12)
         lap = normalized_laplacian(g)
-        kernel = np.sqrt(g.degrees())
+        kernel = np.sqrt(g.adjacency().sum(axis=1))
         assert np.max(np.abs(lap @ kernel)) <= 1e-9
 
     def test_zero_degree_rejected(self):
@@ -149,23 +129,26 @@ class TestEigensolver:
         with pytest.raises(InputError):
             symmetric_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(30, 30))
         m = (m + m.T) / 2.0
+        monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(NumericalError):
-            symmetric_eigendecomposition(m, max_sweeps=1)
+            symmetric_eigendecomposition(m)
 
-    def test_budget_error_names_size_sweeps_and_off_norm(self):
+    def test_budget_error_names_size_sweeps_and_off_norm(self, monkeypatch):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(30, 30))
         m = (m + m.T) / 2.0
+        monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 2)
         with pytest.raises(NumericalError, match=r"30x30 .* norm \d\.\d+e[-+]\d+ after 2 sweep"):
-            symmetric_eigendecomposition(m, max_sweeps=2)
+            symmetric_eigendecomposition(m)
 
-    def test_convergence_in_the_last_sweep_counts(self):
+    def test_convergence_in_the_last_sweep_counts(self, monkeypatch):
         # one rotation diagonalizes a 2x2 matrix
-        values, _ = symmetric_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=1)
+        monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 1)
+        values, _ = symmetric_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert values == pytest.approx([1.0, 3.0], abs=1e-15)
 
     def test_bitwise_deterministic(self):
@@ -290,6 +273,26 @@ class TestRecursiveNcut:
         g = graph_from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0)])
         assert list(recursive_ncut(g, stop_ncut=0.5, min_part=2).labels) == [0, 0, 0, 1, 1, 1]
         assert list(recursive_ncut(g, stop_ncut=0.5, min_part=1).labels) == [0, 0, 0, 1, 1, 2]
+
+    def test_a_side_in_pieces_too_small_to_peel_stays_whole(self, monkeypatch):
+        # An 11-node graph whose sweep cuts off a 4-node side made of two
+        # 2-node components; min_part 3 peels neither, so the side is one set.
+        rng = np.random.default_rng(2291)
+        g = random_connected_graph(rng, int(rng.integers(4, 14)))
+        first_component = spectral._first_component
+        split_sets = []
+
+        def recording(linked):
+            first = first_component(linked)
+            split_sets.append((first.size, int(first.sum())))
+            return first
+
+        monkeypatch.setattr(spectral, "_first_component", recording)
+        partition = recursive_ncut(g, stop_ncut=2.0, min_part=3)
+        assert g.num_nodes == 11 and (4, 2) in split_sets
+        assert 4 in np.bincount(partition.labels)
+        assert np.array_equal(partition.labels,
+                              reference_recursive_ncut(g, 2.0, min_part=3).labels)
 
 
 def lambda_2(g):
@@ -443,7 +446,7 @@ class TestCertifiedFiedler:
     @settings(max_examples=120, deadline=None)
     def test_certified_cut_is_the_jacobi_cut(self, seed, kind):
         g = drawn_cut_graph(np.random.default_rng(seed), kind)
-        block = spectral._dense_block(g)
+        block = spectral._block_of(g.adjacency())
         values, vectors = np.linalg.eigh(block.laplacian)
         order = spectral._certified_order(block, values, vectors)
         if order is None:
