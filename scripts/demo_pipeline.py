@@ -48,8 +48,8 @@ def main() -> None:
     )
     print(f"gcpool: {labeling.part_count} parts, "
           f"{sum(1 for v in labeling.labels if v is None)} proposals filtered")
-    for node in coarse:
-        print(f"  part {node.source_part}: members {node.member_ids}, "
+    for part, node in enumerate(coarse):
+        print(f"  part {part}: members {tuple(node.members.tolist())}, "
               f"|mean feature| = {np.linalg.norm(node.feature):.4f}")
 
     params = AttentionParams.initialize(

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_float_count
 from .graph import ProposalGraph
 
 # Floor for IoU weights fed through log() when score biasing is enabled.
@@ -119,6 +119,9 @@ class AttentionParams:
             raise InputError(f"output_dim must be >= 1, got {output_dim}")
         if seed < 0:
             raise InputError(f"seed must be >= 0, got {seed}")
+        check_float_count(head_count * (2 * feature_dim + 1 + feature_dim * (output_dim or 0)),
+                          f"head_count {head_count}, feature_dim {feature_dim} and "
+                          f"output_dim {output_dim}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(2.0 * feature_dim)
         weights = rng.uniform(-bound, bound, size=(head_count, 2 * feature_dim))

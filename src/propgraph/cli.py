@@ -195,14 +195,14 @@ def _cmd_graph_build(args) -> int:
 
 
 def _cmd_graph_components(args) -> int:
-    g = pio.load_graph(args.input)
+    g, node_ids = pio.load_graph(args.input)
     if args.min_size < 1:
         raise InputError(f"min_size must be >= 1, got {args.min_size}")
     comp = connected_components(g)
     _emit({
         "labels": [int(label) for label in comp.labels],
         "sizes": [int(s) for s in comp.sizes],
-        "removed": sorted(g.node_ids[comp.sizes[comp.labels] < args.min_size].tolist()),
+        "removed": sorted(node_ids[comp.sizes[comp.labels] < args.min_size].tolist()),
         "report": {"nodes": g.num_nodes, "edges": g.num_edges,
                    "components": comp.count, "min_size": args.min_size},
     })
@@ -210,7 +210,7 @@ def _cmd_graph_components(args) -> int:
 
 
 def _cmd_cut_ncut(args) -> int:
-    g = pio.load_graph(args.input)
+    g, _ = pio.load_graph(args.input)
     stop = args.stop_ncut if args.stop_ncut is not None else PipelineConfig().stop_ncut
     _check_split_rule(stop, args.min_part)
     comp = connected_components(g)
@@ -285,8 +285,7 @@ def _cmd_attend(args) -> int:
             dense_attention=config.dense_attention, iou_bias=config.iou_bias, degrees=degrees,
         )
     with _timed(timings_ms, "write"):
-        ids = tuple(int(n) for n in g.node_ids)
-        digest = pio.save_features(ids, refined, args.output)
+        digest = pio.save_features(refined, args.output)
     _report("attend", config,
             {"proposals": document.num_proposals, "edges": g.num_edges,
              "heads": params.head_count, "output_dim": params.output_dim,
@@ -307,12 +306,12 @@ def _cmd_forward(args) -> int:
             use_gcpool=not args.no_gcpool,
         )
     with _timed(timings_ms, "write"):
-        digest = pio.save_features(result.original_ids, result.features, args.output)
+        digest = pio.save_features(result.features, args.output)
     diag = result.diagnostics
     _report("forward", config,
             {"proposals": diag.node_count, "edges": diag.edge_count,
              "components": diag.component_count, "filtered": len(diag.filtered_ids),
-             "parts": diag.part_count, "coarse": diag.coarse_count,
+             "parts": diag.part_count, "coarse": diag.part_count,
              "gcpool": not args.no_gcpool, **dataclasses.asdict(diag.solves),
              **_degree_counts(diag.attention)},
             timings_ms, {args.output: digest})

@@ -1,8 +1,9 @@
 """Weighted proposal graph: IoU-thresholded adjacency over detection proposals.
 
-Nodes are proposals, edges connect overlapping boxes, edge weights are the
-pairwise IoU. Graphs are immutable after construction; every derived graph
-(induced subgraph, filtered graph) is a new value. The constructor checks
+Nodes are proposals, numbered by their index 0..M-1 and by nothing else;
+edges connect overlapping boxes, edge weights are the pairwise IoU. Graphs
+are immutable after construction; every derived graph (induced subgraph,
+graph with coarse nodes) is a new value. The constructor checks
 its arrays and sorts the edges; a graph cut from an already valid graph is
 built by ``ProposalGraph._derived`` without those checks, because an
 ascending slice of a lexsorted, duplicate-free edge list, remapped
@@ -50,15 +51,13 @@ class ProposalGraph:
     """Undirected simple graph with per-node feature rows.
 
     ``edge_index`` holds (i, j) with i < j, lexicographically sorted and
-    duplicate-free; ``edge_weight`` is aligned with it. ``node_ids`` are
-    stable external identifiers carried through filtering.
-    Arrays are treated as read-only after construction.
+    duplicate-free; ``edge_weight`` is aligned with it. A node is its row
+    index. Arrays are treated as read-only after construction.
     """
 
     features: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     edge_index: np.ndarray = field(default_factory=lambda: _EMPTY_EDGES.copy())
     edge_weight: np.ndarray = field(default_factory=lambda: _EMPTY_WEIGHTS.copy())
-    node_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
@@ -66,14 +65,7 @@ class ProposalGraph:
             raise InputError("features must be a 2-d matrix (one row per node)")
         edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(-1, 2)
         edge_weight = np.asarray(self.edge_weight, dtype=np.float64).reshape(-1)
-        node_ids = np.asarray(self.node_ids, dtype=np.int64).reshape(-1)
         m = features.shape[0]
-        if node_ids.size == 0 and m > 0:
-            node_ids = np.arange(m, dtype=np.int64)
-        if node_ids.shape[0] != m:
-            raise InputError(f"{node_ids.shape[0]} node ids for {m} nodes")
-        if np.unique(node_ids).size != m:
-            raise InputError("node ids must be unique")
         if edge_index.shape[0] != edge_weight.shape[0]:
             raise InputError("edge_index and edge_weight lengths differ")
         if edge_index.size:
@@ -94,17 +86,15 @@ class ProposalGraph:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "edge_index", edge_index)
         object.__setattr__(self, "edge_weight", edge_weight)
-        object.__setattr__(self, "node_ids", node_ids)
 
     @classmethod
-    def _derived(cls, features: np.ndarray, edge_index: np.ndarray, edge_weight: np.ndarray,
-                 node_ids: np.ndarray) -> "ProposalGraph":
+    def _derived(cls, features: np.ndarray, edge_index: np.ndarray,
+                 edge_weight: np.ndarray) -> "ProposalGraph":
         """A graph from arrays cut from a valid graph, which are not checked or sorted again."""
         g = object.__new__(cls)
         object.__setattr__(g, "features", features)
         object.__setattr__(g, "edge_index", edge_index)
         object.__setattr__(g, "edge_weight", edge_weight)
-        object.__setattr__(g, "node_ids", node_ids)
         return g
 
     @property
@@ -137,7 +127,7 @@ class ProposalGraph:
         return a
 
     def subgraph(self, indices: Sequence[int] | np.ndarray) -> "ProposalGraph":
-        """Induced subgraph on ``indices`` (ascending internal indices)."""
+        """Induced subgraph on ``indices`` (ascending node indices)."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size:
             if idx.min() < 0 or idx.max() >= self.num_nodes:
@@ -150,17 +140,8 @@ class ProposalGraph:
         remap[idx] = np.arange(idx.size, dtype=np.int64)
         mask = keep[self.edge_index[:, 0]] & keep[self.edge_index[:, 1]]
         return ProposalGraph._derived(
-            self.features[idx], remap[self.edge_index[mask]], self.edge_weight[mask],
-            self.node_ids[idx],
+            self.features[idx], remap[self.edge_index[mask]], self.edge_weight[mask]
         )
-
-    def index_of(self, node_ids: Iterable[int]) -> np.ndarray:
-        """Internal indices for the given external ids."""
-        lookup = {int(nid): k for k, nid in enumerate(self.node_ids)}
-        try:
-            return np.array([lookup[int(n)] for n in node_ids], dtype=np.int64)
-        except KeyError as exc:
-            raise InputError(f"unknown node id {exc.args[0]}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +247,6 @@ def graph_from_edges(
     num_nodes: int,
     edges: Iterable[tuple[int, int, float]],
     features: np.ndarray | None = None,
-    node_ids: Sequence[int] | None = None,
 ) -> ProposalGraph:
     """Construct a graph directly from weighted (i, j, w) triples (test/CLI helper)."""
     rows = list(edges)
@@ -275,8 +255,7 @@ def graph_from_edges(
     edge_index = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
     edge_index.sort(axis=1)
     edge_weight = np.array([row[2] for row in rows], dtype=np.float64)
-    ids = np.asarray(node_ids, dtype=np.int64) if node_ids is not None else np.arange(num_nodes, dtype=np.int64)
-    return ProposalGraph(features=features, edge_index=edge_index, edge_weight=edge_weight, node_ids=ids)
+    return ProposalGraph(features=features, edge_index=edge_index, edge_weight=edge_weight)
 
 
 def connected_components(g: ProposalGraph) -> ComponentLabeling:
@@ -333,8 +312,7 @@ def induced_subgraphs(
         members = node_order[node_ptr[k]:node_ptr[k + 1]]
         edges = edge_order[edge_ptr[k]:edge_ptr[k + 1]]
         return members, ProposalGraph._derived(
-            g.features[members], rank[g.edge_index[edges]], g.edge_weight[edges],
-            g.node_ids[members],
+            g.features[members], rank[g.edge_index[edges]], g.edge_weight[edges]
         )
 
     return map(group, range(count))

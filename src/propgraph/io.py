@@ -17,6 +17,7 @@ Formats:
   proposals  {"image_id", "width", "height", "proposals":
               [{"box": [x1,y1,x2,y2] pixels, "feature": [...]?, "score": f?}]}
   graph      {"nodes": M, "node_ids": [...], "edges": [[i, j, w], ...]}
+             (edges name nodes by index; only the reader returns the ids)
   partition  {"labels": [int|null, ...], "coarse":
               [{"feature": [...], "members": [...]}]}
   features   {"ids": [...], "features": [[...], ...]}
@@ -533,12 +534,13 @@ def save_proposals(document: ProposalDocument, path: str) -> str:
 def graph_to_dict(g: ProposalGraph) -> dict:
     return {
         "nodes": g.num_nodes,
-        "node_ids": [int(n) for n in g.node_ids],
+        "node_ids": list(range(g.num_nodes)),
         "edges": [[int(i), int(j), float(w)] for (i, j), w in zip(g.edge_index, g.edge_weight)],
     }
 
 
-def graph_from_dict(data: Any, source: str = "<graph>") -> ProposalGraph:
+def graph_from_dict(data: Any, source: str = "<graph>") -> tuple[ProposalGraph, np.ndarray]:
+    """The graph of a graph file and, beside it, the file's int64 id of each node."""
     _require(isinstance(data, dict), f"{source}: top level must be an object")
     for key in ("nodes", "node_ids", "edges"):
         _require(key in data, f"{source}: missing field {key!r}")
@@ -561,6 +563,8 @@ def graph_from_dict(data: Any, source: str = "<graph>") -> ProposalGraph:
                              f"in [0, {nodes}), got {[i, j]!r}")
         if type(w) not in _NUMBER_TYPES or abs(w) > sys.float_info.max:
             raise InputError(f"{source}: edges[{k}] weight must be a finite number, got {w!r}")
+    ids = np.array(node_ids, dtype=np.int64)
+    _require(np.unique(ids).size == nodes, f"{source}: node ids must be unique")
     try:
         edge_index = np.array([edge[:2] for edge in edges], dtype=np.int64).reshape(-1, 2)
         edge_weight = np.array([edge[2] for edge in edges], dtype=np.float64)
@@ -568,8 +572,7 @@ def graph_from_dict(data: Any, source: str = "<graph>") -> ProposalGraph:
             features=np.zeros((nodes, 0), dtype=np.float64),
             edge_index=edge_index,
             edge_weight=edge_weight,
-            node_ids=np.array(node_ids, dtype=np.int64),
-        )
+        ), ids
     except InputError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -581,11 +584,12 @@ def save_graph(g: ProposalGraph, path: str) -> str:
     int text.
     """
     edges = np.column_stack([g.edge_index.astype(np.float64), g.edge_weight])
-    return write_json(path, {"nodes": g.num_nodes, "node_ids": g.node_ids.tolist(),
+    return write_json(path, {"nodes": g.num_nodes, "node_ids": list(range(g.num_nodes)),
                              "edges": edges})
 
 
-def load_graph(path: str) -> ProposalGraph:
+def load_graph(path: str) -> tuple[ProposalGraph, np.ndarray]:
+    """``graph_from_dict`` of the file at ``path``: the graph and its node ids."""
     return graph_from_dict(read_json(path), source=path)
 
 
@@ -596,14 +600,16 @@ def partition_to_dict(labeling: PseudoLabeling, coarse: list[CoarseNode]) -> dic
     return {
         "labels": list(labeling.labels),
         "coarse": [
-            {"feature": _Raw(feature), "members": list(node.member_ids)}
+            {"feature": _Raw(feature), "members": node.members.tolist()}
             for node, feature in zip(coarse, features)
         ],
     }
 
 
-def save_features(ids: tuple[int, ...], features: np.ndarray, path: str) -> str:
-    return write_json(path, {"ids": list(ids), "features": np.asarray(features)})
+def save_features(features: np.ndarray, path: str) -> str:
+    """Write a features file whose ids number the rows 0..M-1."""
+    features = np.asarray(features)
+    return write_json(path, {"ids": list(range(features.shape[0])), "features": features})
 
 
 def params_to_dict(params: AttentionParams) -> dict:

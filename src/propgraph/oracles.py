@@ -204,16 +204,16 @@ def reference_gcpool(
 
 
 def reference_augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> ProposalGraph:
-    """``augment_with_coarse`` through ``index_of``, one ``subgraph`` per part and the
-    checking constructor, which sorts the appended edges itself."""
+    """``augment_with_coarse`` through one ``subgraph`` per part and the checking
+    constructor, which sorts the appended edges itself."""
     if not coarse:
         return g
     m = g.num_nodes
-    next_id = int(g.node_ids.max()) + 1 if m > 0 else 0
-    all_members = g.index_of([nid for node in coarse for nid in node.member_ids])
-    part_sizes = np.array([len(node.member_ids) for node in coarse], dtype=np.int64)
+    member_lists = [np.asarray(node.members, dtype=np.int64) for node in coarse]
+    all_members = np.concatenate(member_lists)
+    part_sizes = np.array([members.size for members in member_lists], dtype=np.int64)
     weights = []
-    for member_idx in np.split(all_members, np.cumsum(part_sizes)[:-1]):
+    for member_idx in member_lists:
         n = member_idx.size
         if n <= 1:
             weights.append(np.ones(n))
@@ -227,9 +227,6 @@ def reference_augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]
         features=np.concatenate([g.features, np.stack([node.feature for node in coarse])]),
         edge_index=np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)]),
         edge_weight=np.concatenate([g.edge_weight, *weights]),
-        node_ids=np.concatenate(
-            [g.node_ids, np.arange(next_id, next_id + len(coarse), dtype=np.int64)]
-        ),
     )
 
 

@@ -26,6 +26,7 @@ from .spectral import SolveCounts
 class PipelineDiagnostics:
     """Structure report for one forward run.
 
+    ``filtered_ids`` are the indices of the proposals pooling filtered out;
     ``solves`` is all zeros without pooling; ``attention`` covers every row
     attention ran on, coarse nodes included, and is all zeros with no nodes.
     """
@@ -35,7 +36,6 @@ class PipelineDiagnostics:
     component_count: int
     filtered_ids: tuple[int, ...]
     part_count: int
-    coarse_count: int
     pseudo_labels: tuple[Optional[int], ...]
     solves: SolveCounts
     attention: AttentionDegrees
@@ -46,7 +46,6 @@ class RefinedProposals:
     """Refined per-proposal features, row-aligned with the input."""
 
     features: np.ndarray
-    original_ids: tuple[int, ...]
     diagnostics: PipelineDiagnostics
 
 
@@ -151,7 +150,6 @@ def forward(
             labels=(None,) * m, part_count=0, component_count=connected_components(g).count,
             solves=SolveCounts(),
         )
-        coarse = []
         augmented = g
     degrees = AttentionDegrees()
     if m == 0:
@@ -178,9 +176,7 @@ def forward(
         per_channel=config.per_channel,
     )
     filtered_ids = tuple(
-        int(node_id)
-        for node_id, label in zip(g.node_ids, labeling.labels)
-        if label is None
+        node for node, label in enumerate(labeling.labels) if label is None
     ) if use_gcpool else ()
     diagnostics = PipelineDiagnostics(
         node_count=m,
@@ -188,13 +184,8 @@ def forward(
         component_count=labeling.component_count,
         filtered_ids=filtered_ids,
         part_count=labeling.part_count,
-        coarse_count=len(coarse),
         pseudo_labels=labeling.labels,
         solves=labeling.solves,
         attention=degrees,
     )
-    return RefinedProposals(
-        features=output,
-        original_ids=tuple(int(n) for n in g.node_ids),
-        diagnostics=diagnostics,
-    )
+    return RefinedProposals(features=output, diagnostics=diagnostics)

@@ -44,11 +44,10 @@ class PseudoLabeling:
 
 @dataclass(frozen=True, eq=False)
 class CoarseNode:
-    """Average-pooled summary of one part."""
+    """Average-pooled summary of one part; ``members`` are its node indices, ascending."""
 
     feature: np.ndarray
-    member_ids: tuple[int, ...]
-    source_part: int
+    members: np.ndarray
 
 
 def pool_part(features: np.ndarray) -> np.ndarray:
@@ -104,7 +103,6 @@ def _pooled(
     for part_label, members in enumerate(parts):
         for node in members:
             labels[int(node)] = part_label
-        member_ids = tuple(sorted(int(n) for n in g.node_ids[members]))
         with np.errstate(over="ignore"):
             feature = pool_part(g.features[members])
         if not np.isfinite(feature).all():
@@ -112,13 +110,7 @@ def _pooled(
                 f"pooling: the mean feature of part {part_label} ({members.size} members) "
                 f"is not finite"
             )
-        coarse.append(
-            CoarseNode(
-                feature=feature,
-                member_ids=member_ids,
-                source_part=part_label,
-            )
-        )
+        coarse.append(CoarseNode(feature=feature, members=members))
     labeling = PseudoLabeling(
         labels=tuple(labels), part_count=len(parts), component_count=component_count,
         solves=solves,
@@ -131,29 +123,24 @@ def augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> Propo
 
     Each coarse node connects to every member of its part; the weight to
     member m is the mean adjacency weight between m and the part's other
-    members (1.0 for a singleton part). Parts must be disjoint, as
-    ``gcpool``'s are. Original nodes, edges, and ids are untouched; new ids
-    continue after the current maximum.
+    members (1.0 for a singleton part). Members are node indices in [0, M)
+    and parts must be disjoint, as ``gcpool``'s are. Original nodes and
+    edges are untouched; coarse node k gets index M + k.
     """
     if not coarse:
         return g
     m = g.num_nodes
-    next_id = int(g.node_ids.max()) + 1 if m > 0 else 0
-    # One id lookup for all parts, split back into per-part index arrays.
-    wanted = np.array([nid for node in coarse for nid in node.member_ids], dtype=np.int64)
-    by_id = np.argsort(g.node_ids)
-    at = np.searchsorted(g.node_ids[by_id], wanted)
-    found = at < m
-    found[found] = g.node_ids[by_id[at[found]]] == wanted[found]
-    if not found.all():
-        raise InputError(f"unknown node id {int(wanted[np.argmin(found)])}")
-    all_members = by_id[at]
+    member_lists = [np.asarray(node.members, dtype=np.int64) for node in coarse]
+    all_members = np.concatenate(member_lists)
+    outside = (all_members < 0) | (all_members >= m)
+    if outside.any():
+        raise InputError(f"coarse member {int(all_members[np.argmax(outside)])} "
+                         f"is not a node index in [0, {m})")
     if np.bincount(all_members, minlength=m).max(initial=0) > 1:
         raise InputError("coarse nodes must not share members")
-    part_sizes = np.array([len(node.member_ids) for node in coarse], dtype=np.int64)
+    part_sizes = np.array([members.size for members in member_lists], dtype=np.int64)
     part_of = np.full(m, -1, dtype=np.int64)
     part_of[all_members] = np.repeat(np.arange(len(coarse)), part_sizes)
-    member_lists = np.split(all_members, np.cumsum(part_sizes)[:-1])
     weights = []
     for node, member_idx, (ascending, part) in zip(
         coarse, member_lists, induced_subgraphs(g, part_of, len(coarse))
@@ -180,5 +167,4 @@ def augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> Propo
         np.concatenate([g.features, coarse_features]),
         np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)])[order],
         np.concatenate([g.edge_weight, *weights])[order],
-        np.concatenate([g.node_ids, np.arange(next_id, next_id + len(coarse), dtype=np.int64)]),
     )

@@ -106,7 +106,7 @@ def ncut_value(g: ProposalGraph, partition: Partition) -> CutReport:
     if labels.shape[0] != g.num_nodes:
         raise InputError(f"partition covers {labels.shape[0]} nodes, graph has {g.num_nodes}")
     w = g.adjacency()
-    return _cut_report(w, w.sum(axis=1), partition)
+    return _cut_report(w, _degrees(w), partition)
 
 
 def _cut_report(w: np.ndarray, degrees: np.ndarray, partition: Partition) -> CutReport:
@@ -145,8 +145,25 @@ class _Block:
     laplacian: np.ndarray
 
 
+def _degrees(w: np.ndarray) -> np.ndarray:
+    """Weighted degrees, the row sums of ``w``.
+
+    Their total, the whole set's association, bounds every partial sum of
+    degrees or weights that the sweep and ``_cut_report`` form, so a finite
+    total keeps all of them finite. An overflowing one is a NumericalError.
+    """
+    with np.errstate(over="ignore"):
+        degrees = w.sum(axis=1)
+        total = degrees.sum()
+    if not np.isfinite(total):
+        raise NumericalError(
+            f"weighted degrees of {w.shape[0]} nodes overflow: their total is not finite"
+        )
+    return degrees
+
+
 def _block_of(w: np.ndarray) -> _Block:
-    degrees = w.sum(axis=1)
+    degrees = _degrees(w)
     if np.any(degrees <= 0.0):
         raise InputError("normalized Laplacian undefined for zero-degree nodes")
     inv_sqrt = 1.0 / np.sqrt(degrees)

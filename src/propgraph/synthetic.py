@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_float_count
 from .io import ProposalDocument
 
 # Fraction of a grid cell kept as margin so jittered boxes never leave it.
@@ -45,6 +45,9 @@ def generate_proposals(
         raise InputError(f"feature_dim must be >= 0, got {feature_dim}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
+    check_float_count(clusters * per_cluster * (4 + feature_dim),
+                      f"{clusters} clusters x {per_cluster} proposals x "
+                      f"(4 box values + feature_dim {feature_dim})")
     rng = np.random.default_rng(seed)
     cols = math.ceil(math.sqrt(clusters))
     rows = math.ceil(clusters / cols)

@@ -195,7 +195,7 @@ def test_criterion_7_gcpool_structural_recovery():
                 continue
             exact = all(
                 np.max(np.abs(node.feature
-                              - g.features[g.index_of(node.member_ids)].mean(axis=0))) <= 1e-12
+                              - g.features[node.members].mean(axis=0))) <= 1e-12
                 for node in coarse
             )
             if exact:

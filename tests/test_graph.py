@@ -233,9 +233,10 @@ class TestConnectedComponents:
 
 class TestSubgraph:
     def test_induced_edges(self):
-        g = graph_from_edges(5, [(0, 1, 0.3), (1, 2, 0.4), (2, 3, 0.5), (3, 4, 0.6)])
+        g = graph_from_edges(5, [(0, 1, 0.3), (1, 2, 0.4), (2, 3, 0.5), (3, 4, 0.6)],
+                             features=np.arange(5.0).reshape(5, 1))
         sub = g.subgraph(np.array([1, 2, 4]))
-        assert list(sub.node_ids) == [1, 2, 4]
+        assert sub.features.ravel().tolist() == [1.0, 2.0, 4.0]
         assert sub.edges() == [(0, 1, 0.4)]
 
     def test_rejects_unsorted_indices(self):
@@ -251,8 +252,7 @@ class TestSubgraph:
         ii, jj = np.triu_indices(n, k=1)
         hit = rng.random(ii.size) < 0.3
         g = graph_from_edges(n, zip(ii[hit], jj[hit], rng.choice([0.0, 0.5, 1.0], hit.sum())),
-                             features=rng.normal(size=(n, 2)),
-                             node_ids=rng.permutation(3 * n)[:n])
+                             features=rng.normal(size=(n, 2)))
         count = int(rng.integers(0, 5))
         labels = rng.integers(-1, count, size=n) if count else np.full(n, -1)
         groups = list(induced_subgraphs(g, labels, count))
@@ -260,12 +260,11 @@ class TestSubgraph:
         for k, (members, sub) in enumerate(groups):
             assert np.array_equal(members, np.flatnonzero(labels == k))
             expected = g.subgraph(members)
-            for name in ("features", "edge_index", "edge_weight", "node_ids"):
+            for name in ("features", "edge_index", "edge_weight"):
                 assert np.array_equal(getattr(sub, name), getattr(expected, name))
                 assert getattr(sub, name).dtype == getattr(expected, name).dtype
             # The unchecked graph is one the checking constructor accepts unchanged.
-            checked = graph_from_edges(sub.num_nodes, sub.edges(), features=sub.features,
-                                       node_ids=sub.node_ids)
+            checked = graph_from_edges(sub.num_nodes, sub.edges(), features=sub.features)
             assert np.array_equal(checked.edge_index, sub.edge_index)
 
     def test_duplicate_edges_rejected(self):

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import hashlib
+import io as stdio
 import json
 import math
 import os
 import struct
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -280,18 +283,17 @@ class TestFileBytes:
         g = build_graph(doc.normalized_boxes(), features, 0.3)
         labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
         assert coarse
-        ids = tuple(int(n) for n in g.node_ids)
         cases = [
-            (save_features(ids, features, str(tmp_path / "f.json")), "f.json",
-             {"ids": list(ids), "features": features}),
+            (save_features(features, str(tmp_path / "f.json")), "f.json",
+             {"ids": list(range(len(features))), "features": features}),
             (save_params(params, str(tmp_path / "p.json")), "p.json", params_to_dict(params)),
             (write_json(str(tmp_path / "c.json"), partition_to_dict(labeling, coarse)), "c.json",
              {"labels": list(labeling.labels),
-              "coarse": [{"feature": node.feature, "members": list(node.member_ids)}
+              "coarse": [{"feature": node.feature, "members": node.members.tolist()}
                          for node in coarse]}),
         ]
         cases.append((save_graph(g, str(tmp_path / "g.json")), "g.json", graph_to_dict(g)))
-        empty = graph_from_edges(3, [], node_ids=[4, -2**63, 2**63 - 1])
+        empty = graph_from_edges(3, [])
         cases.append((save_graph(empty, str(tmp_path / "e.json")), "e.json",
                       graph_to_dict(empty)))
         for digest, name, value in cases:
@@ -341,10 +343,10 @@ class TestGraphFiles:
         g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), 0.3)
         path = str(tmp_path / "graph.json")
         save_graph(g, path)
-        loaded = graph_from_dict(json.loads(open(path).read()))
+        loaded, node_ids = graph_from_dict(json.loads(open(path).read()))
         assert loaded.num_nodes == g.num_nodes
         assert loaded.edges() == g.edges()
-        assert list(loaded.node_ids) == list(g.node_ids)
+        assert node_ids.tolist() == list(range(g.num_nodes))
 
     def test_schema_validation(self):
         with pytest.raises(InputError):
@@ -601,7 +603,7 @@ class TestCli:
             graph_file = str(tmp_path / f"g{thr}.json")
             assert run_command(["graph", "build", "--input", scene, "--iou-thr", thr,
                                 "--output", graph_file]) == 0
-            sizes[thr] = connected_components(load_graph(graph_file)).sizes.tolist()
+            sizes[thr] = connected_components(load_graph(graph_file)[0]).sizes.tolist()
             capsys.readouterr()
             assert run_command(["cut", "ncut", "--input", graph_file, "--brute-force"]) == 0
             data = json.loads(capsys.readouterr().out)
@@ -809,6 +811,7 @@ class TestCli:
         ("graph components", {"edges": [[0.0, 1, 0.5]]}, "edges[0]"),
         ("graph components", {"node_ids": [0, "1"]}, "node_ids[1]"),
         ("graph components", {"node_ids": [0, 1.5]}, "node_ids[1]"),
+        ("graph components", {"node_ids": [-4, -4]}, "in.json: node ids must be unique\n"),
     ])
     def test_non_numeric_values_rejected(self, tmp_path, capsys, command, document, field):
         if command == "graph build":
@@ -900,10 +903,9 @@ class TestCli:
             expected, expected_counts = forward_bytes()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("subgraph or index_of called on the forward path")
+            raise AssertionError("subgraph called on the forward path")
 
         monkeypatch.setattr(graph.ProposalGraph, "subgraph", refuse)
-        monkeypatch.setattr(graph.ProposalGraph, "index_of", refuse)
         got, counts = forward_bytes()
         assert got == expected and counts == expected_counts
         # The scene sweeps components and filters proposals, so every pooling step ran.
@@ -1052,6 +1054,89 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
+
+    def test_cut_ncut_overflowing_degrees_exit_two(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"nodes": 3, "node_ids": [0, 1, 2], "edges": [[0, 1, 1e308], [1, 2, 1e308]]}))
+        result = run_cli(["cut", "ncut", "--input", str(path)], tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"numerical failure: {path}: component 0 (3 nodes): "
+                                 "weighted degrees of 3 nodes overflow: their total is not finite\n")
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["gen", "--clusters", "1", "--per-cluster", "1", "--seed", "1",
+          "--feature-dim", "1000000000000", "--output", "s.json"],
+         "1 clusters x 1 proposals x (4 box values + feature_dim 1000000000000) "
+         "need 1000000000004"),
+        (["gen", "--clusters", "100000000000000000000", "--per-cluster", "1", "--seed", "1",
+          "--output", "s.json"],
+         "100000000000000000000 clusters x 1 proposals x (4 box values + feature_dim 0) "
+         "need 400000000000000000000"),
+        (["gen", "--clusters", "8192", "--per-cluster", "8192", "--seed", "1",
+          "--feature-dim", "0", "--output", "s.json"],
+         "8192 clusters x 8192 proposals x (4 box values + feature_dim 0) need 268435456"),
+        (["params", "init", "--feature-dim", "1000000000000", "--output", "p.json"],
+         "head_count 1, feature_dim 1000000000000 and output_dim None need 2000000000001"),
+        (["params", "init", "--feature-dim", "4096", "--heads", "8", "--out-dim", "4096",
+          "--output", "p.json"],
+         "head_count 8, feature_dim 4096 and output_dim 4096 need 134283272"),
+    ], ids=["gen-feature-dim", "gen-clusters", "gen-proposals", "params-feature-dim",
+            "params-projection"])
+    def test_sizes_over_the_float_limit_exit_one_before_allocating(self, tmp_path, capsys,
+                                                                   argv, sizes):
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {sizes} float64 values, "
+                                f"over the limit of {2**27}\n")
+        assert os.listdir(tmp_path) == []
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_graph_components_removes_the_file_ids_of_small_components(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12), label="nodes")
+        ids = data.draw(st.lists(
+            st.one_of(st.sampled_from([-2**63, 2**63 - 1, 0]),
+                      st.integers(min_value=-2**63, max_value=2**63 - 1)),
+            min_size=n, max_size=n, unique=True), label="node_ids")
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+            max_size=2 * n), label="pairs") if n else []
+        edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
+                                     min_size=len(edges), max_size=len(edges)), label="weights")
+        min_size = data.draw(st.integers(min_value=1, max_value=5), label="min_size")
+        # The expected ids, from a union-find of the test's own.
+        root = list(range(n))
+
+        def find(k):
+            while root[k] != k:
+                k = root[k]
+            return k
+
+        for i, j in edges:
+            root[find(i)] = find(j)
+        sizes = [0] * n
+        for k in range(n):
+            sizes[find(k)] += 1
+        expected = sorted(ids[k] for k in range(n) if sizes[find(k)] < min_size)
+        document = {"nodes": n, "node_ids": ids,
+                    "edges": [[i, j, w] for (i, j), w in zip(edges, weights)]}
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "g.json")
+            with open(path, "w") as stream:
+                json.dump(document, stream)
+            out = stdio.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_command(["graph", "components", "--input", path,
+                                    "--min-size", str(min_size)])
+        assert code == 0
+        result = json.loads(out.getvalue())
+        assert result["removed"] == expected
+        assert sorted(result["sizes"]) == sorted(sizes[k] for k in range(n) if find(k) == k)
 
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0

@@ -37,7 +37,8 @@ def valid_documents() -> dict:
               "epsilon": 1e-8, "norm_mode": "moment_match", "dense_attention": False,
               "iou_bias": True, "per_channel": False}
     graph = graph_to_dict(graph_from_edges(
-        4, [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.8), (0, 2, 0.1)], node_ids=[5, 6, 7, 8]))
+        4, [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.8), (0, 2, 0.1)]))
+    graph["node_ids"] = [5, 6, 7, 8]
     # Round-trip through text: the documents hold only what json.load returns.
     return {name: json.loads(dumps_canonical(doc)) for name, doc in
             {"proposals": scene, "params": params, "config": config, "graph": graph}.items()}

@@ -141,7 +141,6 @@ class TestForward:
         assert result.features.shape == (6, 4)
         assert result.diagnostics.component_count == 2
         assert result.diagnostics.part_count == 2
-        assert result.diagnostics.coarse_count == 2
         assert result.diagnostics.pseudo_labels == (0, 0, 0, 1, 1, 1)
 
     def test_no_gcpool_equals_forward_when_nothing_pools(self):
@@ -153,7 +152,7 @@ class TestForward:
         config = PipelineConfig()
         with_pool = forward(boxes, features, params, config, use_gcpool=True)
         without = forward(boxes, features, params, config, use_gcpool=False)
-        assert with_pool.diagnostics.coarse_count == 0
+        assert with_pool.diagnostics.part_count == 0
         assert np.array_equal(with_pool.features, without.features)
 
     def test_isolated_proposals_keep_moments(self):
@@ -180,7 +179,7 @@ class TestForward:
         params = AttentionParams.initialize(3, seed=0)
         result = forward(np.zeros((0, 4)), np.zeros((0, 3)), params, PipelineConfig())
         assert result.features.shape == (0, 3)
-        assert result.original_ids == ()
+        assert result.diagnostics.filtered_ids == ()
 
     def test_one_dimensional_features_rejected(self):
         params = AttentionParams.initialize(3, seed=0)

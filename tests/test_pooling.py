@@ -59,8 +59,8 @@ class TestGcpool:
         assert labeling.labels == (0, 0, 0, 1, 1, 1, None)
         assert labeling.part_count == 2
         assert len(coarse) == 2
-        assert coarse[0].member_ids == (0, 1, 2)
-        assert coarse[1].member_ids == (3, 4, 5)
+        assert coarse[0].members.tolist() == [0, 1, 2]
+        assert coarse[1].members.tolist() == [3, 4, 5]
         assert np.array_equal(coarse[0].feature, g.features[:3].mean(axis=0))
         assert np.array_equal(coarse[1].feature, g.features[3:6].mean(axis=0))
 
@@ -94,7 +94,7 @@ class TestGcpool:
         g = graph_from_edges(9, edges, features=features)
         labeling, coarse = gcpool(g, min_size=3, stop_ncut=0.5)
         assert labeling.part_count == 3
-        assert [c.member_ids for c in coarse] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        assert [c.members.tolist() for c in coarse] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         for k, c in enumerate(coarse):
             assert np.max(np.abs(c.feature - features[3 * k : 3 * k + 3].mean(axis=0))) <= 1e-12
 
@@ -106,7 +106,7 @@ class TestGcpool:
         assert labeling.part_count == 1
         members = set()
         for c in coarse:
-            members.update(c.member_ids)
+            members.update(c.members.tolist())
         assert 6 not in members
         assert labeling.labels[6] is None
 
@@ -119,9 +119,10 @@ class TestGcpool:
         edges = [(int(min(perm[i], perm[j])), int(max(perm[i], perm[j])), w)
                  for i, j, w in g.edges()]
         permuted = graph_from_edges(7, edges, features=g.features[inverse])
-        base_parts = {frozenset(c.member_ids) for c in gcpool(g, min_size=2, stop_ncut=0.5)[1]}
+        base_parts = {frozenset(c.members.tolist())
+                      for c in gcpool(g, min_size=2, stop_ncut=0.5)[1]}
         permuted_parts = {
-            frozenset(int(inverse[m]) for m in c.member_ids)
+            frozenset(int(inverse[m]) for m in c.members)
             for c in gcpool(permuted, min_size=2, stop_ncut=0.5)[1]
         }
         assert base_parts == permuted_parts
@@ -148,7 +149,7 @@ class TestAugment:
         # a 2-node split costs exactly 2.0, so stop_ncut=0.5 keeps the pair whole
         g = graph_from_edges(2, [(0, 1, 0.37)], features=np.ones((2, 1)))
         _, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
-        assert len(coarse) == 1 and coarse[0].member_ids == (0, 1)
+        assert len(coarse) == 1 and coarse[0].members.tolist() == [0, 1]
         augmented = augment_with_coarse(g, coarse)
         assert augmented.num_nodes == 3
         new_edges = [e for e in augmented.edges() if e[1] == 2]
@@ -157,28 +158,32 @@ class TestAugment:
     def test_singleton_part_weight_is_one(self):
         g = graph_from_edges(3, [(0, 1, 0.5)], features=np.zeros((3, 1)))
         labeling, coarse = gcpool(g, min_size=1, stop_ncut=0.5)
-        singleton = [c for c in coarse if len(c.member_ids) == 1]
+        singleton = [k for k, c in enumerate(coarse) if c.members.size == 1]
         assert singleton
         augmented = augment_with_coarse(g, coarse)
         base = g.num_nodes
-        for c in singleton:
+        for k in singleton:
             edge = [e for e in augmented.edges()
-                    if e[1] == base + c.source_part and e[0] == c.member_ids[0]]
+                    if e[1] == base + k and e[0] == coarse[k].members[0]]
             assert edge and edge[0][2] == 1.0
 
     def test_unknown_or_shared_members_rejected(self):
         g = bridged_triangles_plus_isolated()
         feature = np.zeros(2)
-        with pytest.raises(InputError, match="unknown node id 9"):
-            augment_with_coarse(g, [CoarseNode(feature, (0, 9), 0)])
+        for outside in (7, 9, -1):
+            with pytest.raises(InputError,
+                               match=rf"^coarse member {outside} is not a node index in \[0, 7\)$"):
+                augment_with_coarse(g, [CoarseNode(feature, np.array([0, 1])),
+                                        CoarseNode(feature, np.array([2, outside]))])
         with pytest.raises(InputError, match="share members"):
-            augment_with_coarse(g, [CoarseNode(feature, (0, 1), 0), CoarseNode(feature, (1, 2), 1)])
+            augment_with_coarse(g, [CoarseNode(feature, np.array([0, 1])),
+                                    CoarseNode(feature, np.array([1, 2]))])
         with pytest.raises(InputError, match="share members"):
-            augment_with_coarse(g, [CoarseNode(feature, (3, 3), 0)])
+            augment_with_coarse(g, [CoarseNode(feature, np.array([3, 3]))])
         with pytest.raises(InputError, match="dimension"):
-            augment_with_coarse(g, [CoarseNode(np.zeros(3), (0, 1), 0)])
+            augment_with_coarse(g, [CoarseNode(np.zeros(3), np.array([0, 1]))])
         with pytest.raises(InputError, match="finite"):
-            augment_with_coarse(g, [CoarseNode(np.array([0.0, np.nan]), (0, 1), 0)])
+            augment_with_coarse(g, [CoarseNode(np.array([0.0, np.nan]), np.array([0, 1]))])
 
     def test_original_structure_untouched(self):
         g = bridged_triangles_plus_isolated()
@@ -187,7 +192,6 @@ class TestAugment:
         assert augmented.num_nodes == g.num_nodes + len(coarse)
         old = [e for e in augmented.edges() if e[1] < g.num_nodes]
         assert old == g.edges()
-        assert list(augmented.node_ids[: g.num_nodes]) == list(g.node_ids)
         assert np.array_equal(augmented.features[: g.num_nodes], g.features)
 
     def test_clique_part_weights_are_mean_adjacency(self):
@@ -207,20 +211,18 @@ class TestAugment:
         n = int(rng.integers(2, 30))
         ii, jj = np.triu_indices(n, k=1)
         hit = rng.random(ii.size) < 0.5
-        ids = rng.permutation(3 * n)[:n]  # ids do not ascend with the index
         g = graph_from_edges(n, zip(ii[hit], jj[hit], rng.random(hit.sum())),
-                             features=rng.normal(size=(n, 2)), node_ids=ids)
-        # Random disjoint parts, each listed by ascending id as gcpool does.
+                             features=rng.normal(size=(n, 2)))
+        # Random disjoint parts, each listed by ascending index as gcpool does.
         cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
         parts = np.split(rng.permutation(n), cuts)
-        coarse = [CoarseNode(feature=np.zeros(2), member_ids=tuple(sorted(int(i) for i in ids[p])),
-                             source_part=k) for k, p in enumerate(parts)]
+        coarse = [CoarseNode(feature=np.zeros(2), members=np.sort(p)) for p in parts]
         augmented = augment_with_coarse(g, coarse)
         got = {(int(i), int(j)): w
                for (i, j), w in zip(augmented.edge_index, augmented.edge_weight)}
         adjacency = g.adjacency()
         for k, node in enumerate(coarse):
-            member_idx = g.index_of(node.member_ids)
+            member_idx = node.members
             for idx in member_idx:
                 others = member_idx[member_idx != idx]
                 expected = adjacency[idx, others].mean() if others.size else 1.0
@@ -234,8 +236,7 @@ def pooling_scene(rng):
     Components are random trees plus chords. About one edge in eight weighs
     0.0, which still connects its endpoints. Twins copy another node's
     edges exactly, so their Fiedler entries tie. The nodes are shuffled, so
-    components interleave in index order, and the ids neither start at 0
-    nor ascend with the index.
+    components interleave in index order.
     """
     def weight():
         return 0.0 if rng.random() < 0.12 else float(rng.choice([0.25, 0.5, rng.uniform(0.05, 1)]))
@@ -261,10 +262,9 @@ def pooling_scene(rng):
             n += 1
         size += n
     perm = rng.permutation(size)
-    ids = rng.permutation(4 * size)[:size] + 7
     features = rng.normal(size=(size, 3))
     return graph_from_edges(size, [(int(perm[i]), int(perm[j]), w) for (i, j), w in edges.items()],
-                            features=features, node_ids=ids)
+                            features=features)
 
 
 def outcome(fn, *args, **kwargs):
@@ -280,7 +280,7 @@ def raised(result) -> bool:
 
 
 def assert_same_graph(got, expected):
-    for name in ("features", "edge_index", "edge_weight", "node_ids"):
+    for name in ("features", "edge_index", "edge_weight"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -311,8 +311,7 @@ class TestGroupedEdgeSlices:
         assert labeling.part_count == ref_labeling.part_count
         assert labeling.component_count == ref_labeling.component_count
         assert labeling.solves == ref_labeling.solves
-        assert [c.member_ids for c in coarse] == [c.member_ids for c in ref_coarse]
-        assert [c.source_part for c in coarse] == [c.source_part for c in ref_coarse]
+        assert [c.members.tolist() for c in coarse] == [c.members.tolist() for c in ref_coarse]
         assert [c.feature.tobytes() for c in coarse] == [c.feature.tobytes() for c in ref_coarse]
         assert_same_graph(augment_with_coarse(g, coarse), reference_augment_with_coarse(g, coarse))
 
@@ -332,7 +331,5 @@ class TestGroupedEdgeSlices:
         n = g.num_nodes
         cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
         parts = [p for p in np.split(rng.permutation(n), cuts) if rng.random() < 0.8]
-        coarse = [CoarseNode(feature=rng.normal(size=3),
-                             member_ids=tuple(int(i) for i in g.node_ids[p]), source_part=k)
-                  for k, p in enumerate(parts)]
+        coarse = [CoarseNode(feature=rng.normal(size=3), members=p) for p in parts]
         assert_same_graph(augment_with_coarse(g, coarse), reference_augment_with_coarse(g, coarse))

@@ -114,6 +114,33 @@ class TestNormalizedLaplacian:
         assert abs(values[0]) <= 1e-9
 
 
+class TestOverflowingDegrees:
+    """Weights whose degrees overflow a float raise NumericalError, not numpy's warning.
+
+    pytest's ``filterwarnings`` turns a RuntimeWarning into a failure.
+    """
+
+    @staticmethod
+    def path3():
+        return graph_from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+
+    @pytest.mark.parametrize("call", [
+        lambda g: recursive_ncut(g, 0.5),
+        lambda g: recursive_ncut(g, 0.5, connected=True),
+        two_way_ncut,
+        normalized_laplacian,
+        lambda g: ncut_value(g, Partition(labels=np.array([0, 0, 1]), set_count=2)),
+    ], ids=["recursive", "recursive-connected", "two-way", "laplacian", "ncut-value"])
+    def test_raises_numerical_error_without_a_warning(self, call):
+        with pytest.raises(NumericalError, match="^weighted degrees of 3 nodes overflow"):
+            call(self.path3())
+
+    def test_largest_finite_total_still_cuts(self):
+        g = graph_from_edges(3, [(0, 1, 4e307), (1, 2, 4e307)])
+        assert recursive_ncut(g, 0.5).set_count == 1
+        assert two_way_ncut(g)[1].ncut_value == pytest.approx(4 / 3)
+
+
 class TestEigensolver:
     def test_matches_lapack_oracle(self):
         rng = np.random.default_rng(11)
