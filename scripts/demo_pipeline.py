@@ -47,10 +47,11 @@ def main() -> None:
         g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
     )
     print(f"gcpool: {labeling.part_count} parts, "
-          f"{sum(1 for v in labeling.labels if v is None)} proposals filtered")
-    for part, node in enumerate(coarse):
-        print(f"  part {part}: members {tuple(node.members.tolist())}, "
-              f"|mean feature| = {np.linalg.norm(node.feature):.4f}")
+          f"{np.count_nonzero(labeling.labels == -1)} proposals filtered")
+    for part, feature in enumerate(coarse):
+        members = tuple(np.flatnonzero(labeling.labels == part).tolist())
+        print(f"  part {part}: members {members}, "
+              f"|mean feature| = {np.linalg.norm(feature):.4f}")
 
     params = AttentionParams.initialize(
         features.shape[1], head_count=1, output_dim=features.shape[1], seed=args.seed,

@@ -100,9 +100,9 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
         config = PipelineConfig()
         g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), config.iou_thr)
         start = time.perf_counter()
-        _, coarse = pooling.gcpool(g, min_size=config.min_size, stop_ncut=config.stop_ncut,
-                                   min_part=config.min_part)
-        pooling.augment_with_coarse(g, coarse)
+        labeling, coarse = pooling.gcpool(g, min_size=config.min_size,
+                                          stop_ncut=config.stop_ncut, min_part=config.min_part)
+        pooling.augment_with_coarse(g, labeling.labels, coarse)
         row["pool_s"] = round(time.perf_counter() - start, 3)
     return row
 

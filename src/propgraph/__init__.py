@@ -32,7 +32,7 @@ from .graph import (
 from .io import ProposalDocument, load_proposals, save_proposals
 from .oracles import brute_force_ncut, finite_difference_gradients
 from .pipeline import PipelineDiagnostics, RefinedProposals, forward, identical_normalize
-from .pooling import CoarseNode, PseudoLabeling, augment_with_coarse, gcpool, pool_part
+from .pooling import PseudoLabeling, augment_with_coarse, gcpool, pool_part
 from .spectral import (
     CutReport,
     Partition,
@@ -55,7 +55,6 @@ __all__ = [
     "AttentionParams",
     "BoundingBox",
     "ComponentLabeling",
-    "CoarseNode",
     "CutReport",
     "InputError",
     "NumericalError",

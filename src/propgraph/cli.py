@@ -31,7 +31,7 @@ import numpy as np
 from . import io as pio
 from .attention import AttentionDegrees, AttentionParams, attention_gradients, multi_head_attend
 from .config import PipelineConfig
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_float_count
 from .graph import build_graph, connected_components, induced_subgraphs
 from .oracles import (
     BRUTE_FORCE_MAX_NODES,
@@ -214,7 +214,7 @@ def _cmd_cut_ncut(args) -> int:
     stop = args.stop_ncut if args.stop_ncut is not None else PipelineConfig().stop_ncut
     _check_split_rule(stop, args.min_part)
     comp = connected_components(g)
-    labels: list[Optional[int]] = [None] * g.num_nodes
+    labels = np.empty(g.num_nodes, dtype=np.int64)
     per_component = []
     next_label = 0
     unchecked = 0
@@ -239,15 +239,14 @@ def _cmd_cut_ncut(args) -> int:
         except (InputError, NumericalError) as exc:
             where = f"{args.input}: component {component} ({idx.size} nodes)"
             raise type(exc)(f"{where}: {exc}") from exc
-        for local, node in enumerate(idx):
-            labels[int(node)] = next_label + int(partition.labels[local])
+        labels[idx] = next_label + partition.labels
         per_component.append(entry)
         next_label += partition.set_count
     report = {"nodes": g.num_nodes, "edges": g.num_edges, "stop_ncut": stop}
     if args.brute_force:
         report["unchecked"] = unchecked
     _emit({
-        "labels": labels,
+        "labels": labels.tolist(),
         "set_count": next_label,
         "components": per_component,
         "report": report,
@@ -267,7 +266,7 @@ def _cmd_pool_gcpool(args) -> int:
         digest = pio.write_json(args.output, pio.partition_to_dict(labeling, coarse))
     _report("pool gcpool", config,
             {"proposals": document.num_proposals, "edges": g.num_edges,
-             "parts": labeling.part_count, "coarse": len(coarse),
+             "parts": labeling.part_count, "coarse": labeling.part_count,
              **dataclasses.asdict(labeling.solves)},
             timings_ms, {args.output: digest})
     return 0
@@ -308,11 +307,13 @@ def _cmd_forward(args) -> int:
     with _timed(timings_ms, "write"):
         digest = pio.save_features(result.features, args.output)
     diag = result.diagnostics
+    labeling = diag.labeling
     _report("forward", config,
             {"proposals": diag.node_count, "edges": diag.edge_count,
-             "components": diag.component_count, "filtered": len(diag.filtered_ids),
-             "parts": diag.part_count, "coarse": diag.part_count,
-             "gcpool": not args.no_gcpool, **dataclasses.asdict(diag.solves),
+             "components": labeling.component_count,
+             "filtered": int(np.count_nonzero(labeling.labels == -1)),
+             "parts": labeling.part_count, "coarse": labeling.part_count,
+             "gcpool": not args.no_gcpool, **dataclasses.asdict(labeling.solves),
              **_degree_counts(diag.attention)},
             timings_ms, {args.output: digest})
     return 0
@@ -331,6 +332,8 @@ def _cmd_oracle_ncut(args) -> int:
     rng = _oracle_rng(args)
     if args.max_n < 2:
         raise InputError(f"max_n must be >= 2, got {args.max_n}")
+    check_float_count(args.max_n * args.max_n,
+                      f"max_n {args.max_n} x {args.max_n} adjacency weights")
     worst_gap = 0.0
     worst_eval = 0.0
     failures = 0

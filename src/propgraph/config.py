@@ -65,11 +65,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
+        # Only the on-disk spelling "lambda" names lambda_.
+        known = {f.name for f in fields(cls)} - {"lambda_"} | {"lambda"}
         kwargs = {}
         for key, value in data.items():
-            name = "lambda_" if key == "lambda" else key
-            if name not in known:
+            if key not in known:
                 raise InputError(f"unknown config field {key!r}")
-            kwargs[name] = value
+            kwargs["lambda_" if key == "lambda" else key] = value
         return cls(**kwargs)

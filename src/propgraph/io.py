@@ -44,7 +44,7 @@ from .config import PipelineConfig
 from .errors import InputError
 from .geometry import first_flat_box, first_invalid_box, spatial_descriptor
 from .graph import ProposalGraph
-from .pooling import CoarseNode, PseudoLabeling
+from .pooling import PseudoLabeling
 
 
 # ----------------------------------------------------------------------
@@ -593,15 +593,16 @@ def load_graph(path: str) -> tuple[ProposalGraph, np.ndarray]:
     return graph_from_dict(read_json(path), source=path)
 
 
-def partition_to_dict(labeling: PseudoLabeling, coarse: list[CoarseNode]) -> dict:
-    """The partition file's value; coarse features are preformatted, one matrix pass."""
-    features = _float_rows(np.array([node.feature for node in coarse], dtype=np.float64)) \
-        if coarse else []
+def partition_to_dict(labeling: PseudoLabeling, coarse: np.ndarray) -> dict:
+    """The partition file's value: null for label -1, part k's members from one stable
+    argsort of the labels, and the coarse features preformatted in one matrix pass."""
+    ends = np.cumsum(np.bincount(labeling.labels + 1, minlength=labeling.part_count + 1))
+    members = np.split(np.argsort(labeling.labels, kind="stable"), ends[:-1])[1:]
     return {
-        "labels": list(labeling.labels),
+        "labels": [None if label < 0 else label for label in labeling.labels.tolist()],
         "coarse": [
-            {"feature": _Raw(feature), "members": node.members.tolist()}
-            for node, feature in zip(coarse, features)
+            {"feature": _Raw(feature), "members": part.tolist()}
+            for feature, part in zip(_float_rows(coarse), members)
         ],
     }
 

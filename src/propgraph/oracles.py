@@ -9,14 +9,14 @@ test suite both use this module; no forward-path module imports it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .attention import AttentionGradients, AttentionParams, multi_head_attend
 from .errors import InputError
 from .graph import ProposalGraph, connected_components, graph_from_edges
-from .pooling import CoarseNode, PseudoLabeling, _pooled
+from .pooling import PseudoLabeling, _pooled
 from .spectral import (
     _CERTIFY_MARGIN,
     CutReport,
@@ -183,7 +183,7 @@ def reference_recursive_ncut(
 
 def reference_gcpool(
     g: ProposalGraph, min_size: int, stop_ncut: float, min_part: int = 1
-) -> tuple[PseudoLabeling, list[CoarseNode]]:
+) -> tuple[PseudoLabeling, np.ndarray]:
     """``gcpool`` through one ``subgraph`` per component and ``reference_recursive_ncut``."""
     if min_size < 1:
         raise InputError(f"min_size must be >= 1, got {min_size}")
@@ -203,28 +203,28 @@ def reference_gcpool(
     return _pooled(g, parts, components.count, solves)
 
 
-def reference_augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> ProposalGraph:
-    """``augment_with_coarse`` through one ``subgraph`` per part and the checking
-    constructor, which sorts the appended edges itself."""
-    if not coarse:
-        return g
+def reference_augment_with_coarse(
+    g: ProposalGraph, labels: np.ndarray, coarse: np.ndarray
+) -> ProposalGraph:
+    """``augment_with_coarse`` through ``np.flatnonzero(labels == k)`` and one
+    ``subgraph`` per part, and the checking constructor, which sorts the
+    appended edges itself."""
     m = g.num_nodes
-    member_lists = [np.asarray(node.members, dtype=np.int64) for node in coarse]
-    all_members = np.concatenate(member_lists)
-    part_sizes = np.array([members.size for members in member_lists], dtype=np.int64)
+    if coarse.shape[0] == 0:
+        return g
+    member_lists = [np.flatnonzero(labels == k) for k in range(coarse.shape[0])]
     weights = []
-    for member_idx in member_lists:
-        n = member_idx.size
+    for members in member_lists:
+        n = members.size
         if n <= 1:
             weights.append(np.ones(n))
             continue
-        ascending = np.sort(member_idx)
-        pos = np.searchsorted(ascending, member_idx)
-        block = g.subgraph(ascending).adjacency()[np.ix_(pos, pos)]
+        block = g.subgraph(members).adjacency()
         weights.append(block[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
-    coarse_index = np.repeat(np.arange(m, m + len(coarse), dtype=np.int64), part_sizes)
+    all_members = np.concatenate(member_lists)
+    coarse_index = m + labels[all_members]
     return ProposalGraph(
-        features=np.concatenate([g.features, np.stack([node.feature for node in coarse])]),
+        features=np.concatenate([g.features, coarse]),
         edge_index=np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)]),
         edge_weight=np.concatenate([g.edge_weight, *weights]),
     )

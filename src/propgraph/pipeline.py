@@ -26,18 +26,15 @@ from .spectral import SolveCounts
 class PipelineDiagnostics:
     """Structure report for one forward run.
 
-    ``filtered_ids`` are the indices of the proposals pooling filtered out;
-    ``solves`` is all zeros without pooling; ``attention`` covers every row
-    attention ran on, coarse nodes included, and is all zeros with no nodes.
+    ``labeling`` is pooling's result. Without pooling its ``labels`` are
+    empty, it has 0 parts and zero solves, and it still counts the graph's
+    components. ``attention`` covers every row attention ran on, coarse
+    nodes included, and is all zeros with no nodes.
     """
 
     node_count: int
     edge_count: int
-    component_count: int
-    filtered_ids: tuple[int, ...]
-    part_count: int
-    pseudo_labels: tuple[Optional[int], ...]
-    solves: SolveCounts
+    labeling: PseudoLabeling
     attention: AttentionDegrees
 
 
@@ -144,12 +141,11 @@ def forward(
         labeling, coarse = gcpool(
             g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
         )
-        augmented = augment_with_coarse(g, coarse)
+        augmented = augment_with_coarse(g, labeling.labels, coarse)
     else:
-        labeling = PseudoLabeling(
-            labels=(None,) * m, part_count=0, component_count=connected_components(g).count,
-            solves=SolveCounts(),
-        )
+        labeling = PseudoLabeling(labels=np.empty(0, dtype=np.int64), part_count=0,
+                                  component_count=connected_components(g).count,
+                                  solves=SolveCounts())
         augmented = g
     degrees = AttentionDegrees()
     if m == 0:
@@ -175,17 +171,7 @@ def forward(
         mode=config.norm_mode,
         per_channel=config.per_channel,
     )
-    filtered_ids = tuple(
-        node for node, label in enumerate(labeling.labels) if label is None
-    ) if use_gcpool else ()
     diagnostics = PipelineDiagnostics(
-        node_count=m,
-        edge_count=g.num_edges,
-        component_count=labeling.component_count,
-        filtered_ids=filtered_ids,
-        part_count=labeling.part_count,
-        pseudo_labels=labeling.labels,
-        solves=labeling.solves,
-        attention=degrees,
+        node_count=m, edge_count=g.num_edges, labeling=labeling, attention=degrees
     )
     return RefinedProposals(features=output, diagnostics=diagnostics)

@@ -5,7 +5,9 @@ stage 2 partitions each surviving component by recursive normalized cut
 and filters undersized parts with the same threshold, stage 3 averages
 each part's features into one coarse context node. Coarse nodes can then
 be injected back into the graph so that attention sees a sparse global
-summary next to the original proposals.
+summary next to the original proposals. Pooling's result is a labelling,
+an (M,) int64 array with -1 for a filtered node, and a (P, d) matrix of
+coarse features, row k for part k; ``augment_with_coarse`` takes that pair.
 
 Both ``gcpool`` and ``augment_with_coarse`` cut the graph once with
 ``graph.induced_subgraphs``: one stable sort groups the edges by component
@@ -18,7 +20,6 @@ route as the reference that the tests hold these to, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,25 +30,17 @@ from .spectral import SolveCounts, _check_split_rule, recursive_ncut
 
 @dataclass(frozen=True, eq=False)
 class PseudoLabeling:
-    """Per-node part assignment; ``None`` marks a node filtered out.
+    """Per-node part assignment: ``labels`` is (M,) int64, -1 for a filtered node.
 
     ``component_count`` is the number of connected components of the pooled
     graph, filtered ones included; ``solves`` counts how the normalized cut
     settled each connected set it considered.
     """
 
-    labels: tuple[Optional[int], ...]
+    labels: np.ndarray
     part_count: int
     component_count: int
     solves: SolveCounts
-
-
-@dataclass(frozen=True, eq=False)
-class CoarseNode:
-    """Average-pooled summary of one part; ``members`` are its node indices, ascending."""
-
-    feature: np.ndarray
-    members: np.ndarray
 
 
 def pool_part(features: np.ndarray) -> np.ndarray:
@@ -63,13 +56,13 @@ def gcpool(
     min_size: int,
     stop_ncut: float,
     min_part: int = 1,
-) -> tuple[PseudoLabeling, list[CoarseNode]]:
+) -> tuple[PseudoLabeling, np.ndarray]:
     """Run the full pooling pipeline on a proposal graph.
 
-    Returns the pseudo-labeling over the input graph's nodes (None for
-    filtered nodes) and one coarse node per surviving part, ordered by part
-    label. Part labels are dense and ascend with each part's smallest
-    original node index.
+    Returns the pseudo-labeling over the input graph's nodes (-1 for
+    filtered nodes) and the (P, d) coarse features, row k the mean feature
+    of part k. Part labels are dense and ascend with each part's smallest
+    node index.
     """
     if min_size < 1:
         raise InputError(f"min_size must be >= 1, got {min_size}")
@@ -95,76 +88,65 @@ def gcpool(
 
 def _pooled(
     g: ProposalGraph, parts: list[np.ndarray], component_count: int, solves: SolveCounts
-) -> tuple[PseudoLabeling, list[CoarseNode]]:
-    """The labeling and coarse nodes of ``parts``, each an array of ascending indices of g."""
+) -> tuple[PseudoLabeling, np.ndarray]:
+    """The labeling and coarse features of ``parts``, each an array of ascending indices of g."""
     parts = sorted(parts, key=lambda members: int(members[0]))
-    labels: list[Optional[int]] = [None] * g.num_nodes
-    coarse: list[CoarseNode] = []
+    labels = np.full(g.num_nodes, -1, dtype=np.int64)
+    coarse = np.empty((len(parts), g.feature_dim), dtype=np.float64)
     for part_label, members in enumerate(parts):
-        for node in members:
-            labels[int(node)] = part_label
+        labels[members] = part_label
         with np.errstate(over="ignore"):
-            feature = pool_part(g.features[members])
-        if not np.isfinite(feature).all():
+            coarse[part_label] = pool_part(g.features[members])
+        if not np.isfinite(coarse[part_label]).all():
             raise NumericalError(
                 f"pooling: the mean feature of part {part_label} ({members.size} members) "
                 f"is not finite"
             )
-        coarse.append(CoarseNode(feature=feature, members=members))
-    labeling = PseudoLabeling(
-        labels=tuple(labels), part_count=len(parts), component_count=component_count,
-        solves=solves,
-    )
-    return labeling, coarse
+    return PseudoLabeling(labels, len(parts), component_count, solves), coarse
 
 
-def augment_with_coarse(g: ProposalGraph, coarse: Sequence[CoarseNode]) -> ProposalGraph:
-    """Append coarse context nodes to the graph.
+def augment_with_coarse(g: ProposalGraph, labels: np.ndarray, coarse: np.ndarray) -> ProposalGraph:
+    """Append one coarse context node per row of the (P, d) ``coarse`` features.
 
-    Each coarse node connects to every member of its part; the weight to
-    member m is the mean adjacency weight between m and the part's other
-    members (1.0 for a singleton part). Members are node indices in [0, M)
-    and parts must be disjoint, as ``gcpool``'s are. Original nodes and
-    edges are untouched; coarse node k gets index M + k.
+    Part k is the nodes that ``labels``, an (M,) integer array, labels k;
+    -1 marks a node in no part. Coarse node k gets index M + k and connects
+    to every member of part k; the weight to member m is the mean adjacency
+    weight between m and the part's other members (1.0 for a singleton
+    part). Original nodes and edges are untouched.
     """
-    if not coarse:
-        return g
     m = g.num_nodes
-    member_lists = [np.asarray(node.members, dtype=np.int64) for node in coarse]
-    all_members = np.concatenate(member_lists)
-    outside = (all_members < 0) | (all_members >= m)
+    labels = np.asarray(labels)
+    if labels.shape != (m,) or not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"labels must be an ({m},) integer array, got {labels.dtype} "
+                         f"of shape {labels.shape}")
+    labels = labels.astype(np.int64, copy=False)
+    coarse = np.asarray(coarse, dtype=np.float64)
+    if coarse.ndim != 2 or coarse.shape[1] != g.feature_dim:
+        raise InputError(f"coarse features must have shape (P, {g.feature_dim}), "
+                         f"got {coarse.shape}")
+    parts = coarse.shape[0]
+    outside = (labels < -1) | (labels >= parts)
     if outside.any():
-        raise InputError(f"coarse member {int(all_members[np.argmax(outside)])} "
-                         f"is not a node index in [0, {m})")
-    if np.bincount(all_members, minlength=m).max(initial=0) > 1:
-        raise InputError("coarse nodes must not share members")
-    part_sizes = np.array([members.size for members in member_lists], dtype=np.int64)
-    part_of = np.full(m, -1, dtype=np.int64)
-    part_of[all_members] = np.repeat(np.arange(len(coarse)), part_sizes)
-    weights = []
-    for node, member_idx, (ascending, part) in zip(
-        coarse, member_lists, induced_subgraphs(g, part_of, len(coarse))
-    ):
-        if np.shape(node.feature) != (g.feature_dim,):
-            raise InputError("coarse feature dimension does not match the graph")
-        n = member_idx.size
-        if n <= 1:
-            weights.append(np.ones(n))
-            continue
-        # The part's dense block in member order; row k without its diagonal
-        # entry lists member k's weights to the other members in that order.
-        pos = np.searchsorted(ascending, member_idx)
-        block = part.adjacency()[np.ix_(pos, pos)]
-        weights.append(block[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
-    coarse_features = np.array([node.feature for node in coarse], dtype=np.float64)
-    if not np.all(np.isfinite(coarse_features)):
-        raise InputError("node features must be finite")
+        raise InputError(f"label {labels[np.argmax(outside)]} is not -1 or a part in [0, {parts})")
+    if not np.all(np.isfinite(coarse)):
+        raise InputError("coarse features must be finite")
+    if parts == 0:
+        return g
+    member_lists, weights = [], []
+    for members, part in induced_subgraphs(g, labels, parts):
+        member_lists.append(members)
+        n = members.size
+        # Members ascend, so row k of the part's dense block without its
+        # diagonal entry lists member k's weights to the other members.
+        weights.append(np.ones(n) if n <= 1 else
+                       part.adjacency()[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
+    all_members = np.concatenate(member_lists)
+    coarse_index = m + labels[all_members]
     # Every coarse index exceeds every original one, so a stable sort by the
     # first endpoint puts the new edges in lexicographic order among the old.
-    coarse_index = np.repeat(np.arange(m, m + len(coarse), dtype=np.int64), part_sizes)
     order = np.argsort(np.concatenate([g.edge_index[:, 0], all_members]), kind="stable")
     return ProposalGraph._derived(
-        np.concatenate([g.features, coarse_features]),
+        np.concatenate([g.features, coarse]),
         np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)])[order],
         np.concatenate([g.edge_weight, *weights])[order],
     )

@@ -10,6 +10,7 @@ gives scenes with a known component structure.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -39,6 +40,9 @@ def generate_proposals(
         raise InputError("clusters and per_cluster must be >= 1")
     if image_width < 2 or image_height < 2:
         raise InputError("image dimensions must be at least 2 pixels")
+    # ProposalDocument's rule, applied before the first division by a side.
+    if max(image_width, image_height) > sys.float_info.max:
+        raise InputError("image width and height must fit in a float")
     if not 0.0 < jitter < 0.25:
         raise InputError(f"jitter must lie in (0, 0.25), got {jitter}")
     if feature_dim < 0:

@@ -191,12 +191,12 @@ def test_criterion_7_gcpool_structural_recovery():
                 g, min_size=config.min_size, stop_ncut=config.stop_ncut,
                 min_part=config.min_part,
             )
-            if labeling.part_count != c or len(coarse) != c:
+            if labeling.part_count != c or coarse.shape[0] != c:
                 continue
             exact = all(
-                np.max(np.abs(node.feature
-                              - g.features[node.members].mean(axis=0))) <= 1e-12
-                for node in coarse
+                np.max(np.abs(feature
+                              - g.features[labeling.labels == k].mean(axis=0))) <= 1e-12
+                for k, feature in enumerate(coarse)
             )
             if exact:
                 successes += 1
@@ -270,13 +270,14 @@ def test_criterion_8_certified_components_across_thread_counts(tmp_path, monkeyp
             save_proposals(doc, str(tmp_path / f"{name}.json"))
             (tmp_path / f"{name}-config.json").write_text(
                 json.dumps({"iou_thr": config.iou_thr}))
-            diag = forward(doc.normalized_boxes(), doc.feature_matrix(), params, config).diagnostics
+            labeling = forward(doc.normalized_boxes(), doc.feature_matrix(), params,
+                               config).diagnostics.labeling
             if name == "tight":
-                assert diag.part_count == 2 and solves == []
+                assert labeling.part_count == 2 and solves == []
             else:
                 # more parts than components: some split was accepted
-                assert diag.part_count > diag.component_count
-                assert diag.solves.fiedler_certified > 0
+                assert labeling.part_count > labeling.component_count
+                assert labeling.solves.fiedler_certified > 0
             outputs = []
             for threads in ("1", "2"):
                 output = f"{name}-{threads}.json"

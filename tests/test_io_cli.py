@@ -282,15 +282,16 @@ class TestFileBytes:
         params = AttentionParams.initialize(5, head_count=2, output_dim=5, seed=seed)
         g = build_graph(doc.normalized_boxes(), features, 0.3)
         labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
-        assert coarse
+        assert coarse.shape[0] > 0
         cases = [
             (save_features(features, str(tmp_path / "f.json")), "f.json",
              {"ids": list(range(len(features))), "features": features}),
             (save_params(params, str(tmp_path / "p.json")), "p.json", params_to_dict(params)),
             (write_json(str(tmp_path / "c.json"), partition_to_dict(labeling, coarse)), "c.json",
-             {"labels": list(labeling.labels),
-              "coarse": [{"feature": node.feature, "members": node.members.tolist()}
-                         for node in coarse]}),
+             {"labels": [None if label == -1 else label for label in labeling.labels.tolist()],
+              "coarse": [{"feature": feature,
+                          "members": np.flatnonzero(labeling.labels == k).tolist()}
+                         for k, feature in enumerate(coarse)]}),
         ]
         cases.append((save_graph(g, str(tmp_path / "g.json")), "g.json", graph_to_dict(g)))
         empty = graph_from_edges(3, [])
@@ -420,6 +421,27 @@ class TestConfigFiles:
         assert config.lambda_ == 0.25
         assert config.min_size == 4
         assert config.stop_ncut == PipelineConfig().stop_ncut
+
+    @pytest.mark.parametrize("document", [
+        {"lambda_": 0.5}, {"lambda": 1.0, "lambda_": 0.5}, {"lambda_": 0.5, "lambda": 1.0},
+    ], ids=["alone", "after-lambda", "before-lambda"])
+    def test_in_memory_lambda_spelling_rejected(self, tmp_path, capsys, document):
+        with pytest.raises(InputError, match="^unknown config field 'lambda_'$"):
+            PipelineConfig.from_dict(document)
+        scene, params, config, output = (str(tmp_path / name) for name in
+                                         ("scene.json", "params.json", "config.json", "out.json"))
+        assert run_command(["gen", "--clusters", "1", "--per-cluster", "3", "--seed", "0",
+                            "--feature-dim", "2", "--output", scene]) == 0
+        save_params(AttentionParams.initialize(2, seed=0), params)
+        (tmp_path / "config.json").write_text(json.dumps(document))
+        capsys.readouterr()
+        argv = ["forward", "--input", scene, "--params", params, "--config", config,
+                "--output", output]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: unknown config field 'lambda_'\n"
+        assert not os.path.exists(output)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = str(tmp_path / "config.json")
@@ -1082,8 +1104,12 @@ class TestCli:
         (["params", "init", "--feature-dim", "4096", "--heads", "8", "--out-dim", "4096",
           "--output", "p.json"],
          "head_count 8, feature_dim 4096 and output_dim 4096 need 134283272"),
+        (["oracle", "ncut", "--max-n", str(10**30), "--trials", "1"],
+         f"max_n {10**30} x {10**30} adjacency weights need {10**60}"),
+        (["oracle", "ncut", "--max-n", "100000", "--trials", "1"],
+         "max_n 100000 x 100000 adjacency weights need 10000000000"),
     ], ids=["gen-feature-dim", "gen-clusters", "gen-proposals", "params-feature-dim",
-            "params-projection"])
+            "params-projection", "oracle-ncut-max-n-huge", "oracle-ncut-max-n-dense"])
     def test_sizes_over_the_float_limit_exit_one_before_allocating(self, tmp_path, capsys,
                                                                    argv, sizes):
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -1092,6 +1118,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: {sizes} float64 values, "
                                 f"over the limit of {2**27}\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("side", ["--image-width", "--image-height"])
+    def test_gen_side_beyond_float_range_exits_one_without_output(self, tmp_path, capsys, side):
+        argv = ["gen", "--clusters", "1", "--per-cluster", "1", "--seed", "1",
+                side, str(10**400), "--output", str(tmp_path / "s.json")]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: image width and height must fit in a float\n"
         assert os.listdir(tmp_path) == []
 
     @given(st.data())

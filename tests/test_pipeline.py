@@ -8,6 +8,7 @@ from propgraph import (
     InputError,
     NumericalError,
     PipelineConfig,
+    SolveCounts,
     forward,
     generate_proposals,
     identical_normalize,
@@ -139,9 +140,10 @@ class TestForward:
         params = AttentionParams.initialize(4, seed=2)
         result = forward(boxes, features, params, PipelineConfig())
         assert result.features.shape == (6, 4)
-        assert result.diagnostics.component_count == 2
-        assert result.diagnostics.part_count == 2
-        assert result.diagnostics.pseudo_labels == (0, 0, 0, 1, 1, 1)
+        labeling = result.diagnostics.labeling
+        assert labeling.component_count == 2
+        assert labeling.part_count == 2
+        assert labeling.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_no_gcpool_equals_forward_when_nothing_pools(self):
         # all components are singletons, so gcpool produces nothing
@@ -152,7 +154,13 @@ class TestForward:
         config = PipelineConfig()
         with_pool = forward(boxes, features, params, config, use_gcpool=True)
         without = forward(boxes, features, params, config, use_gcpool=False)
-        assert with_pool.diagnostics.part_count == 0
+        assert with_pool.diagnostics.labeling.part_count == 0
+        assert with_pool.diagnostics.labeling.labels.tolist() == [-1] * 5
+        # Without pooling the labeling has no labels and no solves, but counts components.
+        assert without.diagnostics.labeling.labels.shape == (0,)
+        assert without.diagnostics.labeling.part_count == 0
+        assert without.diagnostics.labeling.component_count == 5
+        assert without.diagnostics.labeling.solves == SolveCounts()
         assert np.array_equal(with_pool.features, without.features)
 
     def test_isolated_proposals_keep_moments(self):
@@ -179,7 +187,7 @@ class TestForward:
         params = AttentionParams.initialize(3, seed=0)
         result = forward(np.zeros((0, 4)), np.zeros((0, 3)), params, PipelineConfig())
         assert result.features.shape == (0, 3)
-        assert result.diagnostics.filtered_ids == ()
+        assert result.diagnostics.labeling.labels.shape == (0,)
 
     def test_one_dimensional_features_rejected(self):
         params = AttentionParams.initialize(3, seed=0)

@@ -1,18 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propgraph import (
-    CoarseNode,
     InputError,
     NumericalError,
+    PseudoLabeling,
+    SolveCounts,
     augment_with_coarse,
     gcpool,
     graph_from_edges,
     pool_part,
     recursive_ncut,
 )
+from propgraph.io import dumps_canonical, partition_to_dict
 from propgraph.oracles import (
     bridged_cliques,
     reference_augment_with_coarse,
@@ -56,32 +60,30 @@ class TestGcpool:
     def test_bridged_triangles_with_isolated_node(self):
         g = bridged_triangles_plus_isolated()
         labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
-        assert labeling.labels == (0, 0, 0, 1, 1, 1, None)
+        assert labeling.labels.dtype == np.int64
+        assert labeling.labels.tolist() == [0, 0, 0, 1, 1, 1, -1]
         assert labeling.part_count == 2
-        assert len(coarse) == 2
-        assert coarse[0].members.tolist() == [0, 1, 2]
-        assert coarse[1].members.tolist() == [3, 4, 5]
-        assert np.array_equal(coarse[0].feature, g.features[:3].mean(axis=0))
-        assert np.array_equal(coarse[1].feature, g.features[3:6].mean(axis=0))
+        assert coarse.shape == (2, 2) and coarse.dtype == np.float64
+        assert np.array_equal(coarse[0], g.features[:3].mean(axis=0))
+        assert np.array_equal(coarse[1], g.features[3:6].mean(axis=0))
 
     def test_edgeless_graph_filters_everything(self):
         g = graph_from_edges(4, [], features=np.ones((4, 2)))
         labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
-        assert labeling.labels == (None,) * 4
+        assert labeling.labels.tolist() == [-1] * 4
         assert labeling.part_count == 0
-        assert coarse == []
+        assert coarse.shape == (0, 2)
 
     def test_unsplittable_clique_is_one_part(self):
         features = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
         g = graph_from_edges(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], features=features)
         labeling, coarse = gcpool(g, min_size=1, stop_ncut=0.5)
-        assert labeling.labels == (0, 0, 0)
-        assert len(coarse) == 1
-        assert np.array_equal(coarse[0].feature, features.mean(axis=0))
+        assert labeling.labels.tolist() == [0, 0, 0]
+        assert np.array_equal(coarse, features.mean(axis=0, keepdims=True))
 
     def test_empty_graph(self):
         labeling, coarse = gcpool(graph_from_edges(0, []), min_size=1, stop_ncut=0.5)
-        assert labeling.labels == () and coarse == []
+        assert labeling.labels.shape == (0,) and coarse.shape == (0, 0)
 
     def test_disjoint_cliques_give_one_coarse_node_each(self):
         rng = np.random.default_rng(7)
@@ -94,9 +96,9 @@ class TestGcpool:
         g = graph_from_edges(9, edges, features=features)
         labeling, coarse = gcpool(g, min_size=3, stop_ncut=0.5)
         assert labeling.part_count == 3
-        assert [c.members.tolist() for c in coarse] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-        for k, c in enumerate(coarse):
-            assert np.max(np.abs(c.feature - features[3 * k : 3 * k + 3].mean(axis=0))) <= 1e-12
+        assert labeling.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        for k, feature in enumerate(coarse):
+            assert np.max(np.abs(feature - features[3 * k : 3 * k + 3].mean(axis=0))) <= 1e-12
 
     def test_filtered_nodes_never_appear(self):
         g = bridged_triangles_plus_isolated()
@@ -104,11 +106,7 @@ class TestGcpool:
         # bridged component survives stage 1 (size 6) but the 0.0328 cut is
         # rejected at stop_ncut=0.01, so it stays one 6-node part
         assert labeling.part_count == 1
-        members = set()
-        for c in coarse:
-            members.update(c.members.tolist())
-        assert 6 not in members
-        assert labeling.labels[6] is None
+        assert labeling.labels.tolist() == [0] * 6 + [-1]
 
     def test_order_invariance_up_to_relabeling(self):
         g = bridged_triangles_plus_isolated()
@@ -119,13 +117,13 @@ class TestGcpool:
         edges = [(int(min(perm[i], perm[j])), int(max(perm[i], perm[j])), w)
                  for i, j, w in g.edges()]
         permuted = graph_from_edges(7, edges, features=g.features[inverse])
-        base_parts = {frozenset(c.members.tolist())
-                      for c in gcpool(g, min_size=2, stop_ncut=0.5)[1]}
-        permuted_parts = {
-            frozenset(int(inverse[m]) for m in c.members)
-            for c in gcpool(permuted, min_size=2, stop_ncut=0.5)[1]
-        }
-        assert base_parts == permuted_parts
+        def parts(labels):
+            return {frozenset(np.flatnonzero(labels == k).tolist())
+                    for k in range(labels.max(initial=-1) + 1)}
+
+        base = gcpool(g, min_size=2, stop_ncut=0.5)[0].labels
+        permuted_labels = gcpool(permuted, min_size=2, stop_ncut=0.5)[0].labels
+        assert parts(base) == parts(permuted_labels[perm])
 
 
     @pytest.mark.parametrize("stop_ncut, min_part, field", [
@@ -143,14 +141,14 @@ class TestGcpool:
 class TestAugment:
     def test_no_coarse_nodes_is_identity(self):
         g = bridged_triangles_plus_isolated()
-        assert augment_with_coarse(g, []) is g
+        assert augment_with_coarse(g, np.full(7, -1), np.zeros((0, 2))) is g
 
     def test_pair_part_uses_its_edge_weight(self):
         # a 2-node split costs exactly 2.0, so stop_ncut=0.5 keeps the pair whole
         g = graph_from_edges(2, [(0, 1, 0.37)], features=np.ones((2, 1)))
-        _, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
-        assert len(coarse) == 1 and coarse[0].members.tolist() == [0, 1]
-        augmented = augment_with_coarse(g, coarse)
+        labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
+        assert labeling.labels.tolist() == [0, 0]
+        augmented = augment_with_coarse(g, labeling.labels, coarse)
         assert augmented.num_nodes == 3
         new_edges = [e for e in augmented.edges() if e[1] == 2]
         assert new_edges == [(0, 2, 0.37), (1, 2, 0.37)]
@@ -158,37 +156,39 @@ class TestAugment:
     def test_singleton_part_weight_is_one(self):
         g = graph_from_edges(3, [(0, 1, 0.5)], features=np.zeros((3, 1)))
         labeling, coarse = gcpool(g, min_size=1, stop_ncut=0.5)
-        singleton = [k for k, c in enumerate(coarse) if c.members.size == 1]
-        assert singleton
-        augmented = augment_with_coarse(g, coarse)
+        sizes = np.bincount(labeling.labels, minlength=labeling.part_count)
+        singleton = np.flatnonzero(sizes == 1)
+        assert singleton.size
+        augmented = augment_with_coarse(g, labeling.labels, coarse)
         base = g.num_nodes
         for k in singleton:
-            edge = [e for e in augmented.edges()
-                    if e[1] == base + k and e[0] == coarse[k].members[0]]
+            member = int(np.flatnonzero(labeling.labels == k)[0])
+            edge = [e for e in augmented.edges() if e[1] == base + k and e[0] == member]
             assert edge and edge[0][2] == 1.0
 
-    def test_unknown_or_shared_members_rejected(self):
+    def test_bad_labels_or_coarse_rejected(self):
         g = bridged_triangles_plus_isolated()
-        feature = np.zeros(2)
-        for outside in (7, 9, -1):
+        labels = np.array([0, 0, 0, 1, 1, 1, -1])
+        coarse = np.zeros((2, 2))
+        for outside in (2, 9, -2):
             with pytest.raises(InputError,
-                               match=rf"^coarse member {outside} is not a node index in \[0, 7\)$"):
-                augment_with_coarse(g, [CoarseNode(feature, np.array([0, 1])),
-                                        CoarseNode(feature, np.array([2, outside]))])
-        with pytest.raises(InputError, match="share members"):
-            augment_with_coarse(g, [CoarseNode(feature, np.array([0, 1])),
-                                    CoarseNode(feature, np.array([1, 2]))])
-        with pytest.raises(InputError, match="share members"):
-            augment_with_coarse(g, [CoarseNode(feature, np.array([3, 3]))])
-        with pytest.raises(InputError, match="dimension"):
-            augment_with_coarse(g, [CoarseNode(np.zeros(3), np.array([0, 1]))])
-        with pytest.raises(InputError, match="finite"):
-            augment_with_coarse(g, [CoarseNode(np.array([0.0, np.nan]), np.array([0, 1]))])
+                               match=rf"^label {outside} is not -1 or a part in \[0, 2\)$"):
+                augment_with_coarse(g, np.where(labels == 1, outside, labels), coarse)
+        with pytest.raises(InputError, match=r"^label 0 is not -1 or a part in \[0, 0\)$"):
+            augment_with_coarse(g, labels, np.zeros((0, 2)))
+        with pytest.raises(InputError, match=r"labels must be an \(7,\) integer array"):
+            augment_with_coarse(g, labels[:6], coarse)
+        with pytest.raises(InputError, match=r"labels must be an \(7,\) integer array"):
+            augment_with_coarse(g, labels.astype(float), coarse)
+        with pytest.raises(InputError, match=r"coarse features must have shape \(P, 2\)"):
+            augment_with_coarse(g, labels, np.zeros((2, 3)))
+        with pytest.raises(InputError, match="coarse features must be finite"):
+            augment_with_coarse(g, labels, np.array([[0.0, 1.0], [np.nan, 0.0]]))
 
     def test_original_structure_untouched(self):
         g = bridged_triangles_plus_isolated()
-        _, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
-        augmented = augment_with_coarse(g, coarse)
+        labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
+        augmented = augment_with_coarse(g, labeling.labels, coarse)
         assert augmented.num_nodes == g.num_nodes + len(coarse)
         old = [e for e in augmented.edges() if e[1] < g.num_nodes]
         assert old == g.edges()
@@ -197,8 +197,8 @@ class TestAugment:
     def test_clique_part_weights_are_mean_adjacency(self):
         g = bridged_cliques(3, 0.1)
         g = graph_from_edges(6, g.edges(), features=np.zeros((6, 1)))
-        _, coarse = gcpool(g, min_size=3, stop_ncut=0.5)
-        augmented = augment_with_coarse(g, coarse)
+        labeling, coarse = gcpool(g, min_size=3, stop_ncut=0.5)
+        augmented = augment_with_coarse(g, labeling.labels, coarse)
         # triangle members connect to their coarse node with mean weight 1.0
         for e in augmented.edges():
             if e[1] >= 6:
@@ -213,16 +213,14 @@ class TestAugment:
         hit = rng.random(ii.size) < 0.5
         g = graph_from_edges(n, zip(ii[hit], jj[hit], rng.random(hit.sum())),
                              features=rng.normal(size=(n, 2)))
-        # Random disjoint parts, each listed by ascending index as gcpool does.
-        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
-        parts = np.split(rng.permutation(n), cuts)
-        coarse = [CoarseNode(feature=np.zeros(2), members=np.sort(p)) for p in parts]
-        augmented = augment_with_coarse(g, coarse)
+        parts = int(rng.integers(1, n + 1))
+        labels = rng.integers(0, parts, size=n)
+        augmented = augment_with_coarse(g, labels, np.zeros((parts, 2)))
         got = {(int(i), int(j)): w
                for (i, j), w in zip(augmented.edge_index, augmented.edge_weight)}
         adjacency = g.adjacency()
-        for k, node in enumerate(coarse):
-            member_idx = node.members
+        for k in range(parts):
+            member_idx = np.flatnonzero(labels == k)
             for idx in member_idx:
                 others = member_idx[member_idx != idx]
                 expected = adjacency[idx, others].mean() if others.size else 1.0
@@ -307,13 +305,13 @@ class TestGroupedEdgeSlices:
             assert got == expected
             return
         (labeling, coarse), (ref_labeling, ref_coarse) = got, expected
-        assert labeling.labels == ref_labeling.labels
-        assert labeling.part_count == ref_labeling.part_count
+        assert np.array_equal(labeling.labels, ref_labeling.labels)
+        assert labeling.part_count == ref_labeling.part_count == coarse.shape[0]
         assert labeling.component_count == ref_labeling.component_count
         assert labeling.solves == ref_labeling.solves
-        assert [c.members.tolist() for c in coarse] == [c.members.tolist() for c in ref_coarse]
-        assert [c.feature.tobytes() for c in coarse] == [c.feature.tobytes() for c in ref_coarse]
-        assert_same_graph(augment_with_coarse(g, coarse), reference_augment_with_coarse(g, coarse))
+        assert coarse.shape == ref_coarse.shape and coarse.tobytes() == ref_coarse.tobytes()
+        assert_same_graph(augment_with_coarse(g, labeling.labels, coarse),
+                          reference_augment_with_coarse(g, labeling.labels, coarse))
 
         partition = outcome(recursive_ncut, g, stop_ncut, min_part=min_part)
         reference = outcome(reference_recursive_ncut, g, stop_ncut, min_part=min_part)
@@ -323,13 +321,45 @@ class TestGroupedEdgeSlices:
             assert partition.set_count == reference.set_count
             assert np.array_equal(partition.labels, reference.labels)
 
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=60, deadline=None)
-    def test_augment_matches_for_parts_in_any_member_order(self, seed):
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=6),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_augment_and_partition_match_for_random_labellings(self, seed, parts, data):
+        # Labels in [-1, P) drawn per node: filtered nodes, singleton parts,
+        # empty parts and P = 0 all occur.
         rng = np.random.default_rng(seed)
         g = pooling_scene(rng)
         n = g.num_nodes
-        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
-        parts = [p for p in np.split(rng.permutation(n), cuts) if rng.random() < 0.8]
-        coarse = [CoarseNode(feature=rng.normal(size=3), members=p) for p in parts]
-        assert_same_graph(augment_with_coarse(g, coarse), reference_augment_with_coarse(g, coarse))
+        labels = np.array(data.draw(st.lists(st.integers(min_value=-1, max_value=parts - 1),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+        coarse = rng.normal(size=(parts, 3))
+        assert_same_graph(augment_with_coarse(g, labels, coarse),
+                          reference_augment_with_coarse(g, labels, coarse))
+
+        labeling = PseudoLabeling(labels=labels, part_count=parts, component_count=0,
+                                  solves=SolveCounts())
+        written = json.loads(dumps_canonical(partition_to_dict(labeling, coarse)))
+        assert written["labels"] == [None if label == -1 else label for label in labels.tolist()]
+        assert [part["members"] for part in written["coarse"]] == \
+            [np.flatnonzero(labels == k).tolist() for k in range(parts)]
+        assert np.array_equal(np.array([part["feature"] for part in written["coarse"]],
+                                       dtype=np.float64).reshape(parts, 3), coarse)
+
+        bad_inputs = [
+            (labels[:-1], coarse),  # labels not of shape (M,)
+            (np.append(labels, 0), coarse),
+            (labels[None, :], coarse),
+            (labels.astype(np.float64), coarse),
+            (np.where(np.arange(n) == n - 1, parts, labels), coarse),  # label P
+            (np.where(np.arange(n) == 0, -2, labels), coarse),  # label below -1
+            (labels, coarse[:, :2]),  # coarse not of shape (P, d)
+            (labels, coarse.ravel()),
+        ]
+        if parts:
+            nonfinite = coarse.copy()
+            nonfinite[data.draw(st.integers(0, parts - 1)), 1] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+            bad_inputs.append((labels, nonfinite))
+        for bad_labels, bad_coarse in bad_inputs:
+            with pytest.raises(InputError):
+                augment_with_coarse(g, bad_labels, bad_coarse)
