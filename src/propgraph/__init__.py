@@ -11,12 +11,10 @@ from .attention import (
     AttentionDegrees,
     AttentionGradients,
     AttentionParams,
-    attend,
     attendable_pairs,
     attention_gradients,
     attention_weights,
     multi_head_attend,
-    similarity_scores,
 )
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
@@ -66,7 +64,6 @@ __all__ = [
     "PseudoLabeling",
     "SolveCounts",
     "RefinedProposals",
-    "attend",
     "attendable_pairs",
     "attention_gradients",
     "attention_weights",
@@ -90,7 +87,6 @@ __all__ = [
     "pool_part",
     "recursive_ncut",
     "save_proposals",
-    "similarity_scores",
     "spatial_descriptor",
     "symmetric_eigendecomposition",
     "two_way_ncut",

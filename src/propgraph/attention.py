@@ -1,10 +1,14 @@
 """Graph attention over proposal features.
 
-Pairwise scores come from a learned linear functional on the concatenated
-feature pair [x_i ; x_j]; a row-wise softmax over the attendable set (graph
-neighbors plus self, or all pairs in dense mode) turns scores into weights,
-and each node's refined feature is the weighted sum of attendable features.
-Multiple heads concatenate and optionally project.
+``multi_head_attend`` is the one way in, and ``attention_gradients`` its
+backward pass. Each head scores pair (i, j) with a learned linear functional
+on the concatenated feature pair [x_i ; x_j], split as left_i + right_j +
+bias, plus log w_ij when IoU biasing is on; the kernel forms those scores
+block by block from the head's left and right vectors. A row-wise softmax
+over the attendable set (graph neighbors plus self, or all pairs in dense
+mode) turns scores into weights, and each node's refined feature is the
+weighted sum of attendable features. Heads concatenate and optionally
+project.
 
 ``AttendablePairs`` holds the attendable sets once per graph as CSR rows
 (self plus both edge directions, columns ascending) grouped into buckets of
@@ -35,7 +39,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -139,9 +143,10 @@ class AttendablePairs:
     ``indptr``/``indices`` list each node and its graph neighbors, columns
     ascending. ``log_weight`` is each listed pair's log-IoU score bias
     (-0.0, which adds exactly nothing, on self pairs and zero-weight edges),
-    or None without IoU biasing. ``dense`` rows attend to all M nodes.
-    ``buckets`` holds (degree, ascending rows) by ascending degree. Per-pair
-    arrays run row by row, columns ascending: M * M values in dense mode.
+    or None without IoU biasing. ``dense`` rows attend to all M nodes: the
+    lists still hold only self and edge pairs, and each dense block spreads
+    their bias over its M columns. ``buckets`` holds (degree, ascending
+    rows) by ascending degree.
     """
 
     indptr: np.ndarray
@@ -221,7 +226,7 @@ def _rows_per_block(k: int, width: int, floats: int) -> int:
 
 
 def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
-    """(rows, cols, positions, log_weight) per block, each row once; (r, k) arrays.
+    """(rows, cols, log_weight) per block, each row once; (r, k) arrays.
 
     A block holds about ``floats`` values per (r, k, width) array, and at
     least one row.
@@ -234,7 +239,7 @@ def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
             if not pairs.dense:
                 positions = pairs.indptr[rows, None] + np.arange(k)
                 log_weight = None if pairs.log_weight is None else pairs.log_weight[positions]
-                yield rows, pairs.indices[positions], positions, log_weight
+                yield rows, pairs.indices[positions], log_weight
                 continue
             log_weight = None
             if pairs.log_weight is not None:
@@ -243,14 +248,12 @@ def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
                 local = np.repeat(np.arange(rows.size), np.diff(pairs.indptr[rows[0]:rows[-1] + 2]))
                 log_weight = np.full((rows.size, m), -0.0)
                 log_weight[local, pairs.indices[listed]] = pairs.log_weight[listed]
-            cols = np.broadcast_to(np.arange(m), (rows.size, m))
-            yield rows, cols, rows[:, None] * m + cols, log_weight
+            yield rows, np.broadcast_to(np.arange(m), (rows.size, m)), log_weight
 
 
-def _head_scores(features: np.ndarray, params: AttentionParams, num_nodes: int,
-                 head: int) -> Callable[..., np.ndarray]:
-    """One head's block scores, added as ((left_i + right_j) + b) + log w."""
-    feats = np.asarray(features, dtype=np.float64)
+def _head_terms(feats: np.ndarray, params: AttentionParams,
+                num_nodes: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Each head's (left, right, bias): its score on pair (i, j) is left_i + right_j + bias."""
     if feats.ndim != 2:
         raise InputError("features must be a 2-d matrix")
     if feats.shape[0] != num_nodes:
@@ -259,31 +262,21 @@ def _head_scores(features: np.ndarray, params: AttentionParams, num_nodes: int,
         raise InputError(
             f"feature dim {feats.shape[1]} does not match params dim {params.feature_dim}"
         )
-    if not 0 <= head < params.head_count:
-        raise InputError(f"head {head} out of range for {params.head_count} heads")
     d = params.feature_dim
     # A score that overflows is left to attention_weights' finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        left = np.einsum("md,d->m", feats, params.score_weights[head, :d])
-        right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
-
-    def scores(rows, cols, positions, log_weight) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = left[rows, None] + right[cols] + params.score_bias[head]
-            return out if log_weight is None else out + log_weight
-
-    return scores
+        return [(np.einsum("md,d->m", feats, params.score_weights[h, :d]),
+                 np.einsum("md,d->m", feats, params.score_weights[h, d:]),
+                 params.score_bias[h]) for h in range(params.head_count)]
 
 
-def similarity_scores(
-    features: np.ndarray, params: AttentionParams, pairs: AttendablePairs, head: int = 0
-) -> np.ndarray:
-    """Learned per-pair scores of one head: w . [x_i ; x_j] + b (+ log w_ij)."""
-    scores_of = _head_scores(features, params, pairs.num_nodes, head)
-    out = np.empty(pairs.pair_count, dtype=np.float64)
-    for block in _blocks(pairs, 1, _BLOCK_FLOATS):
-        out[block[2]] = scores_of(*block)
-    return out
+def _block_scores(head: tuple, rows: np.ndarray, cols: np.ndarray,
+                  log_weight: Optional[np.ndarray]) -> np.ndarray:
+    """One head's scores on a block, added as ((left_i + right_j) + b) + log w."""
+    left, right, bias = head
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = left[rows, None] + right[cols] + bias
+        return out if log_weight is None else out + log_weight
 
 
 def attention_weights(scores: np.ndarray) -> np.ndarray:
@@ -315,7 +308,7 @@ def _worker_count() -> int:
 
 
 def _attend(feats: np.ndarray, pairs: AttendablePairs,
-            heads: list[Callable]) -> tuple[np.ndarray, int]:
+            heads: list[tuple]) -> tuple[np.ndarray, int]:
     """The kernel: per block and head, softmax, value-sorted sums and the hull clip.
 
     Returns the head outputs side by side, (M, heads * d), and the number of
@@ -344,7 +337,7 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
                     block = next(blocks, None)
                 if block is None:
                     return
-                rows, cols = block[0], block[1]
+                rows, cols, log_weight = block
                 r, k = cols.shape
                 # mode="clip" fills the buffer in place, where "raise" would fill a
                 # temporary copy first; the columns are always in range.
@@ -353,8 +346,9 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
                 lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
                 # One lane of k contributions per row and coordinate, along axis 1.
                 contributions = contributions_buffer[:r * k * d].reshape(r, k, d)
-                for h, scores_of in enumerate(heads):
-                    np.multiply(neighbors, _block_weights(scores_of(*block), rows, h)[:, :, None],
+                for h, head in enumerate(heads):
+                    scores = _block_scores(head, rows, cols, log_weight)
+                    np.multiply(neighbors, _block_weights(scores, rows, h)[:, :, None],
                                 out=contributions)
                     contributions.sort(axis=1)
                     # A sum over the middle axis adds each lane's values one after
@@ -381,22 +375,6 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
     return out, workers
 
 
-def attend(features: np.ndarray, pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
-    """Aggregate features with softmax attention weights of per-pair ``scores``.
-
-    Every output row is a convex combination of its attendable input rows;
-    per-coordinate sums run in value-sorted order and the result is clipped
-    to the attendable min/max so rounding can never leave the convex hull.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != pairs.num_nodes:
-        raise InputError("features must be 2-d with one row per attendable node")
-    if scores.shape != (pairs.pair_count,):
-        raise InputError(f"scores need shape ({pairs.pair_count},), got {scores.shape}")
-    return _attend(feats, pairs, [lambda rows, cols, positions, log_weight: scores[positions]])[0]
-
-
 def multi_head_attend(
     features: np.ndarray,
     params: AttentionParams,
@@ -408,12 +386,11 @@ def multi_head_attend(
     """All heads in parallel: per-head attention, concatenation, optional projection.
 
     The heads share one ``AttendablePairs``; ``degrees``, when given, receives
-    its statistics. With one head and no projection this equals ``attend``.
+    its statistics.
     """
     feats = np.asarray(features, dtype=np.float64)
     pairs = attendable_pairs(g, dense_attention=dense_attention, iou_bias=iou_bias)
-    heads = [_head_scores(feats, params, g.num_nodes, h) for h in range(params.head_count)]
-    concatenated, workers = _attend(feats, pairs, heads)
+    concatenated, workers = _attend(feats, pairs, _head_terms(feats, params, g.num_nodes))
     if degrees is not None and pairs.buckets:
         degrees.min_degree, degrees.max_degree = pairs.buckets[0][0], pairs.buckets[-1][0]
         degrees.median_degree = float(np.median(pairs.degree))
@@ -434,13 +411,13 @@ def attention_gradients(
 ) -> AttentionGradients:
     """Analytic gradients of <upstream, multi_head_attend(...)>."""
     feats = np.asarray(features, dtype=np.float64)
+    heads = _head_terms(feats, params, g.num_nodes)
     upstream = np.asarray(upstream, dtype=np.float64)
     m, d = feats.shape
     expected = (m, params.output_dim)
     if upstream.shape != expected:
         raise InputError(f"upstream must have shape {expected}, got {upstream.shape}")
     pairs = attendable_pairs(g, dense_attention=dense_attention, iou_bias=iou_bias)
-    heads = [_head_scores(feats, params, g.num_nodes, h) for h in range(params.head_count)]
 
     grad_projection = None
     grad_concat = upstream
@@ -452,12 +429,11 @@ def attention_gradients(
     grad_features = np.zeros_like(feats)
     grad_score_weights = np.zeros_like(params.score_weights)
     grad_score_bias = np.zeros_like(params.score_bias)
-    for head, scores_of in enumerate(heads):
+    for head, terms in enumerate(heads):
         row_sums = np.zeros(m, dtype=np.float64)
         col_sums = np.zeros(m, dtype=np.float64)
-        for block in _blocks(pairs, d, _BLOCK_FLOATS):
-            rows, cols = block[0], block[1]
-            alpha = _block_weights(scores_of(*block), rows, head)
+        for rows, cols, log_weight in _blocks(pairs, d, _BLOCK_FLOATS):
+            alpha = _block_weights(_block_scores(terms, rows, cols, log_weight), rows, head)
             grad_out = grad_concat[rows, head * d:(head + 1) * d]
             # Through the aggregation O = alpha X.
             np.add.at(grad_features, cols, alpha[:, :, None] * grad_out[:, None, :])

@@ -273,9 +273,22 @@ def write_json(path: str, value: Any) -> str:
 
 
 def read_json(path: str) -> Any:
+    """The decoded file; an object that repeats a key is an ``InputError``."""
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InputError(f"{path}: duplicate key {json.dumps(key)}")
+                seen.add(key)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as stream:
-            return json.load(stream)
+            return json.load(stream, object_pairs_hook=unique_keys)
+    except InputError:
+        raise
     except FileNotFoundError as exc:
         raise InputError(f"{path}: file not found") from exc
     except UnicodeDecodeError as exc:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_float_count
 from .graph import ProposalGraph, connected_components, induced_subgraphs
 
 # The Jacobi fallback's off-diagonal target, sweep budget and Fiedler
@@ -516,9 +516,12 @@ def _split_connected(
     ``g``'s dense weight block and boolean edge-existence block are built
     once; every set is an ascending index subset of them. A set's
     components come from the existence block, so a zero-weight edge
-    connects its endpoints just as it does in ``connected_components``.
+    connects its endpoints just as it does in ``connected_components``. A
+    ``g`` whose n x n blocks would pass ``FLOAT_LIMIT`` values is an
+    ``InputError`` before any block is built.
     """
     m = g.num_nodes
+    check_float_count(m * m, f"the dense blocks of a {m}-node connected set")
     weights = g.adjacency()
     linked = np.zeros((m, m), dtype=bool)
     linked[g.edge_index[:, 0], g.edge_index[:, 1]] = True

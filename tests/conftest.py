@@ -9,15 +9,19 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
 import propgraph
+from propgraph import attention
 from propgraph import (
-    AttendablePairs, BoundingBox, ProposalGraph, attention_weights, graph_from_edges,
+    AttendablePairs, AttentionParams, BoundingBox, ProposalGraph, attention_weights,
+    graph_from_edges,
 )
 
 # Directory holding the ``propgraph`` package, so a subprocess started in
@@ -90,6 +94,18 @@ def pair_matrix(pairs: AttendablePairs, values: np.ndarray, fill=0.0) -> np.ndar
     return out
 
 
+def pair_scores(features: np.ndarray, params: AttentionParams, pairs: AttendablePairs,
+                head: int = 0) -> np.ndarray:
+    """One head's score w . [x_i ; x_j] + b on every attendable pair, in pair order.
+
+    The IoU log-bias is left out.
+    """
+    d = params.feature_dim
+    rows, cols = pair_coords(pairs)
+    return (features[rows] @ params.score_weights[head, :d]
+            + features[cols] @ params.score_weights[head, d:] + params.score_bias[head])
+
+
 def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
     """Softmax weights of per-pair scores, one ``attention_weights`` call per row."""
     rows, cols = pair_coords(pairs)
@@ -97,6 +113,20 @@ def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
     for i in range(pairs.num_nodes):
         weights[i, cols[rows == i]] = attention_weights(scores[rows == i])
     return weights
+
+
+@contextmanager
+def shifted_row(row: int, shift: float):
+    """Inside, the kernel adds ``shift`` to node ``row``'s scores before their softmax."""
+    block_weights = attention._block_weights
+
+    def shifted(scores, rows, head):
+        scores = scores.copy()
+        scores[rows == row] += shift
+        return block_weights(scores, rows, head)
+
+    with mock.patch.object(attention, "_block_weights", shifted):
+        yield
 
 
 def permuted_graph(g: ProposalGraph, perm: np.ndarray) -> ProposalGraph:

@@ -16,7 +16,6 @@ import numpy as np
 from propgraph import (
     AttentionParams,
     PipelineConfig,
-    attend,
     attendable_pairs,
     attention_gradients,
     brute_force_ncut,
@@ -29,7 +28,6 @@ from propgraph import (
     identical_normalize,
     ncut_value,
     normalized_laplacian,
-    similarity_scores,
     symmetric_eigendecomposition,
     two_way_ncut,
 )
@@ -44,7 +42,9 @@ from propgraph.oracles import (
 )
 from propgraph.spectral import Partition
 
-from conftest import pair_coords, pair_matrix, permuted_graph, run_cli, weight_matrix
+from conftest import (
+    pair_matrix, pair_scores, permuted_graph, run_cli, shifted_row, weight_matrix,
+)
 
 
 @contextmanager
@@ -118,28 +118,31 @@ def test_criterion_4_attention_invariants():
             params = AttentionParams.initialize(d, seed=int(rng.integers(0, 2**31)))
             dense = bool(rng.integers(0, 2))
             pairs = attendable_pairs(g, dense_attention=dense)
-            scores = similarity_scores(g.features, params, pairs)
-            weights = weight_matrix(pairs, scores)
+            weights = weight_matrix(pairs, pair_scores(g.features, params, pairs))
             assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9
-            out = attend(g.features, pairs, scores)
+            out = multi_head_attend(g.features, params, g, dense_attention=dense)
             mask = pair_matrix(pairs, True, fill=False)
             for i in range(m):
                 idx = np.flatnonzero(mask[i])
                 assert np.all(out[i] >= g.features[idx].min(axis=0))
                 assert np.all(out[i] <= g.features[idx].max(axis=0))
-            # shift invariance on one row
+            # shift invariance: of every score through the bias, then of one row
+            shift = float(rng.uniform(-20, 20))
+            moved = AttentionParams(score_weights=params.score_weights,
+                                    score_bias=params.score_bias + shift)
+            moved_out = multi_head_attend(g.features, moved, g, dense_attention=dense)
+            assert np.max(np.abs(moved_out - out)) <= 1e-12
             row = int(rng.integers(0, m))
-            shifted_scores = scores.copy()
-            shifted_scores[pair_coords(pairs)[0] == row] += float(rng.uniform(-20, 20))
-            shifted = attend(g.features, pairs, shifted_scores)
+            with shifted_row(row, shift):
+                shifted = multi_head_attend(g.features, params, g, dense_attention=dense)
             assert np.max(np.abs(shifted[row] - out[row])) <= 1e-12
+            others = np.delete(np.arange(m), row)
+            assert shifted[others].tobytes() == out[others].tobytes()
             # exact permutation equivariance
             perm = rng.permutation(m)
-            permuted_pairs = attendable_pairs(permuted_graph(g, perm), dense_attention=dense)
-            permuted_scores = pair_matrix(pairs, scores)[np.ix_(perm, perm)]
-            permuted = attend(
-                g.features[perm], permuted_pairs, permuted_scores[pair_coords(permuted_pairs)]
-            )
+            permuted_g = permuted_graph(g, perm)
+            permuted = multi_head_attend(permuted_g.features, params, permuted_g,
+                                         dense_attention=dense)
             assert np.array_equal(permuted, out[perm])
 
 

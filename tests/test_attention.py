@@ -13,18 +13,18 @@ from propgraph import (
     AttentionParams,
     InputError,
     NumericalError,
-    attend,
     attendable_pairs,
     attention_gradients,
     finite_difference_gradients,
     graph_from_edges,
     multi_head_attend,
-    similarity_scores,
 )
 from propgraph import attention
 from propgraph.oracles import max_relative_error, random_connected_graph, reference_attention
 
-from conftest import pair_coords, pair_matrix, permuted_graph, weight_matrix
+from conftest import (
+    pair_coords, pair_matrix, pair_scores, permuted_graph, shifted_row, weight_matrix,
+)
 
 
 def single_head_params(weights, bias=0.0):
@@ -65,36 +65,48 @@ class TestParams:
             )
 
 
+def softmax_average(scores, mask, feats):
+    """Row i: the softmax of ``scores[i]`` over ``mask[i]`` applied to ``feats``."""
+    masked = np.where(mask, scores, -np.inf)
+    weights = np.exp(masked - masked.max(axis=1, keepdims=True))
+    return (weights / weights.sum(axis=1, keepdims=True)) @ feats
+
+
 class TestSimilarityScores:
     def test_hand_computed_pair_score(self):
         feats = np.array([[2.0, 0.0], [0.0, 3.0]])
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
-        pairs = attendable_pairs(g)
         params = single_head_params([1.0, 0.0, 0.0, 1.0])
-        scores = pair_matrix(pairs, similarity_scores(feats, params, pairs))
-        assert scores[0, 1] == 5.0  # 2 + 3
-        assert scores[0, 0] == 2.0  # self-concatenation [2,0,2,0]
-        assert pair_matrix(pairs, True, fill=False).all()
+        # score (i, j) = x_i[0] + x_j[1]; self pairs concatenate [x_i ; x_i]
+        scores = np.array([[2.0, 5.0], [0.0, 3.0]])
+        expected = softmax_average(scores, np.ones((2, 2), dtype=bool), feats)
+        assert pair_matrix(attendable_pairs(g), True, fill=False).all()
+        for dense in (False, True):
+            out = multi_head_attend(feats, params, g, dense_attention=dense)
+            assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
 
     def test_hand_computed_iou_bias(self):
         feats = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.0)], features=feats)
         params = single_head_params([1.0, 0.0, 0.0, 1.0], bias=0.25)
+        scores = np.array([[2.25, 5.25, 3.25], [0.25, 3.25, 1.25], [1.25, 4.25, 2.25]])
+        log_bias = np.zeros((3, 3))
+        log_bias[0, 1] = log_bias[1, 0] = np.log(0.5)  # zero-weight edge (1, 2) stays unbiased
         for dense in (False, True):
-            pairs = attendable_pairs(g, dense_attention=dense, iou_bias=True)
-            scores = similarity_scores(feats, params, pairs)
-            expected = np.array([
-                [2.25, 5.25 + np.log(0.5), 3.25],
-                [0.25 + np.log(0.5), 3.25, 1.25],  # zero-weight edge (1, 2) stays unbiased
-                [1.25, 4.25, 2.25],
-            ])
-            assert np.array_equal(scores, expected[pair_coords(pairs)])
+            mask = pair_matrix(attendable_pairs(g, dense_attention=dense), True, fill=False)
+            for iou_bias in (False, True):
+                expected = softmax_average(scores + log_bias * iou_bias, mask, feats)
+                out = multi_head_attend(feats, params, g, dense_attention=dense,
+                                        iou_bias=iou_bias)
+                assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
 
     def test_zero_parameters_give_zero_scores(self):
         feats = np.random.default_rng(0).normal(size=(4, 3))
         g = graph_from_edges(4, [(0, 1, 0.3), (2, 3, 0.4)], features=feats)
-        scores = similarity_scores(feats, single_head_params([0.0] * 6), attendable_pairs(g))
-        assert np.all(scores == 0.0)
+        out = multi_head_attend(feats, single_head_params([0.0] * 6), g)
+        mask = pair_matrix(attendable_pairs(g), True, fill=False)
+        for i in range(4):
+            assert out[i] == pytest.approx(feats[mask[i]].mean(axis=0), abs=1e-12)
 
     def test_mask_is_neighbors_plus_self(self):
         feats = np.zeros((3, 1))
@@ -108,37 +120,41 @@ class TestSimilarityScores:
     def test_dimension_mismatch_rejected(self):
         feats = np.zeros((2, 3))
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
-        with pytest.raises(InputError):
-            similarity_scores(feats, single_head_params([0.0, 0.0]), attendable_pairs(g))
+        with pytest.raises(InputError, match="feature dim 3 does not match params dim 1"):
+            multi_head_attend(feats, single_head_params([0.0, 0.0]), g)
 
 
 class TestAttend:
     def test_single_node_identity(self):
-        pairs = attendable_pairs(graph_from_edges(1, []))
         feats = np.array([[3.0, -1.0, 2.0]])
-        assert np.array_equal(attend(feats, pairs, np.zeros(1)), feats)
+        g = graph_from_edges(1, [], features=feats)
+        params = single_head_params([0.5, -1.0, 2.0, 0.25, 1.0, -3.0], bias=1.5)
+        assert np.array_equal(multi_head_attend(feats, params, g), feats)
 
     def test_log_three_softmax(self):
-        pairs = attendable_pairs(graph_from_edges(2, [(0, 1, 0.5)]))
-        scores = np.array([[np.log(3.0), 0.0], [0.0, 0.0]])[pair_coords(pairs)]
-        out = attend(np.array([[1.0, 0.0], [0.0, 1.0]]), pairs, scores)
+        # score (i, j) = log(3) * x_j[0]: every row weighs node 0 three times node 1
+        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
+        g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
+        out = multi_head_attend(feats, single_head_params([0.0, 0.0, np.log(3.0), 0.0]), g)
         assert out[0] == pytest.approx([0.75, 0.25], abs=1e-12)
-        assert out[1] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert out[1] == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_uniform_scores_average(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(6, 3))
-        pairs = attendable_pairs(graph_from_edges(6, []), dense_attention=True)
-        out = attend(feats, pairs, np.full(36, 2.5))
+        g = graph_from_edges(6, [], features=feats)
+        out = multi_head_attend(feats, single_head_params([0.0] * 6, bias=2.5), g,
+                                dense_attention=True)
         mean = feats.mean(axis=0)
         for row in out:
             assert row == pytest.approx(mean, abs=1e-12)
 
     def test_non_finite_attendable_score_raises(self):
-        pairs = attendable_pairs(graph_from_edges(2, [(0, 1, 0.5)]))
-        scores = np.array([[0.0, np.inf], [0.0, 0.0]])[pair_coords(pairs)]
-        with pytest.raises(NumericalError):
-            attend(np.zeros((2, 2)), pairs, scores)
+        # 2 * 1e308 overflows on row 0, whose scores include its own left term.
+        feats = np.array([[1e308, 0.0], [0.0, 0.0]])
+        g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
+        with pytest.raises(NumericalError, match="row 0: non-finite attention score"):
+            multi_head_attend(feats, single_head_params([2.0, 0.0, 0.0, 0.0]), g)
 
     def test_masked_row_softmax_ignores_masked_entries(self):
         scores = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -155,11 +171,10 @@ class TestAttend:
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
         pairs = attendable_pairs(g)
-        scores = similarity_scores(g.features, params, pairs)
-        weights = weight_matrix(pairs, scores)
+        weights = weight_matrix(pairs, pair_scores(g.features, params, pairs))
         sums = weights.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
-        out = attend(g.features, pairs, scores)
+        out = multi_head_attend(g.features, params, g)
         mask = pair_matrix(pairs, True, fill=False)
         for i in range(m):
             idx = np.flatnonzero(mask[i])
@@ -174,16 +189,17 @@ class TestAttend:
         m = int(rng.integers(2, 10))
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
-        pairs = attendable_pairs(g)
-        scores = similarity_scores(g.features, params, pairs)
-        base = attend(g.features, pairs, scores)
-        shifted_scores = scores.copy()
-        row_one = pair_coords(pairs)[0] == 1
-        shifted_scores[row_one] = shifted_scores[row_one] + shift
-        shifted = attend(g.features, pairs, shifted_scores)
+        base = multi_head_attend(g.features, params, g)
+        # Every score moves: the bias is shared by all pairs.
+        moved = AttentionParams(score_weights=params.score_weights,
+                                score_bias=params.score_bias + shift)
+        assert np.max(np.abs(multi_head_attend(g.features, moved, g) - base)) <= 1e-12
+        # Only row 1's scores move.
+        with shifted_row(1, shift):
+            shifted = multi_head_attend(g.features, params, g)
         assert np.max(np.abs(shifted[1] - base[1])) <= 1e-12
         others = np.delete(np.arange(m), 1)
-        assert np.array_equal(shifted[others], base[others])
+        assert shifted[others].tobytes() == base[others].tobytes()
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -192,28 +208,18 @@ class TestAttend:
         m = int(rng.integers(2, 12))
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
-        pairs = attendable_pairs(g)
-        scores = similarity_scores(g.features, params, pairs)
-        base = attend(g.features, pairs, scores)
         perm = rng.permutation(m)
-        permuted_pairs = attendable_pairs(permuted_graph(g, perm))
-        permuted_scores = pair_matrix(pairs, scores)[np.ix_(perm, perm)]
-        permuted = attend(
-            g.features[perm], permuted_pairs, permuted_scores[pair_coords(permuted_pairs)]
-        )
-        assert np.array_equal(permuted, base[perm])
+        permuted_g = permuted_graph(g, perm)
+        for dense in (False, True):
+            for iou_bias in (False, True):
+                base = multi_head_attend(g.features, params, g, dense_attention=dense,
+                                         iou_bias=iou_bias)
+                permuted = multi_head_attend(permuted_g.features, params, permuted_g,
+                                             dense_attention=dense, iou_bias=iou_bias)
+                assert np.array_equal(permuted, base[perm])
 
 
 class TestMultiHead:
-    def test_one_head_reduces_to_attend(self):
-        rng = np.random.default_rng(3)
-        g = random_connected_graph(rng, 5, features=4)
-        params = AttentionParams.initialize(4, head_count=1, seed=7)
-        pairs = attendable_pairs(g)
-        scores = similarity_scores(g.features, params, pairs)
-        assert np.array_equal(multi_head_attend(g.features, params, g),
-                              attend(g.features, pairs, scores))
-
     def test_identical_heads_duplicate_blocks(self):
         rng = np.random.default_rng(4)
         g = random_connected_graph(rng, 5, features=3)

@@ -982,6 +982,26 @@ class TestCli:
         assert captured.err == f"error: {bad}: {reason}\n"
         assert sorted(os.listdir(tmp_path)) == inputs
 
+    @pytest.mark.parametrize("kind, content, key", [
+        ("proposals", b'{"image_id": "a", "width": 10, "height": 10, "width": 20, '
+                      b'"proposals": []}', "width"),
+        ("proposals", b'{"image_id": "a", "width": 10, "height": 10, "proposals": '
+                      b'[{"box": [0, 0, 1, 1], "score": 0.5, "box": [0, 0, 2, 2]}]}', "box"),
+        ("params", b'{"head_count": 1, "score_weights": [[0, 0]], "score_bias": [0], '
+                   b'"score_bias": [1]}', "score_bias"),
+        ("config", b'{"lambda": 0.5, "lambda": 2}', "lambda"),
+        ("graph", b'{"nodes": 2, "node_ids": [0, 1], "edges": [], "nodes": 3}', "nodes"),
+    ], ids=["proposals", "nested-proposal", "params", "config", "graph"])
+    def test_duplicate_key_exits_one_naming_it(self, tmp_path, capsys, kind, content, key):
+        bad, argv = self._reader_of(tmp_path, kind, content)
+        inputs = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'error: {bad}: duplicate key "{key}"\n'
+        assert sorted(os.listdir(tmp_path)) == inputs
+
     def test_commands_run_without_the_reference_box_type(self, tmp_path, capsys, monkeypatch):
         def refuse(self):
             raise AssertionError("BoundingBox built on the CLI path")
@@ -1064,6 +1084,26 @@ class TestCli:
         assert run_command(["cut", "ncut", "--input", path]) == 2
         assert capsys.readouterr().err == \
             f"numerical failure: {path}: component 0 (2 nodes): no convergence\n"
+
+    def test_cut_ncut_refuses_a_component_too_big_for_dense_blocks(self, tmp_path):
+        # Each 12,000 x 12,000 float64 block is 1.15 GB: without the check the
+        # capped process ends in a MemoryError traceback.
+        import resource
+
+        n = 12_000
+        (tmp_path / "chain.json").write_text(json.dumps({
+            "nodes": n, "node_ids": list(range(n)),
+            "edges": [[i, i + 1, 0.5] for i in range(n - 1)],
+        }))
+        cap = 2 << 30
+        proc = run_cli(["cut", "ncut", "--input", "chain.json"], cwd=tmp_path,
+                       env_extra={"OPENBLAS_NUM_THREADS": "1"},
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: chain.json: component 0 (12000 nodes): the dense blocks of a 12000-node "
+            "connected set need 144000000 float64 values, over the limit of 134217728\n")
 
     def test_graph_components_checks_min_size_after_loading(self, tmp_path, capsys):
         path = str(tmp_path / "g.json")

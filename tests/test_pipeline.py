@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import propgraph
 from propgraph import (
     AttentionParams,
     InputError,
@@ -227,3 +231,30 @@ class TestForward:
         first = forward(doc.normalized_boxes(), doc.feature_matrix(), params, config)
         second = forward(doc.normalized_boxes(), doc.feature_matrix(), params, config)
         assert np.array_equal(first.features, second.features)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module a ``propgraph`` module's source imports, anywhere in it, as a full name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["propgraph" if node.level else None, node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_sees_every_spelling():
+    for source in ("from .oracles import x", "from . import oracles", "import propgraph.oracles",
+                   "from propgraph import oracles", "def f():\n    from .oracles import x\n"):
+        assert "propgraph.oracles" in imported_modules(source), source
+    assert "propgraph.oracles" not in imported_modules("from .graph import oracles_helper")
+
+
+@pytest.mark.parametrize("module", ["attention", "config", "errors", "geometry", "graph", "io",
+                                    "pipeline", "pooling", "spectral", "synthetic"])
+def test_forward_path_module_does_not_import_the_oracles(module):
+    source = (Path(propgraph.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert "propgraph.oracles" not in imported_modules(source)

@@ -294,6 +294,21 @@ class TestRecursiveNcut:
         assert partition.set_count == 1000
         assert peak < 3000 * 3000 / 8
 
+    def test_component_past_the_float_limit_is_refused_before_its_blocks(self):
+        # A 12,000-node chain: each dense block would hold 144M floats (1.15 GB).
+        n = 12_000
+        g = graph_from_edges(n, [(i, i + 1, 0.5) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            for connected in (False, True):
+                with pytest.raises(InputError, match="a 12000-node connected set need "
+                                                     "144000000 float64 values"):
+                    recursive_ncut(g, stop_ncut=0.5, connected=connected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 8
+
     def test_peeling_stops_where_a_side_would_be_too_small(self):
         # Components {0, 1, 2}, {3, 4} and {5}: with min_part 2 the last two
         # stay one set, because peeling {3, 4} would leave {5} alone.
