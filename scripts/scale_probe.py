@@ -2,6 +2,8 @@
 """Report CLI ``forward`` wall time, edge count and peak RSS as scenes grow.
 
 Scenes ``CxN`` are C clusters of N tight proposals (jitter 0.02).
+``loose16x60`` is 16 clusters of 60 loose proposals (jitter 0.24) whose
+graph keeps IoU > 0.5: at a given seed, the benchmark's split-scene scene 0.
 ``chain100`` is 100 equal boxes, 0.001 of the image wide and high, each
 0.0003 right of the last: one translation-symmetric component whose splits
 all fall back to the Jacobi eigensolver. Every scene has 64-dim features and
@@ -14,7 +16,7 @@ the scene's graph, taken after ``ru_maxrss`` is read. ``2000x50`` (100,000
 proposals, 2.45M edges, a 150 MB proposal file) runs only when named. The
 probe reports and gates nothing.
 
-Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100 2000x50] [--seed 123]
+Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100 loose16x60 2000x50] [--seed 123]
 """
 
 import argparse
@@ -29,8 +31,11 @@ import tempfile
 import time
 
 SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50), "chain100": (1, 100),
-          "2000x50": (2000, 50)}
-DEFAULT_SCENES = ["1x400", "4x400", "400x50", "chain100"]
+          "loose16x60": (16, 60), "2000x50": (2000, 50)}
+DEFAULT_SCENES = ["1x400", "4x400", "400x50", "chain100", "loose16x60"]
+# The loose scenes' jitter and config; every other scene has jitter 0.02 and
+# the default config.
+LOOSE = {"loose16x60": (0.24, {"iou_thr": 0.5})}
 FEATURE_DIM = 64
 HEADS = 4
 # Image side, in pixels, of the chain scene.
@@ -45,8 +50,9 @@ def make_scene(scene: str, seed: int):
 
     clusters, per_cluster = SCENES[scene]
     if scene != "chain100":
+        jitter = LOOSE[scene][0] if scene in LOOSE else 0.02
         return generate_proposals(clusters=clusters, per_cluster=per_cluster, seed=seed,
-                                  feature_dim=FEATURE_DIM, jitter=0.02)
+                                  feature_dim=FEATURE_DIM, jitter=jitter)
     x1 = 3.0 * np.arange(per_cluster)
     boxes = np.stack([x1, np.zeros_like(x1), x1 + 10.0, np.full_like(x1, 10.0)], axis=1)
     features = np.random.default_rng(seed).normal(size=(per_cluster, FEATURE_DIM))
@@ -60,6 +66,7 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
     from propgraph import io as pio
     from propgraph.cli import run_command
 
+    config = LOOSE[scene][1] if scene in LOOSE else {}
     with tempfile.TemporaryDirectory() as directory:
         paths = {kind: os.path.join(directory, f"{kind}.json")
                  for kind in ("input", "params", "config", "output")}
@@ -69,7 +76,7 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
                                                    output_dim=FEATURE_DIM, seed=seed),
                         paths["params"])
         with open(paths["config"], "w", encoding="utf-8") as stream:
-            stream.write("{}")
+            json.dump(config, stream)
         argv = ["forward", "--input", paths["input"], "--params", paths["params"],
                 "--config", paths["config"], "--output", paths["output"]]
         if not gcpool:
@@ -97,7 +104,7 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
         "pool_s": None,
     }
     if gcpool and code == 0:
-        config = PipelineConfig()
+        config = PipelineConfig(**config)
         g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), config.iou_thr)
         start = time.perf_counter()
         labeling, coarse = pooling.gcpool(g, min_size=config.min_size,
@@ -130,7 +137,7 @@ def main() -> None:
             io_ms = f"  load {row['load_ms']:.0f} ms  write {row['write_ms']:.0f} ms" \
                 if row["exit"] == 0 else ""
             pool = f"  pool {row['pool_s']:.3f} s" if row["pool_s"] is not None else ""
-            print(f"{scene:>7} {mode:>9}: {row['proposals']:>6} proposals "
+            print(f"{scene:>10} {mode:>9}: {row['proposals']:>6} proposals "
                   f"{row['edges']} edges  {row['jacobi_fallbacks']} Jacobi fallbacks  "
                   f"forward {row['forward_s']:.3f} s  "
                   f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}{io_ms}{pool}")

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .attention import AttentionGradients, AttentionParams, multi_head_attend
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .graph import ProposalGraph, connected_components, graph_from_edges
-from .pooling import PseudoLabeling, _pooled
+from .pooling import PseudoLabeling, _in_component, _pooled
 from .spectral import (
     _CERTIFY_MARGIN,
     CutReport,
@@ -193,9 +193,12 @@ def reference_gcpool(
     components = connected_components(g)
     for component in np.flatnonzero(components.sizes >= min_size):
         comp_idx = components.members(component)
-        partition = reference_recursive_ncut(
-            g.subgraph(comp_idx), stop_ncut, min_part=min_part, counts=solves
-        )
+        try:
+            partition = reference_recursive_ncut(
+                g.subgraph(comp_idx), stop_ncut, min_part=min_part, counts=solves
+            )
+        except (InputError, NumericalError) as exc:
+            raise _in_component(exc, int(component), comp_idx) from exc
         for label in range(partition.set_count):
             members = comp_idx[partition.labels == label]
             if members.size >= min_size:

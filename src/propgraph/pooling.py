@@ -62,7 +62,8 @@ def gcpool(
     Returns the pseudo-labeling over the input graph's nodes (-1 for
     filtered nodes) and the (P, d) coarse features, row k the mean feature
     of part k. Part labels are dense and ascend with each part's smallest
-    node index.
+    node index. An error in partitioning a component names the component,
+    its size and its first proposal.
     """
     if min_size < 1:
         raise InputError(f"min_size must be >= 1, got {min_size}")
@@ -75,15 +76,24 @@ def gcpool(
     parts: list[np.ndarray] = []  # internal indices of g per surviving part
     solves = SolveCounts()
     for members, sub in induced_subgraphs(g, survivor_label[components.labels], survivors):
-        partition = recursive_ncut(
-            sub, stop_ncut, min_part=min_part, counts=solves, connected=True
-        )
+        try:
+            partition = recursive_ncut(
+                sub, stop_ncut, min_part=min_part, counts=solves, connected=True
+            )
+        except (InputError, NumericalError) as exc:
+            raise _in_component(exc, int(components.labels[members[0]]), members) from exc
         for label in range(partition.set_count):
             part = members[partition.labels == label]
             # Undersized parts are filtered again with the stage-1 threshold.
             if part.size >= min_size:
                 parts.append(part)
     return _pooled(g, parts, components.count, solves)
+
+
+def _in_component(exc: Exception, component: int, members: np.ndarray) -> Exception:
+    """An error of ``exc``'s type whose message names the component, ``members`` its nodes."""
+    return type(exc)(f"pooling: component {component} ({members.size} proposals, "
+                     f"first proposal {int(members[0])}): {exc}")
 
 
 def _pooled(

@@ -26,15 +26,19 @@ the BLAS thread count; neither use of it reaches the output bytes:
 
 - lambda_2 only feeds the yes/no no-split decision above, behind a margin
   far above those low bits.
-- The sweep needs only the node order of y = D^{-1/2} z, not the bits of
-  the Fiedler vector z. LAPACK's z is used only when a Davis & Kahan (1970,
-  "The rotation of eigenvectors by a perturbation III") residual bound
-  proves that it and the Jacobi vector order the nodes alike; near ties,
-  such as twin nodes, fall back to the Jacobi solve.
+- The sweep needs only the split that the node order of y = D^{-1/2} z
+  picks, not the bits of the Fiedler vector z. LAPACK's z is used only when
+  a Davis & Kahan (1970, "The rotation of eigenvectors by a perturbation
+  III") residual bound proves that it and the Jacobi vector order the nodes
+  alike outside a few small groups of near ties, such as twin nodes, and
+  every order within those groups sweeps to the same split. Other sets
+  fall back to the Jacobi solve.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +55,9 @@ _RESIDUAL_TOL = 1e-9
 # LAPACK's lambda_2 is accurate to about n * 1e-16, so a decision this far
 # from the threshold is the same at every BLAS thread count.
 _CERTIFY_MARGIN = 1e-9
+# The most orders of tied Fiedler entries that ``_certified_order`` sweeps
+# before it leaves the set to the Jacobi solve.
+_TIE_ORDERS = 24
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -58,9 +65,9 @@ _EPS = float(np.finfo(np.float64).eps)
 class SolveCounts:
     """How ``recursive_ncut`` settled the connected sets it considered.
 
-    ``kept_whole`` sets needed no sweep (the lambda_2 certificate);
-    ``fiedler_certified`` sweeps ran on a certified LAPACK Fiedler vector and
-    ``jacobi_fallbacks`` on a Jacobi one.
+    ``kept_whole`` sets needed no sweep (the lambda_2 certificate); in
+    ``fiedler_certified`` sweeps LAPACK's vector fixed the sweep's partition,
+    and ``jacobi_fallbacks`` ran on a Jacobi vector.
     """
 
     kept_whole: int = 0
@@ -303,7 +310,7 @@ def _pinned_unit(vector: np.ndarray) -> np.ndarray:
 
 
 def _certified_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> np.ndarray | None:
-    """Sweep order of LAPACK's Fiedler vector if provably the Jacobi one's, else None.
+    """A sweep order whose split is provably the Jacobi vector's, else None.
 
     ``values`` and ``vectors`` are ``np.linalg.eigh(block.laplacian)``. By
     Davis & Kahan, a unit vector x with residual r = Lx - mu x lies within
@@ -314,6 +321,12 @@ def _certified_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> 
     <= 1e-9, so the two vectors are within the sum of both bounds of each
     other; each residual is widened by its rounding, at most n(n + 2)eps an
     entry, since every Laplacian entry and every |z_i| is at most 1.
+
+    When some nodes' y lie too close to order outright, the Jacobi order is
+    one of the orders within the tie groups that ``_certified_boundaries``
+    leaves. If there are at most ``_TIE_ORDERS`` of them and every one
+    sweeps to the same split, that split is the Jacobi order's, and LAPACK's
+    order is returned.
     """
     n = values.size
     lam = float(values[1])
@@ -327,15 +340,28 @@ def _certified_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> 
     jacobi_residual = np.sqrt(n) * _RESIDUAL_TOL + rounding
     # The last term covers the normalization of z and the division by sqrt(d).
     distance = 2.0 * (residual + jacobi_residual) / delta + (n + 2) * _EPS
-    return _order_within(z, block.degrees, distance)
+    found = _certified_boundaries(z, block.degrees, distance)
+    if found is None:
+        return None
+    order, boundaries = found
+    if boundaries.size == n - 1:
+        return order
+    groups = np.split(order, boundaries)
+    if math.prod(math.factorial(group.size) for group in groups) > _TIE_ORDERS:
+        return None
+    orders = itertools.product(*(itertools.permutations(group) for group in groups))
+    first = _sweep_split(block, np.concatenate(next(orders)))
+    if all(np.array_equal(_sweep_split(block, np.concatenate(o)), first) for o in orders):
+        return order
+    return None
 
 
 def _sweep_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
     """Node order for the sweep and whether LAPACK's vector was certified for it.
 
     ``values`` and ``vectors`` are ``np.linalg.eigh(block.laplacian)``. The
-    order is the Jacobi Fiedler vector's either way: certified from LAPACK's
-    vector when possible, solved for with Jacobi when not.
+    order sweeps to the Jacobi Fiedler vector's split either way: certified
+    from LAPACK's vector when possible, solved for with Jacobi when not.
     """
     order = _certified_order(block, values, vectors)
     if order is not None:
@@ -344,14 +370,20 @@ def _sweep_order(block: _Block, values: np.ndarray, vectors: np.ndarray) -> tupl
     return np.argsort(z / np.sqrt(block.degrees), kind="stable"), False
 
 
-def _order_within(z: np.ndarray, degrees: np.ndarray, distance: float) -> np.ndarray | None:
-    """Stable sort order of y = z / sqrt(d) if it is the order of every
-    sign-pinned vector within ``distance`` of ``z``, else None.
+def _certified_boundaries(
+    z: np.ndarray, degrees: np.ndarray, distance: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stable sort order of y = z / sqrt(d) and its certified boundaries: the
+    positions k at which every sign-pinned vector within ``distance`` of
+    ``z`` puts all of order[:k] below all of order[k:]. None when such a
+    vector may pin its sign on another anchor.
 
     A largest |z_i| that beats the runner-up by more than 2 * distance is
     the anchor of every such vector, so its sign pin matches ``z``'s; then
-    y_i moves by at most distance / sqrt(d_i), and a strict gap larger than
-    both moves keeps each adjacent pair of the sorted y in place.
+    y_i moves by at most distance / sqrt(d_i). A boundary falls at k when
+    the largest y + move before k is strictly below the smallest y - move
+    from k on. The runs between boundaries are the tie groups, whose nodes
+    such a vector may order any way.
     """
     magnitudes = np.sort(np.abs(z))
     if not magnitudes[-1] - magnitudes[-2] > 2.0 * distance:
@@ -359,9 +391,9 @@ def _order_within(z: np.ndarray, degrees: np.ndarray, distance: float) -> np.nda
     y = z / np.sqrt(degrees)
     order = np.argsort(y, kind="stable")
     moves = distance / np.sqrt(degrees[order])
-    if not np.all(np.diff(y[order]) > moves[:-1] + moves[1:]):
-        return None
-    return order
+    highest = np.maximum.accumulate(y[order] + moves)
+    lowest = np.minimum.accumulate((y[order] - moves)[::-1])[::-1]
+    return order, np.flatnonzero(highest[:-1] < lowest[1:]) + 1
 
 
 def _canonical_two_way(in_first: np.ndarray) -> np.ndarray:
@@ -370,6 +402,35 @@ def _canonical_two_way(in_first: np.ndarray) -> np.ndarray:
     if labels[0] == 1:
         labels = 1 - labels
     return labels
+
+
+def _sweep_split(block: _Block, order: np.ndarray) -> np.ndarray:
+    """Mask of the first set of the best prefix split of ``order``, as ``two_way_ncut`` picks it."""
+    m = block.weights.shape[0]
+    w_ord = block.weights[np.ix_(order, order)]
+    deg_ord = block.degrees[order]
+    total_assoc = float(deg_ord.sum())
+    position_of_node0 = int(np.flatnonzero(order == 0)[0])
+
+    best_key: tuple[float, int, int] | None = None
+    best_split = -1
+    prefix_assoc = 0.0
+    internal = 0.0
+    for split in range(1, m):
+        k = split - 1
+        prefix_assoc += float(deg_ord[k])
+        internal += float(w_ord[k, :k].sum())
+        cut = prefix_assoc - 2.0 * internal
+        rest_assoc = total_assoc - prefix_assoc
+        value = cut / prefix_assoc + cut / rest_assoc
+        first_size = split if position_of_node0 < split else m - split
+        key = (value, first_size, split)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_split = split
+    in_first = np.zeros(m, dtype=bool)
+    in_first[order[:best_split]] = True
+    return in_first
 
 
 def two_way_ncut(
@@ -399,32 +460,9 @@ def two_way_ncut(
         if connected_components(g).count != 1:
             raise InputError("two-way cut requires a connected graph")
         block = _block_of(g.adjacency())
-    m = block.weights.shape[0]
     if order is None:
         order, _ = _sweep_order(block, *np.linalg.eigh(block.laplacian))
-    w_ord = block.weights[np.ix_(order, order)]
-    deg_ord = block.degrees[order]
-    total_assoc = float(deg_ord.sum())
-    position_of_node0 = int(np.flatnonzero(order == 0)[0])
-
-    best_key: tuple[float, int, int] | None = None
-    best_split = -1
-    prefix_assoc = 0.0
-    internal = 0.0
-    for split in range(1, m):
-        k = split - 1
-        prefix_assoc += float(deg_ord[k])
-        internal += float(w_ord[k, :k].sum())
-        cut = prefix_assoc - 2.0 * internal
-        rest_assoc = total_assoc - prefix_assoc
-        value = cut / prefix_assoc + cut / rest_assoc
-        first_size = split if position_of_node0 < split else m - split
-        key = (value, first_size, split)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_split = split
-    in_first = np.zeros(m, dtype=bool)
-    in_first[order[:best_split]] = True
+    in_first = _sweep_split(block, order)
     partition = Partition(labels=_canonical_two_way(in_first), set_count=2)
     return partition, _cut_report(block.weights, block.degrees, partition)
 
@@ -473,8 +511,8 @@ def recursive_ncut(
     ``stop_ncut`` by more than 1e-9 is therefore kept whole without solving
     for its Fiedler vector, which is the partition the sweep would reach.
     Otherwise the sweep runs on LAPACK's Fiedler vector when its node order
-    is certified to be the Jacobi vector's, and on the Jacobi vector when
-    not. ``counts``, when given, is incremented by how each set was settled.
+    is certified to pick the Jacobi vector's split, and on the Jacobi vector
+    when not. ``counts``, when given, is incremented by how each set was settled.
 
     ``g``'s components are peeled from the edge lists, so dense blocks are
     only ever as large as one component; ``connected=True`` says the caller

@@ -1,4 +1,5 @@
-"""Test-only strategies, geometry oracles, attention helpers and the CLI subprocess helper.
+"""Test-only strategies, geometry oracles, attention and spectral helpers and the CLI
+subprocess helper.
 
 The graph generators and the ncut/gradient oracles live in
 ``propgraph.oracles``, shared with the ``oracle`` CLI commands.
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import propgraph
-from propgraph import attention
+from propgraph import attention, spectral
 from propgraph import (
     AttendablePairs, AttentionParams, BoundingBox, ProposalGraph, attention_weights,
     graph_from_edges,
@@ -127,6 +128,29 @@ def shifted_row(row: int, shift: float):
 
     with mock.patch.object(attention, "_block_weights", shifted):
         yield
+
+
+def spy_tie_route(monkeypatch) -> list[int]:
+    """A list that gains the size of every set ``_certified_order`` settles by
+    sweeping the orders of its tie groups."""
+    settled: list[int] = []
+    sweeps: list[int] = []
+    certify, sweep = spectral._certified_order, spectral._sweep_split
+
+    def counting_sweep(block, order):
+        sweeps.append(order.size)
+        return sweep(block, order)
+
+    def spying_certify(*args):
+        sweeps.clear()
+        order = certify(*args)
+        if order is not None and sweeps:
+            settled.append(order.size)
+        return order
+
+    monkeypatch.setattr(spectral, "_sweep_split", counting_sweep)
+    monkeypatch.setattr(spectral, "_certified_order", spying_certify)
+    return settled
 
 
 def permuted_graph(g: ProposalGraph, perm: np.ndarray) -> ProposalGraph:

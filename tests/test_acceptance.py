@@ -33,7 +33,7 @@ from propgraph import (
 )
 from propgraph import spectral
 from propgraph.attention import multi_head_attend
-from propgraph.io import save_params, save_proposals
+from propgraph.io import ProposalDocument, save_params, save_proposals
 from propgraph.oracles import (
     bridged_cliques,
     edge_enumeration_ncut,
@@ -43,7 +43,7 @@ from propgraph.oracles import (
 from propgraph.spectral import Partition
 
 from conftest import (
-    pair_matrix, pair_scores, permuted_graph, run_cli, shifted_row, weight_matrix,
+    pair_matrix, pair_scores, permuted_graph, run_cli, shifted_row, spy_tie_route, weight_matrix,
 )
 
 
@@ -252,12 +252,20 @@ def test_criterion_8_certified_components_across_thread_counts(tmp_path, monkeyp
                       "are byte-identical across thread counts"):
         # Both 200-node tight components are settled by LAPACK's lambda_2
         # alone; the loose scene splits along certified LAPACK Fiedler vectors.
+        # Twinning its first box ties Fiedler entries, and sets with those ties
+        # are settled by sweeping every order of the tied nodes.
+        loose = generate_proposals(clusters=4, per_cluster=60, seed=42, feature_dim=16,
+                                   jitter=0.24)
+        twinned = ProposalDocument(
+            image_id=loose.image_id, width=loose.width, height=loose.height,
+            pixel_boxes=np.vstack([loose.pixel_boxes, loose.pixel_boxes[:1]]),
+            features=np.vstack([loose.features, loose.features[:1]]),
+        )
         scenes = {
             "tight": (generate_proposals(clusters=2, per_cluster=200, seed=42, feature_dim=16),
                       PipelineConfig()),
-            "loose": (generate_proposals(clusters=4, per_cluster=60, seed=42, feature_dim=16,
-                                         jitter=0.24),
-                      PipelineConfig(iou_thr=0.5)),
+            "loose": (loose, PipelineConfig(iou_thr=0.5)),
+            "twinned": (twinned, PipelineConfig(iou_thr=0.5)),
         }
         params = AttentionParams.initialize(16, head_count=1, output_dim=16, seed=0)
         save_params(params, str(tmp_path / "params.json"))
@@ -269,7 +277,10 @@ def test_criterion_8_certified_components_across_thread_counts(tmp_path, monkeyp
             return solver(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "symmetric_eigendecomposition", counting_solver)
+        tie_settled = spy_tie_route(monkeypatch)
         for name, (doc, config) in scenes.items():
+            solves.clear()
+            tie_settled.clear()
             save_proposals(doc, str(tmp_path / f"{name}.json"))
             (tmp_path / f"{name}-config.json").write_text(
                 json.dumps({"iou_thr": config.iou_thr}))
@@ -281,6 +292,9 @@ def test_criterion_8_certified_components_across_thread_counts(tmp_path, monkeyp
                 # more parts than components: some split was accepted
                 assert labeling.part_count > labeling.component_count
                 assert labeling.solves.fiedler_certified > 0
+            if name == "twinned":
+                assert tie_settled and solves == []
+                assert labeling.solves.jacobi_fallbacks == 0
             outputs = []
             for threads in ("1", "2"):
                 output = f"{name}-{threads}.json"

@@ -589,6 +589,38 @@ class TestCli:
         assert proc.stdout == ""
         assert sorted(os.listdir(tmp_path)) == inputs
 
+    def test_pooling_failure_names_its_component(self, tmp_path):
+        # A lone box (filtered), then two symmetric chains of 4 equal boxes.
+        # Their tied anchors send every sweep to the Jacobi solver, which a
+        # sitecustomize module on the child's path makes fail.
+        boxes = [[200, 200, 230, 230]] + [[10 * k, y, 10 * k + 30, y + 30]
+                                          for y in (10, 100) for k in range(4)]
+        proposals = [{"box": box, "feature": [1.0, float(k)]} for k, box in enumerate(boxes)]
+        (tmp_path / "in.json").write_text(json.dumps(
+            {"image_id": "x", "width": 300, "height": 300, "proposals": proposals}))
+        save_params(AttentionParams.initialize(2, seed=0), str(tmp_path / "params.json"))
+        (tmp_path / "config.json").write_text('{"stop_ncut": 1.0}')
+        hooks = tmp_path / "hooks"
+        hooks.mkdir()
+        (hooks / "sitecustomize.py").write_text(
+            "from propgraph import spectral\n"
+            "from propgraph.errors import NumericalError\n"
+            "def failing(matrix):\n"
+            "    raise NumericalError(f'Jacobi eigensolver on a {len(matrix)}x{len(matrix)} "
+            "matrix did not converge')\n"
+            "spectral.symmetric_eigendecomposition = failing\n")
+        inputs = sorted(os.listdir(tmp_path))
+        for argv in (["forward", "--params", "params.json"], ["pool", "gcpool"]):
+            proc = run_cli([*argv, "--input", "in.json", "--config", "config.json",
+                            "--output", "out.json"],
+                           cwd=tmp_path, env_extra={"PYTHONPATH": str(hooks)})
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == (
+                "numerical failure: pooling: component 1 (4 proposals, first proposal 1): "
+                "Jacobi eigensolver on a 4x4 matrix did not converge\n")
+            assert proc.stdout == ""
+            assert sorted(os.listdir(tmp_path)) == inputs
+
     def test_gen_is_seed_deterministic(self, tmp_path):
         for name in ("a.json", "b.json"):
             proc = run_cli(

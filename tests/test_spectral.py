@@ -10,10 +10,12 @@ from propgraph import (
     InputError,
     NumericalError,
     Partition,
+    PipelineConfig,
     brute_force_ncut,
     build_graph,
     connected_components,
     fiedler_vector,
+    gcpool,
     generate_proposals,
     graph_from_edges,
     ncut_value,
@@ -23,6 +25,8 @@ from propgraph import (
     two_way_ncut,
 )
 from propgraph.oracles import bridged_cliques, random_connected_graph, reference_recursive_ncut
+
+from conftest import spy_tie_route
 
 
 def path4():
@@ -478,8 +482,46 @@ def top_set_fell_back(g, monkeypatch):
     return bool(calls) and calls[0] == g.num_nodes
 
 
+def tied_graph(rng):
+    """A connected graph whose Fiedler entries tie, exactly or within 1e-10.
+
+    A generic graph gains pendant siblings (leaves of one node with equal
+    weights), a twin that copies a node's edges (joined to it or not) or a
+    near twin with one copied weight times 1 + 1e-10; a loose scene gains a
+    duplicate of its first box.
+    """
+    kind = int(rng.integers(4))
+    if kind == 3:
+        g = loose_scene(int(rng.integers(0, 2**31)), boxes=int(rng.integers(6, 25)),
+                        duplicate_first=True)
+        if g.num_nodes >= 2:
+            return g
+    g = generic_graph(rng)
+    n, edges = g.num_nodes, g.edges()
+    source = int(rng.integers(n))
+    if kind == 0:
+        leaves, w = int(rng.integers(2, 4)), float(rng.uniform(0.05, 1.0))
+        return graph_from_edges(n + leaves, edges + [(source, n + k, w) for k in range(leaves)])
+    twin = [(j if i == source else i, n, w) for i, j, w in edges if source in (i, j)]
+    if kind == 2:
+        twin[0] = (twin[0][0], n, twin[0][2] * (1.0 + 1e-10))
+    if rng.random() < 0.5:
+        twin.append((source, n, float(rng.uniform(0.05, 1.0))))
+    return graph_from_edges(n + 1, edges + twin)
+
+
+def assert_same_as_forced_jacobi(g, stop, min_part):
+    """``recursive_ncut`` gives the labels and set count of its all-Jacobi run."""
+    certified = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
+    with pytest.MonkeyPatch.context() as mp:
+        force_jacobi(mp)
+        jacobi = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
+    assert np.array_equal(certified.labels, jacobi.labels)
+    assert certified.set_count == jacobi.set_count
+
+
 class TestCertifiedFiedler:
-    """The sweep runs on LAPACK's Fiedler vector only when its order is the Jacobi one's."""
+    """The sweep runs on LAPACK's Fiedler vector only when its order sweeps to the Jacobi split."""
 
     @given(
         st.integers(min_value=0, max_value=2**31),
@@ -490,11 +532,15 @@ class TestCertifiedFiedler:
         g = drawn_cut_graph(np.random.default_rng(seed), kind)
         block = spectral._block_of(g.adjacency())
         values, vectors = np.linalg.eigh(block.laplacian)
-        order = spectral._certified_order(block, values, vectors)
+        with pytest.MonkeyPatch.context() as mp:
+            settled = spy_tie_route(mp)
+            order = spectral._certified_order(block, values, vectors)
         if order is None:
             return
-        _, z = fiedler_vector(block.laplacian)
-        assert np.array_equal(order, np.argsort(z / np.sqrt(block.degrees), kind="stable"))
+        if not settled:
+            # The plain certificate settles the order itself, not only its split.
+            _, z = fiedler_vector(block.laplacian)
+            assert np.array_equal(order, np.argsort(z / np.sqrt(block.degrees), kind="stable"))
         partition, report = two_way_ncut(g, block=block, order=order)
         with pytest.MonkeyPatch.context() as mp:
             force_jacobi(mp)
@@ -530,6 +576,45 @@ class TestCertifiedFiedler:
             hits += counts.fiedler_certified
         assert hits >= 10
 
+    def test_tie_route_matches_forced_jacobi(self):
+        settled: list[int] = []
+
+        @given(
+            st.integers(min_value=0, max_value=2**31),
+            st.floats(min_value=0.0, max_value=2.0),
+            st.integers(min_value=1, max_value=3),
+        )
+        @settings(max_examples=120, deadline=None)
+        def check(seed, stop, min_part):
+            g = tied_graph(np.random.default_rng(seed))
+            with pytest.MonkeyPatch.context() as mp:
+                tie_settled = spy_tie_route(mp)
+                assert_same_as_forced_jacobi(g, stop, min_part)
+            settled.extend(tie_settled)
+
+        check()
+        # the draws really reach the route, so the equality is not vacuous
+        assert settled
+
+    def test_split_scene_runs_no_jacobi(self, monkeypatch):
+        doc = generate_proposals(16, 60, seed=123, feature_dim=64, jitter=0.24)
+        config = PipelineConfig(iou_thr=0.5)
+        g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), config.iou_thr)
+
+        def pool():
+            return gcpool(g, config.min_size, config.stop_ncut, min_part=config.min_part)[0]
+
+        settled = spy_tie_route(monkeypatch)
+        calls = count_jacobi_calls(monkeypatch)
+        labeling = pool()
+        assert calls == [] and labeling.solves.jacobi_fallbacks == 0
+        assert settled
+        monkeypatch.undo()
+        force_jacobi(monkeypatch)
+        jacobi = pool()
+        assert jacobi.solves.jacobi_fallbacks > 0
+        assert np.array_equal(labeling.labels, jacobi.labels)
+
     def test_twin_nodes_fall_back(self, monkeypatch):
         star = graph_from_edges(5, [(0, leaf, 1.0) for leaf in range(1, 5)])
         assert top_set_fell_back(star, monkeypatch)
@@ -539,15 +624,18 @@ class TestCertifiedFiedler:
         assert twinned.num_nodes == scene.num_nodes + 1
         assert top_set_fell_back(twinned, monkeypatch)
 
-    def test_near_twins_fall_back(self, monkeypatch):
+    def test_near_twins_settle_without_jacobi(self, monkeypatch):
         # y of a twin moves by about 1e-10: far more than LAPACK's own error,
-        # far less than the 1e-9 residual the Jacobi vector is allowed.
+        # far less than the 1e-9 residual the Jacobi vector is allowed. The
+        # twins form one tie group, and both of its orders sweep to one split.
         base = generic_graph(np.random.default_rng(8), n=6)
         assert not top_set_fell_back(base, monkeypatch)
         twin = [(j if i == 5 else i, 6, w) for i, j, w in base.edges() if 5 in (i, j)]
         twin[0] = (twin[0][0], 6, twin[0][2] * (1.0 + 1e-10))
         near_twins = graph_from_edges(7, base.edges() + twin + [(5, 6, 1.0)])
-        assert top_set_fell_back(near_twins, monkeypatch)
+        assert not top_set_fell_back(near_twins, monkeypatch)
+        for stop in (2.0, 0.5, 0.2):
+            assert_same_as_forced_jacobi(near_twins, stop, min_part=1)
 
     def test_tied_anchor_falls_back(self, monkeypatch):
         # The symmetric path's Fiedler vector is antisymmetric, so its two
@@ -558,16 +646,21 @@ class TestCertifiedFiedler:
         assert not top_set_fell_back(skewed, monkeypatch)
 
     def test_order_needs_strict_margins(self):
-        ones = np.ones(3)
+        def groups(z, degrees=np.ones(3)):
+            found = spectral._certified_boundaries(np.array(z), np.asarray(degrees), 0.125)
+            return None if found is None else [group.tolist() for group in np.split(*found)]
+
         # the anchor must beat the runner-up by more than 2 * distance
-        assert spectral._order_within(np.array([0.0, 0.5, 0.75]), ones, 0.125) is None
-        assert spectral._order_within(np.array([0.0, 0.5, 0.875]), ones, 0.125) is not None
+        assert groups([0.0, 0.5, 0.75]) is None
+        assert groups([0.0, 0.5, 0.875]) == [[0], [1], [2]]
         # adjacent y must differ by more than both moves
-        assert spectral._order_within(np.array([0.0, 0.25, 1.0]), ones, 0.125) is None
-        z = np.array([0.3125, 0.0, 1.0])
-        assert list(spectral._order_within(z, ones, 0.125)) == [1, 0, 2]
+        assert groups([0.0, 0.25, 1.0]) == [[0, 1], [2]]
+        assert groups([0.3125, 0.0, 1.0]) == [[1], [0], [2]]
         # y = z / sqrt(d): a low degree widens its node's move
-        assert spectral._order_within(z, np.array([1.0, 0.25, 1.0]), 0.125) is None
+        assert groups([0.3125, 0.0, 1.0], [1.0, 0.25, 1.0]) == [[1, 0], [2]]
+        # a wide move can reach past its neighbour: node 0's y lies in
+        # [-0.5, 0.5] and node 2's in [0.475, 0.725], so all three may swap
+        assert groups([0.0, 0.3, 0.6, 1.0], [0.0625, 1.0, 1.0, 1.0]) == [[0, 1, 2], [3]]
 
     def test_counts_add_up(self):
         counts = spectral.SolveCounts()
