@@ -9,10 +9,9 @@ graph keeps IoU > 0.5: at a given seed, the benchmark's split-scene scene 0.
 all fall back to the Jacobi eigensolver. Every scene has 64-dim features and
 4 projected attention heads. It runs in a fresh child process, once with
 graph-cut pooling and once without, so each line's ``ru_maxrss`` belongs to
-that run alone. Each line shows the CLI report's ``load`` and ``write``
-milliseconds, the JSON I/O share of the run. The pooled run also reports
-``pool``: the in-process time of ``gcpool`` plus ``augment_with_coarse`` on
-the scene's graph, taken after ``ru_maxrss`` is read. ``2000x50`` (100,000
+that run alone. Each line shows the CLI report's ``timings_ms``: ``load``
+and ``write``, the JSON I/O share of the run, and the ``graph``, ``pool``,
+``attend`` and ``normalize`` stages of the forward. ``2000x50`` (100,000
 proposals, 2.45M edges, a 150 MB proposal file) runs only when named. The
 probe reports and gates nothing.
 
@@ -62,7 +61,7 @@ def make_scene(scene: str, seed: int):
 
 def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
     """Write the scene's files, time one in-process CLI ``forward`` and read its report."""
-    from propgraph import AttentionParams, PipelineConfig, build_graph, pooling
+    from propgraph import AttentionParams
     from propgraph import io as pio
     from propgraph.cli import run_command
 
@@ -97,20 +96,10 @@ def run_scene(scene: str, seed: int, gcpool: bool) -> dict:
         "edges": counts.get("edges"),
         "jacobi_fallbacks": counts.get("jacobi_fallbacks"),
         "forward_s": round(wall, 3),
-        "load_ms": timings_ms.get("load"),
-        "write_ms": timings_ms.get("write"),
+        "timings_ms": timings_ms,
         # Linux reports ru_maxrss in KiB.
         "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
-        "pool_s": None,
     }
-    if gcpool and code == 0:
-        config = PipelineConfig(**config)
-        g = build_graph(doc.normalized_boxes(), doc.feature_matrix(), config.iou_thr)
-        start = time.perf_counter()
-        labeling, coarse = pooling.gcpool(g, min_size=config.min_size,
-                                          stop_ncut=config.stop_ncut, min_part=config.min_part)
-        pooling.augment_with_coarse(g, labeling.labels, coarse)
-        row["pool_s"] = round(time.perf_counter() - start, 3)
     return row
 
 
@@ -134,13 +123,13 @@ def main() -> None:
                 print(f"{scene} {mode}: child failed with exit {child.returncode}\n{child.stderr}")
                 continue
             row = json.loads(child.stdout)
-            io_ms = f"  load {row['load_ms']:.0f} ms  write {row['write_ms']:.0f} ms" \
-                if row["exit"] == 0 else ""
-            pool = f"  pool {row['pool_s']:.3f} s" if row["pool_s"] is not None else ""
+            stages = "".join(f"  {name} {ms:.0f}" for name, ms in row["timings_ms"].items()
+                             if name != "forward")
             print(f"{scene:>10} {mode:>9}: {row['proposals']:>6} proposals "
                   f"{row['edges']} edges  {row['jacobi_fallbacks']} Jacobi fallbacks  "
                   f"forward {row['forward_s']:.3f} s  "
-                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}{io_ms}{pool}")
+                  f"maxrss {row['maxrss_mb']:.1f} MB  exit {row['exit']}"
+                  f"{'  ms:' if stages else ''}{stages}")
 
 
 if __name__ == "__main__":

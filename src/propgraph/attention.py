@@ -11,27 +11,28 @@ weighted sum of attendable features. Heads concatenate and optionally
 project.
 
 ``AttendablePairs`` holds the attendable sets once per graph as CSR rows
-(self plus both edge directions, columns ascending) grouped into buckets of
-equal degree k. The kernel runs each bucket in row blocks of about
-``_BLOCK_FLOATS`` values per (r, k, d) array and computes nothing off the
-attendable pairs; dense mode is one bucket of degree M, built block by
-block, so no M x M array ever exists.
+(self plus both edge directions) grouped into buckets of equal degree k.
+The kernel runs each bucket in row blocks of about ``_BLOCK_FLOATS`` values
+per (r, k, d) array and computes nothing off the attendable pairs; dense
+mode is one bucket of degree M, built block by block, so no M x M array ever
+exists.
+
+Each row lists its columns in one canonical order: by the content of their
+feature rows, a total order on the bits that gives equal rows one rank, then
+by the pair's log-IoU bias. Columns with equal keys have bit-equal features
+and scores, so they make bit-equal contributions, and the row's sequence of
+contributions does not depend on how the nodes are numbered. The kernel
+reduces every row in that stored order: the softmax denominator with
+``np.sum``, the weighted sum with one ``einsum``, which for d >= 2 adds each
+coordinate's contributions one after another from 0.0. So outputs are
+exactly equivariant under node permutation, with no sort per block, and do
+not depend on BLAS threading.
 
 Blocks run side by side on up to one thread per CPU the process may use,
 the calling thread among them. Each output row is written by exactly one
 block, and a row's arithmetic does not depend on its block, so the bytes do
-not depend on the thread count or the block size.
-
-Reductions run in value-sorted order, which makes the outputs exactly
-invariant under node permutation and independent of BLAS threading. A row's
-softmax denominator is ``np.sum`` of its sorted exponentials; each output
-coordinate adds its sorted contributions one after another from 0.0, as
-``np.sum(axis=0)`` does over a (k, d) block (for d == 1 numpy sums the k
-values pairwise, and so does the kernel). The sort need not be stable: with
-finite values only +0.0 and -0.0 are distinct yet equal, a zero of either
-sign leaves a nonzero partial sum unchanged, and a sum of zeros started from
-0.0 is +0.0, so tied zeros in any order give the same bits. The analytic
-backward pass is verified against central finite differences.
+not depend on the thread count or the block size. The analytic backward
+pass is verified against central finite differences.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ from .graph import ProposalGraph
 # Floor for IoU weights fed through log() when score biasing is enabled.
 _LOG_WEIGHT_FLOOR = 1e-300
 # Values per (r, k, d) array of one block (2 MB), which bounds attention's
-# working memory; the forward kernel splits it evenly among its threads. On a
-# Xeon with 2 MB of L2 per core, 5,000 proposals with 4 heads took 0.72 s at
-# this size, 0.97 s at 2**20 and 1.18 s at 2**14 on one thread.
+# working memory; the forward kernel splits it evenly among its threads. On 2
+# shared vCPUs, 5,000 proposals with 4 heads over 64 dims took a median 132 ms
+# in multi_head_attend at this size, 222 ms at 2**16 and 100 ms at 2**20, which
+# won 13 of 14 alternating fresh-process pairs against this size. 2**20 also
+# raised the 5,000-proposal benchmark's peak RSS from 88 to 95 MB, so this size stays.
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -140,13 +143,14 @@ class AttentionParams:
 class AttendablePairs:
     """Attendable sets of one graph, rows grouped into buckets by degree.
 
-    ``indptr``/``indices`` list each node and its graph neighbors, columns
-    ascending. ``log_weight`` is each listed pair's log-IoU score bias
-    (-0.0, which adds exactly nothing, on self pairs and zero-weight edges),
-    or None without IoU biasing. ``dense`` rows attend to all M nodes: the
-    lists still hold only self and edge pairs, and each dense block spreads
-    their bias over its M columns. ``buckets`` holds (degree, ascending
-    rows) by ascending degree.
+    ``indptr``/``indices`` list each node and its graph neighbors in
+    canonical order: by ``rank``, the content rank of each node's feature
+    row, then by log-weight. ``log_weight`` is each listed pair's log-IoU
+    score bias (-0.0, which adds exactly nothing, on self pairs and
+    zero-weight edges), or None without IoU biasing. ``dense`` rows attend to
+    all M nodes in ``rank`` order: the lists still hold only self and edge
+    pairs, and each dense block spreads their bias over its M columns.
+    ``buckets`` holds (degree, ascending rows) by ascending degree.
     """
 
     indptr: np.ndarray
@@ -154,6 +158,7 @@ class AttendablePairs:
     log_weight: Optional[np.ndarray]
     dense: bool
     buckets: tuple[tuple[int, np.ndarray], ...]
+    rank: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -194,22 +199,71 @@ class AttentionGradients:
     output_projection: Optional[np.ndarray]
 
 
+def _content_rank(feats: np.ndarray) -> np.ndarray:
+    """Each row's rank in the lexicographic order of its bits read as uint64.
+
+    Equal rows share a rank, so the ranks depend on row content alone. The
+    first column's bits settle the order unless that column repeats; only
+    then are all columns sorted.
+    """
+    m = feats.shape[0]
+    rank = np.zeros(m, dtype=np.int64)
+    if m == 0 or feats.shape[1] == 0:
+        return rank
+    bits = np.ascontiguousarray(feats).view(np.uint64)
+    order = np.argsort(bits[:, 0], kind="stable")
+    first = bits[order, 0]
+    if np.any(first[1:] == first[:-1]):
+        order = np.lexsort(bits.T[::-1])
+    ordered = bits[order]
+    rank[order[1:]] = np.cumsum(np.any(ordered[1:] != ordered[:-1], axis=1))
+    return rank
+
+
+def _tied(ordered: np.ndarray) -> np.ndarray:
+    """Positions in a sorted array whose value a neighbouring position shares."""
+    repeats = np.flatnonzero(np.diff(ordered) == 0)
+    return np.union1d(repeats, repeats + 1)
+
+
+def _check_rows(feats: np.ndarray, num_nodes: int) -> None:
+    if feats.ndim != 2:
+        raise InputError("features must be a 2-d matrix")
+    if feats.shape[0] != num_nodes:
+        raise InputError(f"{feats.shape[0]} feature rows for {num_nodes} graph nodes")
+
+
 def attendable_pairs(
-    g: ProposalGraph, dense_attention: bool = False, iou_bias: bool = False
+    g: ProposalGraph, features: np.ndarray, dense_attention: bool = False,
+    iou_bias: bool = False,
 ) -> AttendablePairs:
-    """Each node's neighbors plus itself, with the log-IoU bias when asked."""
+    """Each node's neighbors plus itself in canonical order, with the log-IoU bias when asked.
+
+    A row lists its columns by the content rank of their ``features`` rows,
+    and columns of equal rank by ascending log-weight.
+    """
     m = g.num_nodes
+    feats = np.asarray(features, dtype=np.float64)
+    _check_rows(feats, m)
+    rank = _content_rank(feats)
     nodes = np.arange(m, dtype=np.int64)
     rows = np.concatenate([nodes, g.edge_index[:, 0], g.edge_index[:, 1]])
     cols = np.concatenate([nodes, g.edge_index[:, 1], g.edge_index[:, 0]])
-    order = np.lexsort((cols, rows))
     degree = np.bincount(rows, minlength=m)
+    key = rows * m + rank[cols]
+    del rows
+    order = np.argsort(key, kind="stable")
     log_weight = None
     if iou_bias:
         bias = np.full(g.num_edges, -0.0)
         on_edge = g.edge_weight > 0.0
         bias[on_edge] = np.log(np.maximum(g.edge_weight[on_edge], _LOG_WEIGHT_FLOOR))
-        log_weight = np.concatenate([np.full(m, -0.0), bias, bias])[order]
+        log_weight = np.concatenate([np.full(m, -0.0), bias, bias])
+        # Equal keys are equal-content columns of one row: order them by log-weight.
+        key = key[order]
+        tied = _tied(key)
+        order[tied] = order[tied][np.lexsort((log_weight[order[tied]], key[tied]))]
+        log_weight = log_weight[order]
     if dense_attention:
         buckets = ((m, nodes),) if m else ()
     else:
@@ -218,7 +272,7 @@ def attendable_pairs(
         buckets = tuple((int(degree[rows_k[0]]), rows_k)
                         for rows_k in np.split(by_degree, starts[1:]) if rows_k.size)
     indptr = np.concatenate([[0], np.cumsum(degree)])
-    return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets)
+    return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets, rank)
 
 
 def _rows_per_block(k: int, width: int, floats: int) -> int:
@@ -229,9 +283,16 @@ def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
     """(rows, cols, log_weight) per block, each row once; (r, k) arrays.
 
     A block holds about ``floats`` values per (r, k, width) array, and at
-    least one row.
+    least one row. Dense blocks list all nodes by content rank; with the
+    IoU bias each row then orders every run of equal rank by log-weight.
     """
     m = pairs.num_nodes
+    if pairs.dense:
+        order = np.argsort(pairs.rank, kind="stable")
+        position = np.empty(m, dtype=np.int64)
+        position[order] = np.arange(m)
+        run = pairs.rank[order]
+        tied = _tied(run)
     for k, bucket in pairs.buckets:
         step = _rows_per_block(k, width, floats)
         for start in range(0, bucket.size, step):
@@ -241,23 +302,27 @@ def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
                 log_weight = None if pairs.log_weight is None else pairs.log_weight[positions]
                 yield rows, pairs.indices[positions], log_weight
                 continue
+            cols = np.broadcast_to(order, (rows.size, m))
             log_weight = None
             if pairs.log_weight is not None:
                 # Dense blocks hold consecutive rows, so their listed pairs are one slice.
                 listed = slice(pairs.indptr[rows[0]], pairs.indptr[rows[-1] + 1])
                 local = np.repeat(np.arange(rows.size), np.diff(pairs.indptr[rows[0]:rows[-1] + 2]))
                 log_weight = np.full((rows.size, m), -0.0)
-                log_weight[local, pairs.indices[listed]] = pairs.log_weight[listed]
-            yield rows, np.broadcast_to(np.arange(m), (rows.size, m)), log_weight
+                log_weight[local, position[pairs.indices[listed]]] = pairs.log_weight[listed]
+                if tied.size:
+                    within = log_weight[:, tied]
+                    resort = np.lexsort((within, np.broadcast_to(run[tied], within.shape)))
+                    cols = cols.copy()
+                    cols[:, tied] = order[tied][resort]
+                    log_weight[:, tied] = np.take_along_axis(within, resort, axis=1)
+            yield rows, cols, log_weight
 
 
 def _head_terms(feats: np.ndarray, params: AttentionParams,
                 num_nodes: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Each head's (left, right, bias): its score on pair (i, j) is left_i + right_j + bias."""
-    if feats.ndim != 2:
-        raise InputError("features must be a 2-d matrix")
-    if feats.shape[0] != num_nodes:
-        raise InputError(f"{feats.shape[0]} feature rows for {num_nodes} graph nodes")
+    _check_rows(feats, num_nodes)
     if feats.shape[1] != params.feature_dim:
         raise InputError(
             f"feature dim {feats.shape[1]} does not match params dim {params.feature_dim}"
@@ -280,7 +345,7 @@ def _block_scores(head: tuple, rows: np.ndarray, cols: np.ndarray,
 
 
 def attention_weights(scores: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, over a sorted denominator.
+    """Softmax along the last axis; the denominator sums in stored order.
 
     Raises NumericalError when a score is not finite.
     """
@@ -288,7 +353,7 @@ def attention_weights(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise NumericalError("non-finite attention score")
     shifted = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    return shifted / np.sum(np.sort(shifted, axis=-1), axis=-1, keepdims=True)
+    return shifted / np.sum(shifted, axis=-1, keepdims=True)
 
 
 def _block_weights(scores: np.ndarray, rows: np.ndarray, head: int) -> np.ndarray:
@@ -309,13 +374,13 @@ def _worker_count() -> int:
 
 def _attend(feats: np.ndarray, pairs: AttendablePairs,
             heads: list[tuple]) -> tuple[np.ndarray, int]:
-    """The kernel: per block and head, softmax, value-sorted sums and the hull clip.
+    """The kernel: per block and head, softmax, weighted sums and the hull clip.
 
     Returns the head outputs side by side, (M, heads * d), and the number of
     threads the blocks ran on. Workers pull blocks from one generator under a
     lock, so no block list is built; the calling thread is one of them, and
-    with one worker it runs every block itself. Each worker reuses two
-    scratch arrays the calling thread allocates. A worker's exception, or a
+    with one worker it runs every block itself. Each worker reuses one
+    scratch array the calling thread allocates. A worker's exception, or a
     thread that fails to start, stops every worker after its current block;
     the first is raised here once the started threads are joined.
     """
@@ -330,7 +395,7 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
     supply = threading.Lock()
     errors: list[BaseException] = []
 
-    def work(neighbors_buffer: np.ndarray, contributions_buffer: np.ndarray) -> None:
+    def work(neighbors_buffer: np.ndarray) -> None:
         try:
             while not errors:
                 with supply:
@@ -344,29 +409,22 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
                 neighbors = np.take(feats, cols, axis=0, mode="clip",
                                     out=neighbors_buffer[:r * k * d].reshape(r, k, d))
                 lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
-                # One lane of k contributions per row and coordinate, along axis 1.
-                contributions = contributions_buffer[:r * k * d].reshape(r, k, d)
                 for h, head in enumerate(heads):
-                    scores = _block_scores(head, rows, cols, log_weight)
-                    np.multiply(neighbors, _block_weights(scores, rows, h)[:, :, None],
-                                out=contributions)
-                    contributions.sort(axis=1)
-                    # A sum over the middle axis adds each lane's values one after
-                    # another from 0.0, as np.sum(axis=0) does over (k, d); with
-                    # d == 1 the lane is the inner axis and numpy sums it pairwise.
-                    summed = contributions.sum(axis=1)
+                    weights = _block_weights(_block_scores(head, rows, cols, log_weight), rows, h)
+                    # Each row's k contributions are added in stored order.
+                    summed = np.einsum("rk,rkd->rd", weights, neighbors)
                     out[rows, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
         except BaseException as exc:  # handed to the calling thread, which raises it
             errors.append(exc)
 
-    buffers = [(np.empty(capacity), np.empty(capacity)) for _ in range(workers)]
-    threads = [threading.Thread(target=work, args=pair) for pair in buffers[1:]]
+    buffers = [np.empty(capacity) for _ in range(workers)]
+    threads = [threading.Thread(target=work, args=(buffer,)) for buffer in buffers[1:]]
     try:
         for thread in threads:
             thread.start()
     except BaseException as exc:
         errors.append(exc)
-    work(*buffers[0])
+    work(buffers[0])
     for thread in threads:
         if thread.ident is not None:  # started
             thread.join()
@@ -389,8 +447,9 @@ def multi_head_attend(
     its statistics.
     """
     feats = np.asarray(features, dtype=np.float64)
-    pairs = attendable_pairs(g, dense_attention=dense_attention, iou_bias=iou_bias)
-    concatenated, workers = _attend(feats, pairs, _head_terms(feats, params, g.num_nodes))
+    heads = _head_terms(feats, params, g.num_nodes)
+    pairs = attendable_pairs(g, feats, dense_attention=dense_attention, iou_bias=iou_bias)
+    concatenated, workers = _attend(feats, pairs, heads)
     if degrees is not None and pairs.buckets:
         degrees.min_degree, degrees.max_degree = pairs.buckets[0][0], pairs.buckets[-1][0]
         degrees.median_degree = float(np.median(pairs.degree))
@@ -417,7 +476,7 @@ def attention_gradients(
     expected = (m, params.output_dim)
     if upstream.shape != expected:
         raise InputError(f"upstream must have shape {expected}, got {upstream.shape}")
-    pairs = attendable_pairs(g, dense_attention=dense_attention, iou_bias=iou_bias)
+    pairs = attendable_pairs(g, feats, dense_attention=dense_attention, iou_bias=iou_bias)
 
     grad_projection = None
     grad_concat = upstream

@@ -20,10 +20,8 @@ output file print their result document instead.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import sys
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,7 +40,7 @@ from .oracles import (
     max_relative_error,
     random_connected_graph,
 )
-from .pipeline import forward
+from .pipeline import _timed, forward
 from .pooling import gcpool
 from .spectral import Partition, _check_split_rule, ncut_value, recursive_ncut, two_way_ncut
 from .synthetic import generate_proposals
@@ -55,13 +53,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
-
-
-@contextlib.contextmanager
-def _timed(timings_ms: dict, name: str):
-    start = time.perf_counter()
-    yield
-    timings_ms[name] = (time.perf_counter() - start) * 1000.0
 
 
 def _emit(value) -> None:
@@ -307,6 +298,7 @@ def _cmd_forward(args) -> int:
     with _timed(timings_ms, "write"):
         digest = pio.save_features(result.features, args.output)
     diag = result.diagnostics
+    timings_ms.update(diag.timings_ms)
     labeling = diag.labeling
     _report("forward", config,
             {"proposals": diag.node_count, "edges": diag.edge_count,

@@ -242,10 +242,12 @@ def reference_attention(
 ) -> np.ndarray:
     """``multi_head_attend`` through an M x M score matrix and mask, row by row.
 
-    Each row softmaxes its attendable scores over a stably sorted
-    denominator and sums its stably sorted (k, d) contributions with
-    ``np.sum(axis=0)``, then clips to the attendable min/max. The sparse
-    kernel must give the same bits.
+    Each row orders its attendable j in Python by the big-endian bytes of
+    x_j, then by log w_ij, softmaxes its scores in that order with an
+    ``np.sum`` denominator, adds its (k, d) contributions one after another
+    from 0.0 (for d == 1 through the kernel's own ``einsum``, whose 1-d sum
+    is unrolled), then clips to the attendable min/max. The sparse kernel
+    must give the same bits.
     """
     feats = np.asarray(features, dtype=np.float64)
     m, d = feats.shape
@@ -253,23 +255,33 @@ def reference_attention(
     mask = np.ones((m, m), dtype=bool) if dense_attention else np.eye(m, dtype=bool)
     mask[i, j] = True
     mask[j, i] = True
+    on_edge = g.edge_weight > 0.0
+    bias = np.log(np.maximum(g.edge_weight[on_edge], 1e-300))
+    log_weight = np.zeros((m, m))
+    if iou_bias:
+        log_weight[i[on_edge], j[on_edge]] = bias
+        log_weight[j[on_edge], i[on_edge]] = bias
+    content = [feats[node].astype(">f8").tobytes() for node in range(m)]
     head_outputs = []
     for head in range(params.head_count):
         left = np.einsum("md,d->m", feats, params.score_weights[head, :d])
         right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
         scores = left[:, None] + right[None, :] + params.score_bias[head]
         if iou_bias:
-            on_edge = g.edge_weight > 0.0
-            bias = np.log(np.maximum(g.edge_weight[on_edge], 1e-300))
             scores[i[on_edge], j[on_edge]] += bias
             scores[j[on_edge], i[on_edge]] += bias
         out = np.empty_like(feats)
         for row in range(m):
-            idx = np.flatnonzero(mask[row])
+            idx = sorted(np.flatnonzero(mask[row]),
+                         key=lambda col: (content[col], log_weight[row, col]))
             shifted = np.exp(scores[row, idx] - np.max(scores[row, idx]))
-            weights = shifted / np.sum(np.sort(shifted, kind="stable"))
-            contributions = weights[:, None] * feats[idx]
-            summed = np.sum(np.sort(contributions, axis=0, kind="stable"), axis=0)
+            weights = shifted / np.sum(shifted)
+            if d == 1:
+                summed = np.einsum("rk,rkd->rd", weights[None], feats[idx][None])[0]
+            else:
+                summed = np.zeros(d)
+                for contribution in weights[:, None] * feats[idx]:
+                    summed = summed + contribution
             out[row] = np.minimum(np.maximum(summed, feats[idx].min(axis=0)),
                                   feats[idx].max(axis=0))
         head_outputs.append(out)

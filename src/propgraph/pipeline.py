@@ -9,8 +9,10 @@ the output always has one row per input proposal.
 
 from __future__ import annotations
 
+import contextlib
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,13 +31,16 @@ class PipelineDiagnostics:
     ``labeling`` is pooling's result. Without pooling its ``labels`` are
     empty, it has 0 parts and zero solves, and it still counts the graph's
     components. ``attention`` covers every row attention ran on, coarse
-    nodes included, and is all zeros with no nodes.
+    nodes included, and is all zeros with no nodes. ``timings_ms`` holds the
+    wall milliseconds of the ``graph``, ``pool`` (component labelling alone
+    without pooling), ``attend`` and ``normalize`` stages.
     """
 
     node_count: int
     edge_count: int
     labeling: PseudoLabeling
     attention: AttentionDegrees
+    timings_ms: dict[str, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +113,14 @@ def identical_normalize(
     return output
 
 
+@contextlib.contextmanager
+def _timed(timings_ms: dict, name: str) -> Iterator[None]:
+    """Records the wall milliseconds of the block under ``name``."""
+    start = time.perf_counter()
+    yield
+    timings_ms[name] = (time.perf_counter() - start) * 1000.0
+
+
 def _first_non_finite_row(matrix: np.ndarray) -> Optional[int]:
     finite = np.isfinite(matrix).reshape(matrix.shape[0] if matrix.ndim else 1, -1).all(axis=1)
     return None if finite.all() else int(np.argmin(finite))
@@ -135,43 +148,49 @@ def forward(
             f"attention output dim {params.output_dim} must equal feature dim "
             f"{feats.shape[1]} for the residual mix"
         )
-    g = build_graph(boxes, feats, config.iou_thr)
+    timings_ms: dict[str, float] = {}
+    with _timed(timings_ms, "graph"):
+        g = build_graph(boxes, feats, config.iou_thr)
     m = g.num_nodes
-    if use_gcpool:
-        labeling, coarse = gcpool(
-            g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
-        )
-        augmented = augment_with_coarse(g, labeling.labels, coarse)
-    else:
-        labeling = PseudoLabeling(labels=np.empty(0, dtype=np.int64), part_count=0,
-                                  component_count=connected_components(g).count,
-                                  solves=SolveCounts())
-        augmented = g
+    with _timed(timings_ms, "pool"):
+        if use_gcpool:
+            labeling, coarse = gcpool(
+                g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
+            )
+            augmented = augment_with_coarse(g, labeling.labels, coarse)
+        else:
+            labeling = PseudoLabeling(labels=np.empty(0, dtype=np.int64), part_count=0,
+                                      component_count=connected_components(g).count,
+                                      solves=SolveCounts())
+            augmented = g
     degrees = AttentionDegrees()
-    if m == 0:
-        refined = np.zeros((0, feats.shape[1]), dtype=np.float64)
-    else:
-        refined_all = multi_head_attend(
-            augmented.features,
-            params,
-            augmented,
-            dense_attention=config.dense_attention,
-            iou_bias=config.iou_bias,
-            degrees=degrees,
+    with _timed(timings_ms, "attend"):
+        if m == 0:
+            refined = np.zeros((0, feats.shape[1]), dtype=np.float64)
+        else:
+            refined_all = multi_head_attend(
+                augmented.features,
+                params,
+                augmented,
+                dense_attention=config.dense_attention,
+                iou_bias=config.iou_bias,
+                degrees=degrees,
+            )
+            refined = refined_all[:m]
+            k = _first_non_finite_row(refined)
+            if k is not None:
+                raise NumericalError(f"attention: output row {k} is not finite")
+    with _timed(timings_ms, "normalize"):
+        output = identical_normalize(
+            refined,
+            feats,
+            lambda_=config.lambda_,
+            epsilon=config.epsilon,
+            mode=config.norm_mode,
+            per_channel=config.per_channel,
         )
-        refined = refined_all[:m]
-        k = _first_non_finite_row(refined)
-        if k is not None:
-            raise NumericalError(f"attention: output row {k} is not finite")
-    output = identical_normalize(
-        refined,
-        feats,
-        lambda_=config.lambda_,
-        epsilon=config.epsilon,
-        mode=config.norm_mode,
-        per_channel=config.per_channel,
-    )
     diagnostics = PipelineDiagnostics(
-        node_count=m, edge_count=g.num_edges, labeling=labeling, attention=degrees
+        node_count=m, edge_count=g.num_edges, labeling=labeling, attention=degrees,
+        timings_ms=timings_ms,
     )
     return RefinedProposals(features=output, diagnostics=diagnostics)

@@ -117,7 +117,7 @@ def test_criterion_4_attention_invariants():
             g = random_connected_graph(rng, m, features=d)
             params = AttentionParams.initialize(d, seed=int(rng.integers(0, 2**31)))
             dense = bool(rng.integers(0, 2))
-            pairs = attendable_pairs(g, dense_attention=dense)
+            pairs = attendable_pairs(g, g.features, dense_attention=dense)
             weights = weight_matrix(pairs, pair_scores(g.features, params, pairs))
             assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9
             out = multi_head_attend(g.features, params, g, dense_attention=dense)
@@ -333,8 +333,11 @@ def test_criterion_9_throughput(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert "forward" in report["timings_ms"]
-        assert report["timings_ms"]["forward"] < 10_000.0
+        timings = report["timings_ms"]
+        assert set(timings) == {"load", "forward", "write", "graph", "pool", "attend", "normalize"}
+        assert timings["forward"] < 10_000.0
+        stages = timings["graph"] + timings["pool"] + timings["attend"] + timings["normalize"]
+        assert 0.0 < stages <= timings["forward"]
 
 
 def test_criterion_examples_multi_head_shape():

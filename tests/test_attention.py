@@ -80,7 +80,7 @@ class TestSimilarityScores:
         # score (i, j) = x_i[0] + x_j[1]; self pairs concatenate [x_i ; x_i]
         scores = np.array([[2.0, 5.0], [0.0, 3.0]])
         expected = softmax_average(scores, np.ones((2, 2), dtype=bool), feats)
-        assert pair_matrix(attendable_pairs(g), True, fill=False).all()
+        assert pair_matrix(attendable_pairs(g, g.features), True, fill=False).all()
         for dense in (False, True):
             out = multi_head_attend(feats, params, g, dense_attention=dense)
             assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
@@ -93,7 +93,8 @@ class TestSimilarityScores:
         log_bias = np.zeros((3, 3))
         log_bias[0, 1] = log_bias[1, 0] = np.log(0.5)  # zero-weight edge (1, 2) stays unbiased
         for dense in (False, True):
-            mask = pair_matrix(attendable_pairs(g, dense_attention=dense), True, fill=False)
+            pairs = attendable_pairs(g, g.features, dense_attention=dense)
+            mask = pair_matrix(pairs, True, fill=False)
             for iou_bias in (False, True):
                 expected = softmax_average(scores + log_bias * iou_bias, mask, feats)
                 out = multi_head_attend(feats, params, g, dense_attention=dense,
@@ -104,17 +105,18 @@ class TestSimilarityScores:
         feats = np.random.default_rng(0).normal(size=(4, 3))
         g = graph_from_edges(4, [(0, 1, 0.3), (2, 3, 0.4)], features=feats)
         out = multi_head_attend(feats, single_head_params([0.0] * 6), g)
-        mask = pair_matrix(attendable_pairs(g), True, fill=False)
+        mask = pair_matrix(attendable_pairs(g, g.features), True, fill=False)
         for i in range(4):
             assert out[i] == pytest.approx(feats[mask[i]].mean(axis=0), abs=1e-12)
 
     def test_mask_is_neighbors_plus_self(self):
         feats = np.zeros((3, 1))
         g = graph_from_edges(3, [(0, 1, 0.9)], features=feats)
-        mask = pair_matrix(attendable_pairs(g), True, fill=False)
+        mask = pair_matrix(attendable_pairs(g, g.features), True, fill=False)
         expected = np.array([[True, True, False], [True, True, False], [False, False, True]])
         assert np.array_equal(mask, expected)
-        dense = pair_matrix(attendable_pairs(g, dense_attention=True), True, fill=False)
+        dense_pairs = attendable_pairs(g, g.features, dense_attention=True)
+        dense = pair_matrix(dense_pairs, True, fill=False)
         assert dense.all()
 
     def test_dimension_mismatch_rejected(self):
@@ -158,7 +160,8 @@ class TestAttend:
 
     def test_masked_row_softmax_ignores_masked_entries(self):
         scores = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        pairs = attendable_pairs(graph_from_edges(3, [(0, 2, 0.5)]))
+        g = graph_from_edges(3, [(0, 2, 0.5)])
+        pairs = attendable_pairs(g, g.features)
         weights = weight_matrix(pairs, scores[pair_coords(pairs)])
         assert weights[0, 1] == 0.0
         assert weights[0, 0] + weights[0, 2] == pytest.approx(1.0, abs=1e-12)
@@ -170,7 +173,7 @@ class TestAttend:
         m = int(rng.integers(1, 12))
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
-        pairs = attendable_pairs(g)
+        pairs = attendable_pairs(g, g.features)
         weights = weight_matrix(pairs, pair_scores(g.features, params, pairs))
         sums = weights.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
@@ -298,10 +301,20 @@ class TestGradients:
 
 class TestSparseKernel:
     def test_pairs_are_self_plus_both_edge_directions_bucketed_by_degree(self):
-        g = graph_from_edges(5, [(0, 3, 0.5), (1, 3, 0.0), (0, 1, 0.25)])
-        pairs = attendable_pairs(g, iou_bias=True)
+        # Nodes 0 and 3 share a feature row. Ranks follow the bits read as
+        # uint64, where -1.0 comes after every positive value.
+        feats = np.array([[1.0], [5.0], [-1.0], [1.0], [2.0]])
+        g = graph_from_edges(5, [(0, 3, 0.5), (1, 3, 0.0), (0, 1, 0.25)], features=feats)
+        pairs = attendable_pairs(g, g.features, iou_bias=True)
+        assert pairs.rank.tolist() == [0, 2, 3, 0, 1]
         assert pairs.indptr.tolist() == [0, 3, 6, 7, 10, 11]
-        assert pairs.indices.tolist() == [0, 1, 3, 0, 1, 3, 2, 0, 1, 3, 4]
+        # By rank, and the equal-content nodes 0 and 3 by ascending log-weight.
+        assert pairs.indices.tolist() == [3, 0, 1, 0, 3, 1, 2, 0, 3, 1, 4]
+        # Without the bias any order of equal content sums to the same bits.
+        plain = attendable_pairs(g, g.features)
+        assert plain.rank[plain.indices].tolist() == [0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 1]
+        assert pair_matrix(plain, True, fill=False).tolist() == pair_matrix(
+            pairs, True, fill=False).tolist()
         bias = pair_matrix(pairs, pairs.log_weight, fill=np.nan)
         assert bias[0, 3] == bias[3, 0] == np.log(0.5)
         assert bias[0, 1] == bias[1, 0] == np.log(0.25)
@@ -309,9 +322,25 @@ class TestSparseKernel:
         for i, j in [(1, 3), (3, 1), (0, 0), (2, 2)]:
             assert bias[i, j] == 0.0 and np.signbit(bias[i, j])
         assert [(k, rows.tolist()) for k, rows in pairs.buckets] == [(1, [2, 4]), (3, [0, 1, 3])]
-        dense = attendable_pairs(g, dense_attention=True)
+        dense = attendable_pairs(g, g.features, dense_attention=True)
         assert [(k, rows.tolist()) for k, rows in dense.buckets] == [(5, [0, 1, 2, 3, 4])]
-        assert dense.pair_count == 25 and attendable_pairs(g).log_weight is None
+        assert dense.pair_count == 25 and attendable_pairs(g, g.features).log_weight is None
+        # Dense rows list every node by rank; with the bias each row orders
+        # the run of nodes 0 and 3 by its own log-weights.
+        (_, cols, _), = attention._blocks(dense, 1, 1 << 20)
+        assert cols.tolist() == [[0, 3, 4, 1, 2]] * 5
+        biased = attendable_pairs(g, g.features, dense_attention=True, iou_bias=True)
+        (_, cols, log_weight), = attention._blocks(biased, 1, 1 << 20)
+        assert cols.tolist() == [[3, 0, 4, 1, 2]] + [[0, 3, 4, 1, 2]] * 4
+        spread = np.where(np.isnan(bias), -0.0, bias)
+        assert log_weight.tobytes() == spread[np.arange(5)[:, None], cols].tobytes()
+
+    def test_pairs_need_one_feature_row_per_node(self):
+        g = graph_from_edges(5, [(0, 3, 0.5)])
+        with pytest.raises(InputError, match="^4 feature rows for 5 graph nodes$"):
+            attendable_pairs(g, np.zeros((4, 2)))
+        with pytest.raises(InputError, match="^features must be a 2-d matrix$"):
+            attendable_pairs(g, np.zeros(5))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -337,7 +366,7 @@ class TestSparseKernel:
             for i in range(m) for j in range(i + 1, m) if rng.random() < density
         ]
         if signed_zeros:
-            # Repeated values and both zeros: the unstable sort must not matter.
+            # Repeated values and both zeros: equal rows tie on content rank.
             feats = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(m, d))
         else:
             feats = rng.normal(size=(m, d))
@@ -354,6 +383,49 @@ class TestSparseKernel:
                                         iou_bias=iou_bias)
             assert np.array_equal(out, reference)
             assert out.tobytes() == reference.tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        dense=st.booleans(),
+        iou_bias=st.booleans(),
+        heads=st.sampled_from([1, 4]),
+        block_floats=st.sampled_from([1, 24, 1 << 20]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_equivariance_exact_with_tied_rows(
+        self, seed, dense, iou_bias, heads, block_floats
+    ):
+        # Feature rows come from a pool of four over values that include both
+        # zeros, so rows repeat, some differing only in a zero's sign. Nodes 0
+        # and 1 share a row: node 2 sees them with different IoU, node 3 with
+        # equal IoU. IoU 1.0 gives a +0.0 log-weight beside the self pairs' -0.0.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 14))
+        d = int(rng.integers(1, 5))
+        pool = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(4, d))
+        feats = pool[rng.integers(0, 4, size=m)]
+        feats[1] = feats[0]
+        ious = [0.0, 0.25, 0.5, 1.0]
+        edges = {(0, 2): 0.25, (1, 2): 0.5, (0, 3): 0.5, (1, 3): 0.5}
+        density = rng.uniform(0.0, 0.6)
+        for i in range(m):
+            for j in range(i + 1, m):
+                if (i, j) not in edges and rng.random() < density:
+                    edges[(i, j)] = float(rng.choice(ious))
+        g = graph_from_edges(m, [(i, j, w) for (i, j), w in edges.items()], features=feats)
+        out_dim = int(rng.integers(1, 6)) if heads > 1 else None
+        params = AttentionParams.initialize(d, head_count=heads, output_dim=out_dim,
+                                            seed=seed & 0xFFFF)
+        perm = rng.permutation(m)
+        permuted_g = permuted_graph(g, perm)
+        for workers in (1, 2, 3):
+            with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
+                    mock.patch.object(attention, "_worker_count", return_value=workers):
+                base = multi_head_attend(feats, params, g, dense_attention=dense,
+                                         iou_bias=iou_bias)
+                permuted = multi_head_attend(permuted_g.features, params, permuted_g,
+                                             dense_attention=dense, iou_bias=iou_bias)
+            assert permuted.tobytes() == base[perm].tobytes()
 
     def test_dense_mode_builds_no_square_array(self):
         import tracemalloc

@@ -149,6 +149,16 @@ class TestForward:
         assert labeling.part_count == 2
         assert labeling.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("use_gcpool", [True, False])
+    def test_diagnostics_time_every_stage(self, use_gcpool):
+        rng = np.random.default_rng(4)
+        params = AttentionParams.initialize(4, seed=2)
+        result = forward(two_box_clusters(), rng.normal(size=(6, 4)), params, PipelineConfig(),
+                         use_gcpool=use_gcpool)
+        timings = result.diagnostics.timings_ms
+        assert list(timings) == ["graph", "pool", "attend", "normalize"]
+        assert all(value >= 0.0 for value in timings.values())
+
     def test_no_gcpool_equals_forward_when_nothing_pools(self):
         # all components are singletons, so gcpool produces nothing
         rng = np.random.default_rng(5)
