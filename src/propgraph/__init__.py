@@ -18,17 +18,16 @@ from .attention import (
 )
 from .config import PipelineConfig
 from .errors import InputError, NumericalError
-from .geometry import BoundingBox, iou, spatial_descriptor
+from .geometry import spatial_descriptor
 from .graph import (
     ComponentLabeling,
     ProposalGraph,
     build_graph,
     connected_components,
-    graph_from_edges,
     induced_subgraphs,
 )
 from .io import ProposalDocument, load_proposals, save_proposals
-from .oracles import brute_force_ncut, finite_difference_gradients
+from .oracles import brute_force_ncut, finite_difference_gradients, graph_from_edges
 from .pipeline import PipelineDiagnostics, RefinedProposals, forward, identical_normalize
 from .pooling import PseudoLabeling, augment_with_coarse, gcpool, pool_part
 from .spectral import (
@@ -37,7 +36,6 @@ from .spectral import (
     SolveCounts,
     fiedler_vector,
     ncut_value,
-    normalized_laplacian,
     recursive_ncut,
     symmetric_eigendecomposition,
     two_way_ncut,
@@ -51,7 +49,6 @@ __all__ = [
     "AttentionDegrees",
     "AttentionGradients",
     "AttentionParams",
-    "BoundingBox",
     "ComponentLabeling",
     "CutReport",
     "InputError",
@@ -79,11 +76,9 @@ __all__ = [
     "graph_from_edges",
     "identical_normalize",
     "induced_subgraphs",
-    "iou",
     "load_proposals",
     "multi_head_attend",
     "ncut_value",
-    "normalized_laplacian",
     "pool_part",
     "recursive_ncut",
     "save_proposals",

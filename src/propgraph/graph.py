@@ -12,8 +12,8 @@ monotonically, is still lexsorted and duplicate-free.
 ``induced_subgraphs`` cuts a graph into the subgraphs of a node labelling
 (its components, or pooling's parts) with one stable sort of the nodes and
 one of the edges, so each group's members and internal edges are one
-contiguous slice. ``subgraph`` masks every edge of the graph, so calling it
-once per group would cost groups x edges.
+contiguous slice. ``propgraph.oracles.subgraph`` masks every edge of the
+graph instead, so calling it once per group would cost groups x edges.
 
 ``build_graph`` finds overlapping boxes by sort-and-sweep over x1 and tests
 only those candidate pairs, in fixed-size chunks, so its memory is
@@ -24,7 +24,7 @@ O(chunk + edges), never O(M^2). A graph past ``_EDGE_LIMIT`` edges is an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -109,13 +109,6 @@ class ProposalGraph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Edges as sorted (i, j, w) triples."""
-        return [
-            (int(i), int(j), float(w))
-            for (i, j), w in zip(self.edge_index, self.edge_weight)
-        ]
-
     def adjacency(self) -> np.ndarray:
         """Dense symmetric weight matrix; zeros mark absent edges."""
         m = self.num_nodes
@@ -125,24 +118,6 @@ class ProposalGraph:
             a[i, j] = self.edge_weight
             a[j, i] = self.edge_weight
         return a
-
-    def subgraph(self, indices: Sequence[int] | np.ndarray) -> "ProposalGraph":
-        """Induced subgraph on ``indices`` (ascending node indices)."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.num_nodes:
-                raise InputError("subgraph index out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise InputError("subgraph indices must be strictly ascending")
-        keep = np.zeros(self.num_nodes, dtype=bool)
-        keep[idx] = True
-        remap = np.full(self.num_nodes, -1, dtype=np.int64)
-        remap[idx] = np.arange(idx.size, dtype=np.int64)
-        mask = keep[self.edge_index[:, 0]] & keep[self.edge_index[:, 1]]
-        return ProposalGraph._derived(
-            self.features[idx], remap[self.edge_index[mask]], self.edge_weight[mask]
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentLabeling:
@@ -154,9 +129,6 @@ class ComponentLabeling:
     @property
     def count(self) -> int:
         return int(self.sizes.shape[0])
-
-    def members(self, component: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == component)
 
 
 def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -184,7 +156,8 @@ def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarr
 def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(i, j, IoU) with i < j for every pair of boxes that overlap with positive area.
 
-    Mirrors geometry.iou operation for operation, so every weight is
+    Computes iw, ih, their product and the union in the order the scalar
+    reference ``iou`` in tests/conftest.py does, so every weight is
     bit-identical to it.
     """
     x1, y1, x2, y2 = xyxy[:, 0], xyxy[:, 1], xyxy[:, 2], xyxy[:, 3]
@@ -241,21 +214,6 @@ def build_graph(
     return ProposalGraph(
         features=feats, edge_index=np.concatenate(pairs), edge_weight=np.concatenate(weights)
     )
-
-
-def graph_from_edges(
-    num_nodes: int,
-    edges: Iterable[tuple[int, int, float]],
-    features: np.ndarray | None = None,
-) -> ProposalGraph:
-    """Construct a graph directly from weighted (i, j, w) triples (test/CLI helper)."""
-    rows = list(edges)
-    if features is None:
-        features = np.zeros((num_nodes, 0), dtype=np.float64)
-    edge_index = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
-    edge_index.sort(axis=1)
-    edge_weight = np.array([row[2] for row in rows], dtype=np.float64)
-    return ProposalGraph(features=features, edge_index=edge_index, edge_weight=edge_weight)
 
 
 def connected_components(g: ProposalGraph) -> ComponentLabeling:

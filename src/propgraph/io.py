@@ -384,22 +384,6 @@ class ProposalDocument:
             return self.features
         return spatial_descriptor(self.normalized_boxes())
 
-    def to_dict(self) -> dict:
-        proposals = []
-        for k in range(self.num_proposals):
-            entry: dict[str, Any] = {"box": self.pixel_boxes[k]}
-            if self.features is not None:
-                entry["feature"] = self.features[k]
-            if self.scores is not None and self.scores[k] is not None:
-                entry["score"] = self.scores[k]
-            proposals.append(entry)
-        return {
-            "image_id": self.image_id,
-            "width": self.width,
-            "height": self.height,
-            "proposals": proposals,
-        }
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -517,7 +501,7 @@ def load_proposals(path: str) -> ProposalDocument:
 
 
 def save_proposals(document: ProposalDocument, path: str) -> str:
-    """Write ``document.to_dict()``'s bytes, formatting boxes and features one matrix each."""
+    """Write ``document`` as a proposals file, formatting boxes and features one matrix each."""
     count = document.num_proposals
     boxes = _float_rows(document.pixel_boxes)
     features = [None] * count if document.features is None else _float_rows(document.features)
@@ -543,14 +527,6 @@ def save_proposals(document: ProposalDocument, path: str) -> str:
 # ----------------------------------------------------------------------
 # Graph / partition / feature / parameter files
 # ----------------------------------------------------------------------
-
-def graph_to_dict(g: ProposalGraph) -> dict:
-    return {
-        "nodes": g.num_nodes,
-        "node_ids": list(range(g.num_nodes)),
-        "edges": [[int(i), int(j), float(w)] for (i, j), w in zip(g.edge_index, g.edge_weight)],
-    }
-
 
 def graph_from_dict(data: Any, source: str = "<graph>") -> tuple[ProposalGraph, np.ndarray]:
     """The graph of a graph file and, beside it, the file's int64 id of each node."""
@@ -591,7 +567,7 @@ def graph_from_dict(data: Any, source: str = "<graph>") -> tuple[ProposalGraph, 
 
 
 def save_graph(g: ProposalGraph, path: str) -> str:
-    """Write ``graph_to_dict(g)``'s bytes, formatting the edges as one (E, 3) float matrix.
+    """Write ``g`` as a graph file with ids 0..M-1, formatting the edges as one (E, 3) matrix.
 
     Node indices are integers far below 2**53, whose ".17g" text is their
     int text.

@@ -3,19 +3,20 @@
 Each oracle reaches what the forward path computes by another route:
 exhaustive search, edge-by-edge enumeration, a dense per-row attention
 kernel, pooling through one induced ``subgraph`` per set, or central finite
-differences. The ``oracle`` CLI commands and the
-test suite both use this module; no forward-path module imports it.
+differences. ``graph_from_edges`` builds the generators' graphs from (i, j, w)
+triples. The ``oracle`` CLI commands and the test suite both use this
+module; no forward-path module imports it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .attention import AttentionGradients, AttentionParams, multi_head_attend
 from .errors import InputError, NumericalError
-from .graph import ProposalGraph, connected_components, graph_from_edges
+from .graph import ProposalGraph, connected_components
 from .pooling import PseudoLabeling, _in_component, _pooled
 from .spectral import (
     _CERTIFY_MARGIN,
@@ -30,6 +31,41 @@ from .spectral import (
 )
 
 BRUTE_FORCE_MAX_NODES = 15
+
+
+def graph_from_edges(
+    num_nodes: int,
+    edges: Iterable[tuple[int, int, float]],
+    features: np.ndarray | None = None,
+) -> ProposalGraph:
+    """The graph of weighted (i, j, w) triples, through the checking constructor."""
+    rows = list(edges)
+    if features is None:
+        features = np.zeros((num_nodes, 0), dtype=np.float64)
+    edge_index = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    edge_index.sort(axis=1)
+    edge_weight = np.array([row[2] for row in rows], dtype=np.float64)
+    return ProposalGraph(features=features, edge_index=edge_index, edge_weight=edge_weight)
+
+
+def subgraph(g: ProposalGraph, indices: np.ndarray) -> ProposalGraph:
+    """Induced subgraph of ``g`` on ``indices`` (strictly ascending node indices).
+
+    Masks every edge of ``g``: the route ``graph.induced_subgraphs`` must
+    match bit for bit.
+    """
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size:
+        if idx.min() < 0 or idx.max() >= g.num_nodes:
+            raise InputError("subgraph index out of range")
+        if np.any(np.diff(idx) <= 0):
+            raise InputError("subgraph indices must be strictly ascending")
+    keep = np.zeros(g.num_nodes, dtype=bool)
+    keep[idx] = True
+    remap = np.full(g.num_nodes, -1, dtype=np.int64)
+    remap[idx] = np.arange(idx.size, dtype=np.int64)
+    mask = keep[g.edge_index[:, 0]] & keep[g.edge_index[:, 1]]
+    return ProposalGraph._derived(g.features[idx], remap[g.edge_index[mask]], g.edge_weight[mask])
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, features: int = 0) -> ProposalGraph:
@@ -144,7 +180,7 @@ def reference_recursive_ncut(
         if idx.size == 1:
             parts.append(idx)
             continue
-        sub = g.subgraph(idx)
+        sub = subgraph(g, idx)
         components = connected_components(sub)
         if components.count > 1:
             first = idx[components.labels == 0]
@@ -192,10 +228,10 @@ def reference_gcpool(
     solves = SolveCounts()
     components = connected_components(g)
     for component in np.flatnonzero(components.sizes >= min_size):
-        comp_idx = components.members(component)
+        comp_idx = np.flatnonzero(components.labels == component)
         try:
             partition = reference_recursive_ncut(
-                g.subgraph(comp_idx), stop_ncut, min_part=min_part, counts=solves
+                subgraph(g, comp_idx), stop_ncut, min_part=min_part, counts=solves
             )
         except (InputError, NumericalError) as exc:
             raise _in_component(exc, int(component), comp_idx) from exc
@@ -222,7 +258,7 @@ def reference_augment_with_coarse(
         if n <= 1:
             weights.append(np.ones(n))
             continue
-        block = g.subgraph(members).adjacency()
+        block = subgraph(g, members).adjacency()
         weights.append(block[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
     all_members = np.concatenate(member_lists)
     coarse_index = m + labels[all_members]

@@ -10,6 +10,7 @@ the output always has one row per input proposal.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -17,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .attention import AttentionDegrees, AttentionParams, multi_head_attend
-from .config import PipelineConfig
+from .config import NORM_MODES, PipelineConfig
 from .errors import InputError, NumericalError
 from .graph import build_graph, connected_components
 from .pooling import PseudoLabeling, augment_with_coarse, gcpool
@@ -74,14 +75,17 @@ def identical_normalize(
     original = np.asarray(original, dtype=np.float64)
     if refined.shape != original.shape:
         raise InputError(f"shape mismatch: refined {refined.shape} vs original {original.shape}")
+    for name, value in (("epsilon", epsilon), ("lambda", lambda_)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
     if epsilon <= 0.0:
         raise InputError(f"epsilon must be > 0, got {epsilon}")
     if lambda_ < 0.0:
         raise InputError(f"lambda must be >= 0, got {lambda_}")
+    if mode not in NORM_MODES:
+        raise InputError(f"unknown normalization mode {mode!r}")
     if refined.size == 0:
         return original.copy()
-    if mode not in ("literal", "moment_match"):
-        raise InputError(f"unknown normalization mode {mode!r}")
     axis = 0 if per_channel else None
     # Finite inputs can still overflow a square or a product; the check
     # below reports that instead of numpy's warnings.

@@ -13,8 +13,9 @@ Both ``gcpool`` and ``augment_with_coarse`` cut the graph once with
 ``graph.induced_subgraphs``: one stable sort groups the edges by component
 (or by part), so each component or part is pooled from its own contiguous
 edge slice and pooling costs O(E log E) plus the per-component solves, not
-components x edges. ``propgraph.oracles`` keeps the one-``subgraph``-per-set
-route as the reference that the tests hold these to, bit for bit.
+components x edges. ``propgraph.oracles`` keeps the route through one
+``oracles.subgraph`` per set as the reference that the tests hold these to,
+bit for bit.
 """
 
 from __future__ import annotations

@@ -131,18 +131,6 @@ def _cut_report(w: np.ndarray, degrees: np.ndarray, partition: Partition) -> Cut
     return CutReport(ncut_value=total, per_set=tuple(per_set))
 
 
-def normalized_laplacian(g: ProposalGraph) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}.
-
-    Requires every weighted degree to be positive (connected graphs with at
-    least one edge qualify). Eigenvalues lie in [0, 2]; for a connected
-    graph the eigenvalue 0 is simple with eigenvector D^{1/2} 1.
-    """
-    if g.num_nodes == 0:
-        raise InputError("empty graph has no Laplacian")
-    return _block_of(g.adjacency()).laplacian
-
-
 @dataclass(frozen=True, eq=False)
 class _Block:
     """Dense weights, weighted degrees and normalized Laplacian of one node set."""

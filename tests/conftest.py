@@ -1,5 +1,5 @@
-"""Test-only strategies, geometry oracles, attention and spectral helpers and the CLI
-subprocess helper.
+"""Test-only strategies, geometry oracles, file-value references, attention and
+spectral helpers and the CLI subprocess helper.
 
 The graph generators and the ncut/gradient oracles live in
 ``propgraph.oracles``, shared with the ``oracle`` CLI commands.
@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 import propgraph
 from propgraph import attention, spectral
 from propgraph import (
-    AttendablePairs, AttentionParams, BoundingBox, ProposalGraph, attention_weights,
-    graph_from_edges,
+    AttendablePairs, AttentionParams, InputError, ProposalDocument, ProposalGraph,
+    attention_weights, graph_from_edges,
 )
 
 # Directory holding the ``propgraph`` package, so a subprocess started in
@@ -35,25 +36,54 @@ PACKAGE_ROOT = str(Path(propgraph.__file__).resolve().parent.parent)
 GRID = 1024
 
 
+class Box(NamedTuple):
+    """Corner-format box: (x1, y1) top-left, (x2, y2) bottom-right, in [0, 1]."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    @property
+    def area(self) -> float:
+        return (self.x2 - self.x1) * (self.y2 - self.y1)
+
+
 @st.composite
-def dyadic_boxes(draw, grid: int = GRID) -> BoundingBox:
+def dyadic_boxes(draw, grid: int = GRID) -> Box:
     """A box with corners on the ``grid`` x ``grid`` lattice; a coarse grid makes ties common."""
     x1 = draw(st.integers(min_value=0, max_value=grid - 1))
     x2 = draw(st.integers(min_value=x1 + 1, max_value=grid))
     y1 = draw(st.integers(min_value=0, max_value=grid - 1))
     y2 = draw(st.integers(min_value=y1 + 1, max_value=grid))
-    return BoundingBox(x1 / grid, y1 / grid, x2 / grid, y2 / grid)
+    return Box(x1 / grid, y1 / grid, x2 / grid, y2 / grid)
 
 
-def box_array(boxes: list[BoundingBox]) -> np.ndarray:
+def box_array(boxes: list[Box]) -> np.ndarray:
     """The (M, 4) array ``build_graph`` takes, one row per reference box."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
-def exact_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
+def iou(a: Box, b: Box) -> float:
+    """Scalar intersection over union, the reference ``build_graph``'s weights equal bit for bit.
+
+    Symmetric, in [0, 1], and exactly 1.0 for identical boxes. Boxes that
+    meet only along an edge or at a corner have zero intersection area and
+    therefore IoU 0.
+    """
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    return inter / union
+
+
+def exact_iou(a: Box, b: Box) -> Fraction:
     """Rational-arithmetic IoU; independent of the float implementation."""
-    ax1, ay1, ax2, ay2 = (Fraction(v) for v in a.as_tuple())
-    bx1, by1, bx2, by2 = (Fraction(v) for v in b.as_tuple())
+    ax1, ay1, ax2, ay2 = (Fraction(v) for v in a)
+    bx1, by1, bx2, by2 = (Fraction(v) for v in b)
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0 or ih <= 0:
@@ -63,13 +93,13 @@ def exact_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
     return inter / union
 
 
-def grid_area_iou(a: BoundingBox, b: BoundingBox, resolution: int = 2000) -> float:
+def grid_area_iou(a: Box, b: Box, resolution: int = 2000) -> float:
     """Rasterized-area IoU: count sample-point hits on a fine grid."""
     points = (np.arange(resolution) + 0.5) / resolution
     xs = points[None, :]
     ys = points[:, None]
 
-    def inside(box: BoundingBox) -> np.ndarray:
+    def inside(box: Box) -> np.ndarray:
         return (xs > box.x1) & (xs < box.x2) & (ys > box.y1) & (ys < box.y2)
 
     in_a = inside(a)
@@ -78,6 +108,43 @@ def grid_area_iou(a: BoundingBox, b: BoundingBox, resolution: int = 2000) -> flo
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def edge_triples(g: ProposalGraph) -> list[tuple[int, int, float]]:
+    """The edges of ``g`` as (i, j, w) triples, in the graph's sorted order."""
+    return [(int(i), int(j), float(w)) for (i, j), w in zip(g.edge_index, g.edge_weight)]
+
+
+def graph_to_dict(g: ProposalGraph) -> dict:
+    """The graph file's value, whose canonical bytes ``save_graph`` must write."""
+    return {"nodes": g.num_nodes, "node_ids": list(range(g.num_nodes)),
+            "edges": [list(edge) for edge in edge_triples(g)]}
+
+
+def document_to_dict(document: ProposalDocument) -> dict:
+    """The proposals file's value, whose canonical bytes ``save_proposals`` must write."""
+    proposals = []
+    for k in range(document.num_proposals):
+        entry: dict[str, Any] = {"box": document.pixel_boxes[k]}
+        if document.features is not None:
+            entry["feature"] = document.features[k]
+        if document.scores is not None and document.scores[k] is not None:
+            entry["score"] = document.scores[k]
+        proposals.append(entry)
+    return {"image_id": document.image_id, "width": document.width,
+            "height": document.height, "proposals": proposals}
+
+
+def normalized_laplacian(g: ProposalGraph) -> np.ndarray:
+    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of the whole graph.
+
+    Requires every weighted degree to be positive (connected graphs with at
+    least one edge qualify). Eigenvalues lie in [0, 2]; for a connected
+    graph the eigenvalue 0 is simple with eigenvector D^{1/2} 1.
+    """
+    if g.num_nodes == 0:
+        raise InputError("empty graph has no Laplacian")
+    return spectral._block_of(g.adjacency()).laplacian
 
 
 def pair_coords(pairs: AttendablePairs) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +223,7 @@ def spy_tie_route(monkeypatch) -> list[int]:
 def permuted_graph(g: ProposalGraph, perm: np.ndarray) -> ProposalGraph:
     """The graph whose node a is node ``perm[a]`` of ``g``."""
     inverse = np.argsort(perm)
-    edges = [(int(inverse[i]), int(inverse[j]), w) for i, j, w in g.edges()]
+    edges = [(int(inverse[i]), int(inverse[j]), w) for i, j, w in edge_triples(g)]
     return graph_from_edges(g.num_nodes, edges, features=g.features[perm])
 
 

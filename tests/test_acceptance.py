@@ -27,7 +27,6 @@ from propgraph import (
     graph_from_edges,
     identical_normalize,
     ncut_value,
-    normalized_laplacian,
     symmetric_eigendecomposition,
     two_way_ncut,
 )
@@ -43,7 +42,8 @@ from propgraph.oracles import (
 from propgraph.spectral import Partition
 
 from conftest import (
-    pair_matrix, pair_scores, permuted_graph, run_cli, shifted_row, spy_tie_route, weight_matrix,
+    normalized_laplacian, pair_matrix, pair_scores, permuted_graph, run_cli, shifted_row,
+    spy_tie_route, weight_matrix,
 )
 
 

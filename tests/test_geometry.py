@@ -3,27 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propgraph import BoundingBox, InputError, iou, spatial_descriptor
+from propgraph import InputError, build_graph, spatial_descriptor
 
-from conftest import GRID, box_array, dyadic_boxes, exact_iou, grid_area_iou
+from conftest import GRID, Box, box_array, dyadic_boxes, exact_iou, grid_area_iou, iou
+
+
+def build_box(*corners):
+    """``build_graph`` of the one box with these corners."""
+    return build_graph(np.array([corners], dtype=np.float64), np.zeros((1, 1)), 0.3)
 
 
 class TestIoU:
     def test_identical_boxes(self):
-        box = BoundingBox(0.1, 0.2, 0.5, 0.8)
+        box = Box(0.1, 0.2, 0.5, 0.8)
         assert iou(box, box) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 0.1, 0.1), BoundingBox(0.5, 0.5, 0.6, 0.6)) == 0.0
+        assert iou(Box(0, 0, 0.1, 0.1), Box(0.5, 0.5, 0.6, 0.6)) == 0.0
 
     def test_touching_edge_is_zero(self):
-        assert iou(BoundingBox(0, 0, 0.5, 0.5), BoundingBox(0.5, 0, 1.0, 0.5)) == 0.0
-        assert iou(BoundingBox(0, 0, 0.5, 0.5), BoundingBox(0.5, 0.5, 1.0, 1.0)) == 0.0
+        assert iou(Box(0, 0, 0.5, 0.5), Box(0.5, 0, 1.0, 0.5)) == 0.0
+        assert iou(Box(0, 0, 0.5, 0.5), Box(0.5, 0.5, 1.0, 1.0)) == 0.0
 
     def test_one_seventh_overlap(self):
         # intersection 0.01, union 0.04 + 0.04 - 0.01 = 0.07
-        a = BoundingBox(0, 0, 0.2, 0.2)
-        b = BoundingBox(0.1, 0.1, 0.3, 0.3)
+        a = Box(0, 0, 0.2, 0.2)
+        b = Box(0.1, 0.1, 0.3, 0.3)
         value = iou(a, b)
         assert value == pytest.approx(1.0 / 7.0, abs=1e-15)
         assert value == pytest.approx(float(exact_iou(a, b)), abs=1e-15)
@@ -31,17 +36,17 @@ class TestIoU:
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(InputError):
-            BoundingBox(0.1, 0.1, 0.1, 0.5)
+            build_box(0.1, 0.1, 0.1, 0.5)
         with pytest.raises(InputError):
-            BoundingBox(0.1, 0.5, 0.4, 0.5)
+            build_box(0.1, 0.5, 0.4, 0.5)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
-            BoundingBox(-0.1, 0, 0.5, 0.5)
+            build_box(-0.1, 0, 0.5, 0.5)
         with pytest.raises(InputError):
-            BoundingBox(0, 0, 1.5, 0.5)
+            build_box(0, 0, 1.5, 0.5)
         with pytest.raises(InputError):
-            BoundingBox(0, float("nan"), 0.5, 0.5)
+            build_box(0, float("nan"), 0.5, 0.5)
 
     @given(dyadic_boxes(), dyadic_boxes())
     @settings(max_examples=100)
@@ -66,8 +71,8 @@ class TestIoU:
         min_y = -int(min(a.y1, b.y1) * GRID)
         dx = data.draw(st.integers(min_value=min_x, max_value=max_x)) / GRID
         dy = data.draw(st.integers(min_value=min_y, max_value=max_y)) / GRID
-        shifted_a = BoundingBox(a.x1 + dx, a.y1 + dy, a.x2 + dx, a.y2 + dy)
-        shifted_b = BoundingBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+        shifted_a = Box(a.x1 + dx, a.y1 + dy, a.x2 + dx, a.y2 + dy)
+        shifted_b = Box(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
         assert iou(shifted_a, shifted_b) == iou(a, b)
 
     @given(dyadic_boxes(), dyadic_boxes())
@@ -108,7 +113,7 @@ class TestSpatialDescriptor:
         desc = spatial_descriptor(box_array(boxes))
         assert desc.shape == (len(boxes), 7) and desc.dtype == np.float64
         for box, row in zip(boxes, desc.tolist()):
-            assert row[:4] == list(box.as_tuple())
+            assert row[:4] == list(box)
             assert row[4] == (box.x1 + box.x2) / 2.0
             assert row[5] == (box.y1 + box.y2) / 2.0
             assert row[6] == (box.x2 - box.x1) / (box.y2 - box.y1) > 0.0

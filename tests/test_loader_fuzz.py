@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from propgraph import AttentionParams, graph_from_edges
 from propgraph.cli import run_command
-from propgraph.io import dumps_canonical, graph_to_dict, params_to_dict
+from propgraph.io import dumps_canonical, params_to_dict
 from propgraph.synthetic import generate_proposals
+
+from conftest import document_to_dict, graph_to_dict
 
 # Values that replace a drawn entry: other JSON types, then numbers that
 # overflow a float or are not finite (json.dumps writes NaN and Infinity,
@@ -30,7 +32,7 @@ REPLACEMENTS = ["x", "0.5", True, False, None, [], [1], {}, {"a": 1}, 1.5, -1, 0
 
 
 def valid_documents() -> dict:
-    scene = generate_proposals(2, 3, seed=1, feature_dim=2, jitter=0.2).to_dict()
+    scene = document_to_dict(generate_proposals(2, 3, seed=1, feature_dim=2, jitter=0.2))
     scene["proposals"][0]["score"] = 0.5
     params = params_to_dict(AttentionParams.initialize(2, head_count=2, output_dim=2, seed=0))
     config = {"iou_thr": 0.3, "min_size": 2, "stop_ncut": 1.5, "min_part": 1, "lambda": 1.0,

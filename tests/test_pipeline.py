@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 import propgraph
 from propgraph import (
     AttentionParams,
+    ComponentLabeling,
     InputError,
     NumericalError,
     PipelineConfig,
+    ProposalDocument,
+    ProposalGraph,
     SolveCounts,
     forward,
     generate_proposals,
     identical_normalize,
 )
+from propgraph import geometry, graph, io, oracles, spectral
 
 
 def far_apart_boxes(count):
@@ -91,11 +95,16 @@ class TestIdenticalNormalize:
         ({"epsilon": -1e-8}, "epsilon must be > 0, got -1e-08"),
         ({"lambda_": -0.5}, "lambda must be >= 0, got -0.5"),
         ({"mode": "median"}, "unknown normalization mode 'median'"),
+        ({"epsilon": float("nan")}, "epsilon must be finite, got nan"),
+        ({"epsilon": float("inf")}, "epsilon must be finite, got inf"),
+        ({"lambda_": float("nan")}, "lambda must be finite, got nan"),
+        ({"lambda_": float("inf")}, "lambda must be finite, got inf"),
     ])
     def test_bad_options_rejected(self, options, message):
         kwargs = {"lambda_": 1.0, "epsilon": 1e-8, **options}
-        with pytest.raises(InputError, match=f"^{message}$"):
-            identical_normalize(np.zeros((2, 2)), np.ones((2, 2)), **kwargs)
+        for rows in (2, 0):  # the empty-input shortcut checks the options too
+            with pytest.raises(InputError, match=f"^{message}$"):
+                identical_normalize(np.zeros((rows, 2)), np.ones((rows, 2)), **kwargs)
 
     def test_empty_input(self):
         out = identical_normalize(np.zeros((0, 4)), np.zeros((0, 4)), lambda_=1.0, epsilon=1e-8)
@@ -268,3 +277,20 @@ def test_imported_modules_sees_every_spelling():
 def test_forward_path_module_does_not_import_the_oracles(module):
     source = (Path(propgraph.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
     assert "propgraph.oracles" not in imported_modules(source)
+
+
+def test_public_surface_lists_each_name_once_and_no_test_only_helper():
+    names = propgraph.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(propgraph, name), name
+    for module in (propgraph, geometry, graph, io, spectral):
+        for name in ("BoundingBox", "iou", "graph_to_dict", "normalized_laplacian", "subgraph"):
+            assert not hasattr(module, name), (module.__name__, name)
+        if module is not propgraph:
+            assert not hasattr(module, "graph_from_edges"), module.__name__
+    for cls, name in ((ProposalGraph, "edges"), (ProposalGraph, "subgraph"),
+                      (ComponentLabeling, "members"), (ProposalDocument, "to_dict")):
+        assert not hasattr(cls, name), (cls.__name__, name)
+    # perfbench's tracer test builds its graph through the package root.
+    assert propgraph.graph_from_edges is oracles.graph_from_edges

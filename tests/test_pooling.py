@@ -24,6 +24,8 @@ from propgraph.oracles import (
     reference_recursive_ncut,
 )
 
+from conftest import edge_triples
+
 
 def bridged_triangles_plus_isolated():
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
@@ -115,7 +117,7 @@ class TestGcpool:
         inverse = np.argsort(perm)
         # rebuild the same graph with nodes renamed by perm
         edges = [(int(min(perm[i], perm[j])), int(max(perm[i], perm[j])), w)
-                 for i, j, w in g.edges()]
+                 for i, j, w in edge_triples(g)]
         permuted = graph_from_edges(7, edges, features=g.features[inverse])
         def parts(labels):
             return {frozenset(np.flatnonzero(labels == k).tolist())
@@ -150,7 +152,7 @@ class TestAugment:
         assert labeling.labels.tolist() == [0, 0]
         augmented = augment_with_coarse(g, labeling.labels, coarse)
         assert augmented.num_nodes == 3
-        new_edges = [e for e in augmented.edges() if e[1] == 2]
+        new_edges = [e for e in edge_triples(augmented) if e[1] == 2]
         assert new_edges == [(0, 2, 0.37), (1, 2, 0.37)]
 
     def test_singleton_part_weight_is_one(self):
@@ -163,7 +165,7 @@ class TestAugment:
         base = g.num_nodes
         for k in singleton:
             member = int(np.flatnonzero(labeling.labels == k)[0])
-            edge = [e for e in augmented.edges() if e[1] == base + k and e[0] == member]
+            edge = [e for e in edge_triples(augmented) if e[1] == base + k and e[0] == member]
             assert edge and edge[0][2] == 1.0
 
     def test_bad_labels_or_coarse_rejected(self):
@@ -190,17 +192,17 @@ class TestAugment:
         labeling, coarse = gcpool(g, min_size=2, stop_ncut=0.5)
         augmented = augment_with_coarse(g, labeling.labels, coarse)
         assert augmented.num_nodes == g.num_nodes + len(coarse)
-        old = [e for e in augmented.edges() if e[1] < g.num_nodes]
-        assert old == g.edges()
+        old = [e for e in edge_triples(augmented) if e[1] < g.num_nodes]
+        assert old == edge_triples(g)
         assert np.array_equal(augmented.features[: g.num_nodes], g.features)
 
     def test_clique_part_weights_are_mean_adjacency(self):
         g = bridged_cliques(3, 0.1)
-        g = graph_from_edges(6, g.edges(), features=np.zeros((6, 1)))
+        g = graph_from_edges(6, edge_triples(g), features=np.zeros((6, 1)))
         labeling, coarse = gcpool(g, min_size=3, stop_ncut=0.5)
         augmented = augment_with_coarse(g, labeling.labels, coarse)
         # triangle members connect to their coarse node with mean weight 1.0
-        for e in augmented.edges():
+        for e in edge_triples(augmented):
             if e[1] >= 6:
                 assert e[2] == 1.0
 

@@ -19,14 +19,15 @@ from propgraph import (
     generate_proposals,
     graph_from_edges,
     ncut_value,
-    normalized_laplacian,
     recursive_ncut,
     symmetric_eigendecomposition,
     two_way_ncut,
 )
-from propgraph.oracles import bridged_cliques, random_connected_graph, reference_recursive_ncut
+from propgraph.oracles import (
+    bridged_cliques, random_connected_graph, reference_recursive_ncut, subgraph,
+)
 
-from conftest import spy_tie_route
+from conftest import edge_triples, normalized_laplacian, spy_tie_route
 
 
 def path4():
@@ -76,7 +77,7 @@ class TestNcutValue:
         swapped = ncut_value(g, Partition(labels=1 - labels, set_count=2)).ncut_value
         assert swapped == pytest.approx(base, abs=1e-12)
         scale = float(rng.uniform(0.2, 5.0))
-        scaled_graph = graph_from_edges(n, [(i, j, w * scale) for i, j, w in g.edges()])
+        scaled_graph = graph_from_edges(n, [(i, j, w * scale) for i, j, w in edge_triples(g)])
         assert ncut_value(scaled_graph, p).ncut_value == pytest.approx(base, rel=1e-12)
         # the two cut terms of any 2-way partition agree
         report = ncut_value(g, p)
@@ -407,7 +408,7 @@ class TestCertifiedNoSplit:
             m = g.num_nodes
             g = graph_from_edges(
                 m + h.num_nodes,
-                g.edges() + [(i + m, j + m, w) for i, j, w in h.edges()],
+                edge_triples(g) + [(i + m, j + m, w) for i, j, w in edge_triples(h)],
             )
         with_exit = recursive_ncut(g, stop_ncut=stop, min_part=min_part)
         with pytest.MonkeyPatch.context() as mp:
@@ -462,7 +463,7 @@ def loose_scene(seed, boxes=12, duplicate_first=False):
         boxes, features = np.vstack([boxes, boxes[:1]]), np.vstack([features, features[:1]])
     g = build_graph(boxes, features, 0.5)
     components = connected_components(g)
-    return g.subgraph(components.members(int(components.labels[0])))
+    return subgraph(g, np.flatnonzero(components.labels == components.labels[0]))
 
 
 def drawn_cut_graph(rng, kind):
@@ -497,7 +498,7 @@ def tied_graph(rng):
         if g.num_nodes >= 2:
             return g
     g = generic_graph(rng)
-    n, edges = g.num_nodes, g.edges()
+    n, edges = g.num_nodes, edge_triples(g)
     source = int(rng.integers(n))
     if kind == 0:
         leaves, w = int(rng.integers(2, 4)), float(rng.uniform(0.05, 1.0))
@@ -630,9 +631,9 @@ class TestCertifiedFiedler:
         # twins form one tie group, and both of its orders sweep to one split.
         base = generic_graph(np.random.default_rng(8), n=6)
         assert not top_set_fell_back(base, monkeypatch)
-        twin = [(j if i == 5 else i, 6, w) for i, j, w in base.edges() if 5 in (i, j)]
+        twin = [(j if i == 5 else i, 6, w) for i, j, w in edge_triples(base) if 5 in (i, j)]
         twin[0] = (twin[0][0], 6, twin[0][2] * (1.0 + 1e-10))
-        near_twins = graph_from_edges(7, base.edges() + twin + [(5, 6, 1.0)])
+        near_twins = graph_from_edges(7, edge_triples(base) + twin + [(5, 6, 1.0)])
         assert not top_set_fell_back(near_twins, monkeypatch)
         for stop in (2.0, 0.5, 0.2):
             assert_same_as_forced_jacobi(near_twins, stop, min_part=1)
