@@ -1,13 +1,15 @@
 """Graph attention over proposal features.
 
 ``multi_head_attend`` is the one way in, and ``attention_gradients`` its
-backward pass. Each head scores pair (i, j) with a learned linear functional
-on the concatenated feature pair [x_i ; x_j], split as left_i + right_j +
-bias, plus log w_ij when IoU biasing is on; the kernel forms those scores
-block by block from the head's left and right vectors. A row-wise softmax
-over the attendable set (graph neighbors plus self, or all pairs in dense
-mode) turns scores into weights, and each node's refined feature is the
-weighted sum of attendable features. Heads concatenate and optionally
+backward pass. Each head scores pair (i, j) by its key alone: right_j, a
+learned linear functional of x_j, plus log w_ij when IoU biasing is on. A
+query term left_i and a bias would add the same constant to every score of
+row i, which cancels in its softmax, so ``AttentionParams`` keeps the query
+half of ``score_weights`` and ``score_bias`` in its files and draws, but the
+forward does not read them and their gradients are exactly zero. A row-wise
+softmax over the attendable set (graph neighbors plus self, or all pairs in
+dense mode) turns scores into weights, and each node's refined feature is
+the weighted sum of attendable features. Heads concatenate and optionally
 project.
 
 ``AttendablePairs`` holds the attendable sets once per graph as CSR rows
@@ -27,6 +29,12 @@ reduces every row in that stored order: the softmax denominator with
 coordinate's contributions one after another from 0.0. So outputs are
 exactly equivariant under node permutation, with no sort per block, and do
 not depend on BLAS threading.
+
+Since scores depend on the key alone, rows that store the same columns, and
+with the IoU bias the same log-weight bits, have bit-equal outputs: they
+are twins. The kernel runs one row per twin class, projects only those
+rows, and copies each to its whole class. A clique of proposals is one
+class; so are all dense rows without the bias.
 
 Blocks run side by side on up to one thread per CPU the process may use,
 the calling thread among them. Each output row is written by exactly one
@@ -56,6 +64,10 @@ _LOG_WEIGHT_FLOOR = 1e-300
 # won 13 of 14 alternating fresh-process pairs against this size. 2**20 also
 # raised the 5,000-proposal benchmark's peak RSS from 88 to 95 MB, so this size stays.
 _BLOCK_FLOATS = 1 << 18
+# Seed of the per-node 64-bit salts whose sums key rows in the search for twins.
+_TWIN_SEED = 20220528
+# Odd multiplier that spreads a log-weight's bits over its pair's salt.
+_TWIN_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +75,11 @@ class AttentionParams:
     """Per-head scoring parameters and optional shared output projection.
 
     ``score_weights`` has shape (heads, 2 * feature_dim): the first half of
-    each row weights x_i, the second half weights x_j. ``output_projection``
-    (heads * feature_dim, output_dim) mixes the concatenated head outputs.
+    each row weights the query x_i, the second half the key x_j. Scores use
+    the key half alone; the query half and ``score_bias`` would shift a whole
+    softmax row, so they stay in params files and ``initialize``'s draws but
+    do not change the forward. ``output_projection`` (heads * feature_dim,
+    output_dim) mixes the concatenated head outputs.
     """
 
     score_weights: np.ndarray
@@ -179,7 +194,8 @@ class AttentionDegrees:
     """Attendable-set sizes, self included, over the rows of one attention call.
 
     ``workers`` counts the threads the kernel ran on, the calling thread
-    included: 1 when it ran inline.
+    included: 1 when it ran inline. ``computed_rows`` counts the twin
+    classes, the rows the kernel ran.
     """
 
     min_degree: int = 0
@@ -187,6 +203,7 @@ class AttentionDegrees:
     max_degree: int = 0
     buckets: int = 0
     workers: int = 0
+    computed_rows: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,37 +292,92 @@ def attendable_pairs(
     return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets, rank)
 
 
+def _twin_classes(pairs: AttendablePairs) -> tuple[np.ndarray, tuple]:
+    """Each row's twin class, and the buckets of the rows that stand for the classes.
+
+    Twins store the same column sequence, and with the IoU bias the same
+    log-weight bits. Classes are numbered by their smallest row, which
+    stands for the class. A row's key is the wrapping sum of a seeded 64-bit
+    salt per listed pair, which does not depend on their order. Each row is
+    compared exactly with the smallest row of its key, and stays a class of
+    its own if they differ, so a key collision can only leave twins unshared.
+    The exact comparison runs in blocks of the kernel's size. Dense rows
+    without the bias are one class; with it, none are shared.
+    """
+    m = pairs.num_nodes
+    nodes = np.arange(m, dtype=np.int64)
+    if pairs.dense and pairs.log_weight is None:
+        return np.zeros(m, dtype=np.int64), ((m, nodes[:1]),) if m else ()
+    if pairs.dense or m == 0:
+        return nodes, pairs.buckets
+    salt = np.random.default_rng(_TWIN_SEED).integers(
+        0, np.iinfo(np.uint64).max, size=m, dtype=np.uint64, endpoint=True)
+    terms = salt[pairs.indices]
+    if pairs.log_weight is not None:
+        bits = pairs.log_weight.view(np.uint64)
+        terms ^= bits * _TWIN_MIX
+    # Every row lists itself, so no row's sum is empty.
+    key = np.add.reduceat(terms, pairs.indptr[:-1])
+    del terms
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    firsts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    first = np.empty(m, dtype=np.int64)
+    first[order] = order[np.repeat(firsts, np.diff(np.append(firsts, m)))]
+    degree = np.diff(pairs.indptr)
+    alone = (first == nodes) | (degree[first] != degree)
+    for k, rows in pairs.buckets:
+        twins = rows[~alone[rows]]
+        step = _rows_per_block(k, 1, _BLOCK_FLOATS)
+        for start in range(0, twins.size, step):
+            mine = twins[start:start + step]
+            here = pairs.indptr[mine, None] + np.arange(k)
+            there = pairs.indptr[first[mine], None] + np.arange(k)
+            same = np.take(pairs.indices, here) == np.take(pairs.indices, there)
+            if pairs.log_weight is not None:
+                same &= np.take(bits, here) == np.take(bits, there)
+            alone[mine] = ~same.all(axis=1)
+    class_of = (np.cumsum(alone) - 1)[np.where(alone, nodes, first)]
+    return class_of, tuple((k, rows[alone[rows]]) for k, rows in pairs.buckets)
+
+
 def _rows_per_block(k: int, width: int, floats: int) -> int:
     return max(1, floats // (k * max(width, 1)))
 
 
-def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
-    """(rows, cols, log_weight) per block, each row once; (r, k) arrays.
+def _blocks(pairs: AttendablePairs, width: int, floats: int,
+            buckets: Optional[tuple] = None) -> Iterator[tuple]:
+    """(rows, cols, log_weight) per block, each row of ``buckets`` once; (r, k) arrays.
 
-    A block holds about ``floats`` values per (r, k, width) array, and at
-    least one row. Dense blocks list all nodes by content rank; with the
+    ``buckets`` defaults to ``pairs.buckets``, and may hold a subset of its
+    rows. A block holds about ``floats`` values per (r, k, width) array, and
+    at least one row. Dense blocks list all nodes by content rank; with the
     IoU bias each row then orders every run of equal rank by log-weight.
     """
     m = pairs.num_nodes
+    buckets = pairs.buckets if buckets is None else buckets
     if pairs.dense:
         order = np.argsort(pairs.rank, kind="stable")
         position = np.empty(m, dtype=np.int64)
         position[order] = np.arange(m)
         run = pairs.rank[order]
         tied = _tied(run)
-    for k, bucket in pairs.buckets:
+    for k, bucket in buckets:
         step = _rows_per_block(k, width, floats)
         for start in range(0, bucket.size, step):
             rows = bucket[start:start + step]
             if not pairs.dense:
                 positions = pairs.indptr[rows, None] + np.arange(k)
-                log_weight = None if pairs.log_weight is None else pairs.log_weight[positions]
-                yield rows, pairs.indices[positions], log_weight
+                log_weight = None
+                if pairs.log_weight is not None:
+                    log_weight = np.take(pairs.log_weight, positions)
+                yield rows, np.take(pairs.indices, positions), log_weight
                 continue
             cols = np.broadcast_to(order, (rows.size, m))
             log_weight = None
             if pairs.log_weight is not None:
-                # Dense blocks hold consecutive rows, so their listed pairs are one slice.
+                # Dense blocks with the bias hold consecutive rows, so their
+                # listed pairs are one slice.
                 listed = slice(pairs.indptr[rows[0]], pairs.indptr[rows[-1] + 1])
                 local = np.repeat(np.arange(rows.size), np.diff(pairs.indptr[rows[0]:rows[-1] + 2]))
                 log_weight = np.full((rows.size, m), -0.0)
@@ -319,9 +391,8 @@ def _blocks(pairs: AttendablePairs, width: int, floats: int) -> Iterator[tuple]:
             yield rows, cols, log_weight
 
 
-def _head_terms(feats: np.ndarray, params: AttentionParams,
-                num_nodes: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Each head's (left, right, bias): its score on pair (i, j) is left_i + right_j + bias."""
+def _head_terms(feats: np.ndarray, params: AttentionParams, num_nodes: int) -> list[np.ndarray]:
+    """Each head's key scores: its score on pair (i, j) is right_j, plus log w_ij with the bias."""
     _check_rows(feats, num_nodes)
     if feats.shape[1] != params.feature_dim:
         raise InputError(
@@ -330,18 +401,14 @@ def _head_terms(feats: np.ndarray, params: AttentionParams,
     d = params.feature_dim
     # A score that overflows is left to attention_weights' finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        return [(np.einsum("md,d->m", feats, params.score_weights[h, :d]),
-                 np.einsum("md,d->m", feats, params.score_weights[h, d:]),
-                 params.score_bias[h]) for h in range(params.head_count)]
+        return [np.einsum("md,d->m", feats, params.score_weights[h, d:])
+                for h in range(params.head_count)]
 
 
-def _block_scores(head: tuple, rows: np.ndarray, cols: np.ndarray,
+def _block_scores(right: np.ndarray, cols: np.ndarray,
                   log_weight: Optional[np.ndarray]) -> np.ndarray:
-    """One head's scores on a block, added as ((left_i + right_j) + b) + log w."""
-    left, right, bias = head
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = left[rows, None] + right[cols] + bias
-        return out if log_weight is None else out + log_weight
+    """One head's scores on a block: right_j, plus log w_ij when given."""
+    return right[cols] if log_weight is None else right[cols] + log_weight
 
 
 def attention_weights(scores: np.ndarray) -> np.ndarray:
@@ -373,33 +440,38 @@ def _worker_count() -> int:
 
 
 def _attend(feats: np.ndarray, pairs: AttendablePairs,
-            heads: list[tuple]) -> tuple[np.ndarray, int]:
+            heads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
     """The kernel: per block and head, softmax, weighted sums and the hull clip.
 
-    Returns the head outputs side by side, (M, heads * d), and the number of
-    threads the blocks ran on. Workers pull blocks from one generator under a
-    lock, so no block list is built; the calling thread is one of them, and
-    with one worker it runs every block itself. Each worker reuses one
-    scratch array the calling thread allocates. A worker's exception, or a
-    thread that fails to start, stops every worker after its current block;
-    the first is raised here once the started threads are joined.
+    Runs one row per twin class. Returns the head outputs side by side, one
+    row per class, (classes, heads * d); each row's class; and the number of
+    threads the blocks ran on. Workers pull numbered blocks from one
+    generator under a lock, so no block list is built; the calling thread is
+    one of them, and with one worker it runs every block itself. Each worker
+    reuses one scratch array the calling thread allocates. A worker's
+    exception, or a thread that fails to start, stops every worker after its
+    current block. Once the started threads are joined, a start failure is
+    raised, else the error of the first failing block: every block before it
+    was taken and finished, so that is the error one worker would raise.
     """
-    m, d = feats.shape
-    out = np.empty((m, len(heads) * d), dtype=np.float64)
+    d = feats.shape[1]
+    class_of, buckets = _twin_classes(pairs)
+    out = np.empty((sum(rows.size for _, rows in buckets), len(heads) * d), dtype=np.float64)
     workers = _worker_count()
     floats = max(1, _BLOCK_FLOATS // workers)
-    steps = [(k, bucket.size, _rows_per_block(k, d, floats)) for k, bucket in pairs.buckets]
+    steps = [(k, bucket.size, _rows_per_block(k, d, floats)) for k, bucket in buckets]
     workers = max(1, min(workers, sum(-(-size // step) for _, size, step in steps)))
     capacity = max((k * min(size, step) * d for k, size, step in steps), default=0)
-    blocks = _blocks(pairs, d, floats)
+    blocks = enumerate(_blocks(pairs, d, floats, buckets))
     supply = threading.Lock()
-    errors: list[BaseException] = []
+    errors: list[tuple[int, BaseException]] = []
 
     def work(neighbors_buffer: np.ndarray) -> None:
+        number = -1
         try:
             while not errors:
                 with supply:
-                    block = next(blocks, None)
+                    number, block = next(blocks, (-1, None))
                 if block is None:
                     return
                 rows, cols, log_weight = block
@@ -409,13 +481,14 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
                 neighbors = np.take(feats, cols, axis=0, mode="clip",
                                     out=neighbors_buffer[:r * k * d].reshape(r, k, d))
                 lo, hi = neighbors.min(axis=1), neighbors.max(axis=1)
-                for h, head in enumerate(heads):
-                    weights = _block_weights(_block_scores(head, rows, cols, log_weight), rows, h)
+                slots = class_of[rows]
+                for h, right in enumerate(heads):
+                    weights = _block_weights(_block_scores(right, cols, log_weight), rows, h)
                     # Each row's k contributions are added in stored order.
                     summed = np.einsum("rk,rkd->rd", weights, neighbors)
-                    out[rows, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
+                    out[slots, h * d:(h + 1) * d] = np.minimum(np.maximum(summed, lo), hi)
         except BaseException as exc:  # handed to the calling thread, which raises it
-            errors.append(exc)
+            errors.append((number, exc))
 
     buffers = [np.empty(capacity) for _ in range(workers)]
     threads = [threading.Thread(target=work, args=(buffer,)) for buffer in buffers[1:]]
@@ -423,14 +496,14 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
         for thread in threads:
             thread.start()
     except BaseException as exc:
-        errors.append(exc)
+        errors.append((-1, exc))
     work(buffers[0])
     for thread in threads:
         if thread.ident is not None:  # started
             thread.join()
     if errors:
-        raise errors[0]
-    return out, workers
+        raise min(errors, key=lambda error: error[0])[1]
+    return out, class_of, workers
 
 
 def multi_head_attend(
@@ -444,20 +517,21 @@ def multi_head_attend(
     """All heads in parallel: per-head attention, concatenation, optional projection.
 
     The heads share one ``AttendablePairs``; ``degrees``, when given, receives
-    its statistics.
+    its statistics. Twin rows are attended and projected once.
     """
     feats = np.asarray(features, dtype=np.float64)
     heads = _head_terms(feats, params, g.num_nodes)
     pairs = attendable_pairs(g, feats, dense_attention=dense_attention, iou_bias=iou_bias)
-    concatenated, workers = _attend(feats, pairs, heads)
+    computed, class_of, workers = _attend(feats, pairs, heads)
     if degrees is not None and pairs.buckets:
         degrees.min_degree, degrees.max_degree = pairs.buckets[0][0], pairs.buckets[-1][0]
         degrees.median_degree = float(np.median(pairs.degree))
         degrees.buckets = len(pairs.buckets)
         degrees.workers = workers
-    if params.output_projection is None:
-        return concatenated
-    return np.einsum("mk,ko->mo", concatenated, params.output_projection)
+        degrees.computed_rows = computed.shape[0]
+    if params.output_projection is not None:
+        computed = np.einsum("mk,ko->mo", computed, params.output_projection)
+    return computed[class_of]
 
 
 def attention_gradients(
@@ -468,7 +542,11 @@ def attention_gradients(
     dense_attention: bool = False,
     iou_bias: bool = False,
 ) -> AttentionGradients:
-    """Analytic gradients of <upstream, multi_head_attend(...)>."""
+    """Analytic gradients of <upstream, multi_head_attend(...)>.
+
+    Scores read only the key half of ``score_weights``, so the query half and
+    ``score_bias`` get gradients of exactly zero.
+    """
     feats = np.asarray(features, dtype=np.float64)
     heads = _head_terms(feats, params, g.num_nodes)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -481,18 +559,16 @@ def attention_gradients(
     grad_projection = None
     grad_concat = upstream
     if params.output_projection is not None:
-        concatenated = _attend(feats, pairs, heads)[0]
-        grad_projection = np.einsum("mk,mo->ko", concatenated, upstream)
+        computed, class_of, _ = _attend(feats, pairs, heads)
+        grad_projection = np.einsum("mk,mo->ko", computed[class_of], upstream)
         grad_concat = np.einsum("mo,ko->mk", upstream, params.output_projection)
 
     grad_features = np.zeros_like(feats)
     grad_score_weights = np.zeros_like(params.score_weights)
-    grad_score_bias = np.zeros_like(params.score_bias)
-    for head, terms in enumerate(heads):
-        row_sums = np.zeros(m, dtype=np.float64)
+    for head, right in enumerate(heads):
         col_sums = np.zeros(m, dtype=np.float64)
         for rows, cols, log_weight in _blocks(pairs, d, _BLOCK_FLOATS):
-            alpha = _block_weights(_block_scores(terms, rows, cols, log_weight), rows, head)
+            alpha = _block_weights(_block_scores(right, cols, log_weight), rows, head)
             grad_out = grad_concat[rows, head * d:(head + 1) * d]
             # Through the aggregation O = alpha X.
             np.add.at(grad_features, cols, alpha[:, :, None] * grad_out[:, None, :])
@@ -500,18 +576,12 @@ def attention_gradients(
             # Softmax backward per row over its attendable set.
             inner = np.einsum("rk,rk->r", grad_alpha, alpha)
             grad_scores = alpha * (grad_alpha - inner[:, None])
-            row_sums[rows] = grad_scores.sum(axis=1)
             col_sums += np.bincount(cols.ravel(), weights=grad_scores.ravel(), minlength=m)
-        w_self = params.score_weights[head, :d]
-        w_other = params.score_weights[head, d:]
-        grad_features += row_sums[:, None] * w_self[None, :]
-        grad_features += col_sums[:, None] * w_other[None, :]
-        grad_score_weights[head, :d] = np.einsum("m,md->d", row_sums, feats)
+        grad_features += col_sums[:, None] * params.score_weights[head, d:][None, :]
         grad_score_weights[head, d:] = np.einsum("m,md->d", col_sums, feats)
-        grad_score_bias[head] = row_sums.sum()
     return AttentionGradients(
         features=grad_features,
         score_weights=grad_score_weights,
-        score_bias=grad_score_bias,
+        score_bias=np.zeros_like(params.score_bias),
         output_projection=grad_projection,
     )

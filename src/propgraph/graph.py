@@ -139,7 +139,8 @@ def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarr
     after it are the run p + 1 .. end_p - 1 of boxes whose x1 lies strictly
     below p's x2. The runs are cut into chunks of ``_CHUNK_PAIRS`` pairs,
     splitting a run where a boundary falls inside it, so M boxes that all
-    overlap in x cost O(M^2) time but only O(chunk) memory.
+    overlap in x cost O(M^2) time but only O(chunk) memory. Each chunk
+    expands the runs it covers with one ``np.repeat``.
     """
     order = np.argsort(x1, kind="stable")
     ends = np.searchsorted(x1[order], x2[order], side="left")
@@ -148,8 +149,12 @@ def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarr
     firsts = stops - counts
     total = int(stops[-1]) if stops.size else 0
     for lo in range(0, total, _CHUNK_PAIRS):
-        k = np.arange(lo, min(lo + _CHUNK_PAIRS, total), dtype=np.int64)
-        p = np.searchsorted(stops, k, side="right")
+        hi = min(lo + _CHUNK_PAIRS, total)
+        # The runs of boxes first .. last cover pairs lo .. hi - 1.
+        first, last = np.searchsorted(stops, [lo, hi - 1], side="right")
+        runs = np.arange(first, last + 1)
+        p = np.repeat(runs, np.minimum(stops[runs], hi) - np.maximum(firsts[runs], lo))
+        k = np.arange(lo, hi, dtype=np.int64)
         yield order[p], order[p + 1 + (k - firsts[p])]
 
 
@@ -158,14 +163,17 @@ def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, 
 
     Computes iw, ih, their product and the union in the order the scalar
     reference ``iou`` in tests/conftest.py does, so every weight is
-    bit-identical to it.
+    bit-identical to it. Candidates come from the x sweep, so most of those
+    it drops fail on y: y is tested first, and x only on the pairs left.
     """
     x1, y1, x2, y2 = xyxy[:, 0], xyxy[:, 1], xyxy[:, 2], xyxy[:, 3]
     area = (x2 - x1) * (y2 - y1)
     for a, b in _candidate_chunks(x1, x2):
-        iw = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
         ih = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
-        overlap = (iw > 0.0) & (ih > 0.0)
+        overlap = ih > 0.0
+        a, b, ih = a[overlap], b[overlap], ih[overlap]
+        iw = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+        overlap = iw > 0.0
         a, b, iw, ih = a[overlap], b[overlap], iw[overlap], ih[overlap]
         inter = iw * ih
         union = area[a] + area[b] - inter

@@ -278,7 +278,9 @@ def reference_attention(
 ) -> np.ndarray:
     """``multi_head_attend`` through an M x M score matrix and mask, row by row.
 
-    Each row orders its attendable j in Python by the big-endian bytes of
+    Each head scores pair (i, j) by the key alone: x_j against the second
+    half of its ``score_weights`` row, plus log w_ij with the IoU bias. Each
+    row orders its attendable j in Python by the big-endian bytes of
     x_j, then by log w_ij, softmaxes its scores in that order with an
     ``np.sum`` denominator, adds its (k, d) contributions one after another
     from 0.0 (for d == 1 through the kernel's own ``einsum``, whose 1-d sum
@@ -300,9 +302,8 @@ def reference_attention(
     content = [feats[node].astype(">f8").tobytes() for node in range(m)]
     head_outputs = []
     for head in range(params.head_count):
-        left = np.einsum("md,d->m", feats, params.score_weights[head, :d])
         right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
-        scores = left[:, None] + right[None, :] + params.score_bias[head]
+        scores = np.tile(right, (m, 1))
         if iou_bias:
             scores[i[on_edge], j[on_edge]] += bias
             scores[j[on_edge], i[on_edge]] += bias

@@ -164,14 +164,12 @@ def pair_matrix(pairs: AttendablePairs, values: np.ndarray, fill=0.0) -> np.ndar
 
 def pair_scores(features: np.ndarray, params: AttentionParams, pairs: AttendablePairs,
                 head: int = 0) -> np.ndarray:
-    """One head's score w . [x_i ; x_j] + b on every attendable pair, in pair order.
+    """One head's key score x_j . w[d:] on every attendable pair (i, j), in pair order.
 
     The IoU log-bias is left out.
     """
     d = params.feature_dim
-    rows, cols = pair_coords(pairs)
-    return (features[rows] @ params.score_weights[head, :d]
-            + features[cols] @ params.score_weights[head, d:] + params.score_bias[head])
+    return features[pair_coords(pairs)[1]] @ params.score_weights[head, d:]
 
 
 def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
@@ -185,16 +183,27 @@ def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def shifted_row(row: int, shift: float):
-    """Inside, the kernel adds ``shift`` to node ``row``'s scores before their softmax."""
-    block_weights = attention._block_weights
+    """Inside, the kernel adds ``shift`` to the scores of node ``row``'s twin class.
+
+    The kernel runs one row per twin class, so the shift moves the whole
+    class. Yields a list that holds the class's rows once the kernel ran.
+    """
+    block_weights, twin_classes = attention._block_weights, attention._twin_classes
+    twins: list[int] = []
+
+    def classes(pairs):
+        class_of, buckets = twin_classes(pairs)
+        twins[:] = np.flatnonzero(class_of == class_of[row]).tolist()
+        return class_of, buckets
 
     def shifted(scores, rows, head):
         scores = scores.copy()
-        scores[rows == row] += shift
+        scores[np.isin(rows, twins)] += shift
         return block_weights(scores, rows, head)
 
-    with mock.patch.object(attention, "_block_weights", shifted):
-        yield
+    with mock.patch.object(attention, "_block_weights", shifted), \
+            mock.patch.object(attention, "_twin_classes", classes):
+        yield twins
 
 
 def spy_tie_route(monkeypatch) -> list[int]:

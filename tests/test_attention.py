@@ -152,11 +152,11 @@ class TestAttend:
             assert row == pytest.approx(mean, abs=1e-12)
 
     def test_non_finite_attendable_score_raises(self):
-        # 2 * 1e308 overflows on row 0, whose scores include its own left term.
+        # 2 * 1e308 overflows node 0's key score, which row 0 attends.
         feats = np.array([[1e308, 0.0], [0.0, 0.0]])
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
         with pytest.raises(NumericalError, match="row 0: non-finite attention score"):
-            multi_head_attend(feats, single_head_params([2.0, 0.0, 0.0, 0.0]), g)
+            multi_head_attend(feats, single_head_params([0.0, 0.0, 2.0, 0.0]), g)
 
     def test_masked_row_softmax_ignores_masked_entries(self):
         scores = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -197,11 +197,11 @@ class TestAttend:
         moved = AttentionParams(score_weights=params.score_weights,
                                 score_bias=params.score_bias + shift)
         assert np.max(np.abs(multi_head_attend(g.features, moved, g) - base)) <= 1e-12
-        # Only row 1's scores move.
-        with shifted_row(1, shift):
+        # Only the scores of row 1's twin class move.
+        with shifted_row(1, shift) as twins:
             shifted = multi_head_attend(g.features, params, g)
-        assert np.max(np.abs(shifted[1] - base[1])) <= 1e-12
-        others = np.delete(np.arange(m), 1)
+        assert np.max(np.abs(shifted[twins] - base[twins])) <= 1e-12
+        others = np.setdiff1d(np.arange(m), twins)
         assert shifted[others].tobytes() == base[others].tobytes()
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -288,6 +288,9 @@ class TestGradients:
         analytic = attention_gradients(g.features, params, g, upstream)
         numeric = finite_difference_gradients(g.features, params, g, upstream)
         assert max_relative_error(analytic, numeric) < 1e-5
+        # Scores read the key half alone: the query half and the bias get exact zeros.
+        assert np.all(analytic.score_weights[:, :d] == 0.0)
+        assert np.all(analytic.score_bias == 0.0)
 
     def test_dense_mode_gradients_also_check(self):
         rng = np.random.default_rng(77)
@@ -427,6 +430,93 @@ class TestSparseKernel:
                                              dense_attention=dense, iou_bias=iou_bias)
             assert permuted.tobytes() == base[perm].tobytes()
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        hub=st.booleans(),
+        repeated=st.booleans(),
+        dense=st.booleans(),
+        iou_bias=st.booleans(),
+        block_floats=st.sampled_from([1, 24, 1 << 20]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_twin_rows_match_the_dense_reference_bitwise(
+        self, seed, hub, repeated, dense, iou_bias, block_floats
+    ):
+        # Disjoint cliques, which share node 0 as a hub when asked. Each
+        # clique's edges all weigh 0 or all 0.5, so with the bias the rows of
+        # a zero-weight clique stay twins. Repeated rows take values that
+        # include both zeros.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+        m = int(sizes.sum()) + hub
+        edges, start = [], int(hub)
+        for size in sizes:
+            members = range(start, start + int(size))
+            weight = float(rng.choice([0.0, 0.5]))
+            edges += [(i, j, weight) for i in members for j in members if i < j]
+            edges += [(0, i, 0.25) for i in members if hub]
+            start += int(size)
+        d = int(rng.integers(1, 4))
+        if repeated:
+            feats = rng.choice([-1.5, -0.0, 0.0, 0.5], size=(m, d))
+        else:
+            feats = rng.normal(size=(m, d))
+        g = graph_from_edges(m, edges, features=feats)
+        heads = int(rng.choice([1, 3]))
+        params = AttentionParams.initialize(d, head_count=heads,
+                                            output_dim=2 if heads > 1 else None,
+                                            seed=seed & 0xFFFF)
+        reference = reference_attention(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
+        # Rows with different attendable pairs, or different log-weight bits
+        # with the bias, are never twins; without repeated rows the others all are.
+        bits = {(i, i): np.float64(-0.0).tobytes() for i in range(m)}
+        for i, j, w in edges:
+            bits[i, j] = bits[j, i] = np.float64(
+                np.log(w) if iou_bias and w > 0.0 else -0.0).tobytes()
+        if dense:
+            distinct = m if iou_bias else 1
+        else:
+            distinct = len({frozenset((j, b) for (a, j), b in bits.items() if a == i)
+                            for i in range(m)})
+        for workers in (1, 2, 3):
+            degrees = AttentionDegrees()
+            with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
+                    mock.patch.object(attention, "_worker_count", return_value=workers):
+                out = multi_head_attend(feats, params, g, dense_attention=dense,
+                                        iou_bias=iou_bias, degrees=degrees)
+            assert out.tobytes() == reference.tobytes()
+            assert degrees.computed_rows >= distinct
+            if not repeated:
+                assert degrees.computed_rows == distinct
+
+    @given(seed=st.integers(min_value=0, max_value=2**31), dense=st.booleans(),
+           iou_bias=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_query_half_and_bias_leave_the_bytes_unchanged(self, seed, dense, iou_bias):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 12))
+        d = int(rng.integers(1, 4))
+        g = random_connected_graph(rng, m, features=d)
+        params = AttentionParams.initialize(d, head_count=2, output_dim=d, seed=seed & 0xFFFF)
+        weights = params.score_weights.copy()
+        weights[:, :d] = rng.normal(scale=10.0, size=(2, d))
+        changed = AttentionParams(score_weights=weights, score_bias=rng.normal(size=2) * 10.0,
+                                  output_projection=params.output_projection)
+        base = multi_head_attend(g.features, params, g, dense_attention=dense, iou_bias=iou_bias)
+        out = multi_head_attend(g.features, changed, g, dense_attention=dense, iou_bias=iou_bias)
+        assert out.tobytes() == base.tobytes()
+
+    def test_computed_rows_count_the_twin_classes(self):
+        feats = np.random.default_rng(3).normal(size=(6, 2))
+        params = AttentionParams.initialize(2, seed=0)
+        cliques = graph_from_edges(6, [(a + i, a + j, 0.5) for a in (0, 3)
+                                       for i, j in [(0, 1), (0, 2), (1, 2)]], features=feats)
+        path = graph_from_edges(6, [(i, i + 1, 0.5) for i in range(5)], features=feats)
+        for g, dense, rows in [(cliques, False, 2), (path, False, 6), (path, True, 1)]:
+            degrees = AttentionDegrees()
+            multi_head_attend(feats, params, g, dense_attention=dense, degrees=degrees)
+            assert degrees.computed_rows == rows
+
     def test_dense_mode_builds_no_square_array(self):
         import tracemalloc
 
@@ -513,13 +603,14 @@ class TestSparseKernel:
         assert threading.active_count() == threads_before
 
     def test_non_finite_score_names_the_head_and_row(self):
-        # Only head 1 overflows, and only on node 2, the second row of the
-        # degree-3 block [1, 2].
+        # Only head 1 overflows, and only on node 2's key, which rows 1, 2
+        # and 3 attend. The first of them in bucket order is named: row 3,
+        # the second row of the degree-2 bucket [0, 3].
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [1e308, 0.0], [1.0, 0.0]])
         g = graph_from_edges(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)], features=feats)
-        params = AttentionParams(score_weights=np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0]]),
+        params = AttentionParams(score_weights=np.array([[0.0, 0, 0, 0], [0.0, 0, 2, 0]]),
                                  score_bias=np.zeros(2))
-        message = "attention: head 1, row 2: non-finite attention score"
+        message = "attention: head 1, row 3: non-finite attention score"
         with pytest.raises(NumericalError, match=message):
             multi_head_attend(feats, params, g)
         with pytest.raises(NumericalError, match=message):
@@ -581,7 +672,7 @@ class TestSparseKernel:
         with mock.patch.object(attention, "_worker_count", return_value=3):
             multi_head_attend(g.features, params, g, degrees=degrees)
             assert degrees == AttentionDegrees(min_degree=1, median_degree=3.0, max_degree=3,
-                                               buckets=2, workers=2)
+                                               buckets=2, workers=2, computed_rows=5)
             multi_head_attend(g.features, params, g, dense_attention=True, degrees=degrees)
             assert degrees == AttentionDegrees(min_degree=5, median_degree=5.0, max_degree=5,
-                                               buckets=1, workers=1)
+                                               buckets=1, workers=1, computed_rows=1)

@@ -563,9 +563,10 @@ class TestCli:
          {"head_count": 1, "score_weights": [[0, 0, 0, 0]], "score_bias": [0],
           "output_projection": [[8, 0], [0, 1]]},
          "attention: output row 0 is not finite"),
-        # A score that overflows in head 1 only, on proposal 0's row.
+        # A score that overflows in head 1 only, on proposal 0's key, which
+        # proposal 0's row attends.
         (lambda k: [1e308 if k == 1 else 1.0, 1.0],
-         {"head_count": 2, "score_weights": [[0, 0, 0, 0], [2, 0, 0, 0]], "score_bias": [0, 0],
+         {"head_count": 2, "score_weights": [[0, 0, 0, 0], [0, 0, 2, 0]], "score_bias": [0, 0],
           "output_projection": [[1, 0], [0, 1], [0, 0], [0, 0]]},
          "attention: head 1, row 0: non-finite attention score"),
     ])
@@ -802,8 +803,8 @@ class TestCli:
             assert counts[name, True] == {
                 "attention_min_degree": 60, "attention_median_degree": 60.0,
                 "attention_max_degree": 60, "attention_buckets": 1,
-                # one dense block of 60 rows runs inline
-                "attention_workers": 1,
+                # the 60 dense rows are one twin class, which runs inline
+                "attention_workers": 1, "attention_computed_rows": 1,
             }
 
     def test_oracle_commands_pass(self, tmp_path):
