@@ -30,11 +30,11 @@ coordinate's contributions one after another from 0.0. So outputs are
 exactly equivariant under node permutation, with no sort per block, and do
 not depend on BLAS threading.
 
-Since scores depend on the key alone, rows that store the same columns, and
-with the IoU bias the same log-weight bits, have bit-equal outputs: they
-are twins. The kernel runs one row per twin class, projects only those
-rows, and copies each to its whole class. A clique of proposals is one
-class; so are all dense rows without the bias.
+Since scores depend on the key alone, rows that store the same column
+sequence have bit-equal outputs: they are twins. Without the IoU bias the
+kernel runs one row per twin class, projects only those rows, and copies
+each to its whole class. A clique that is a whole connected component is
+one class; so are all dense rows. With the bias no rows are shared.
 
 Blocks run side by side on up to one thread per CPU the process may use,
 the calling thread among them. Each output row is written by exactly one
@@ -45,6 +45,7 @@ pass is verified against central finite differences.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -64,10 +65,6 @@ _LOG_WEIGHT_FLOOR = 1e-300
 # won 13 of 14 alternating fresh-process pairs against this size. 2**20 also
 # raised the 5,000-proposal benchmark's peak RSS from 88 to 95 MB, so this size stays.
 _BLOCK_FLOATS = 1 << 18
-# Seed of the per-node 64-bit salts whose sums key rows in the search for twins.
-_TWIN_SEED = 20220528
-# Odd multiplier that spreads a log-weight's bits over its pair's salt.
-_TWIN_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +216,8 @@ class AttentionGradients:
 def _content_rank(feats: np.ndarray) -> np.ndarray:
     """Each row's rank in the lexicographic order of its bits read as uint64.
 
+    ``feats`` holds float64 feature rows, or non-negative int64 column lists.
+
     Equal rows share a rank, so the ranks depend on row content alone. The
     first column's bits settle the order unless that column repeats; only
     then are all columns sorted.
@@ -295,50 +294,25 @@ def attendable_pairs(
 def _twin_classes(pairs: AttendablePairs) -> tuple[np.ndarray, tuple]:
     """Each row's twin class, and the buckets of the rows that stand for the classes.
 
-    Twins store the same column sequence, and with the IoU bias the same
-    log-weight bits. Classes are numbered by their smallest row, which
-    stands for the class. A row's key is the wrapping sum of a seeded 64-bit
-    salt per listed pair, which does not depend on their order. Each row is
-    compared exactly with the smallest row of its key, and stays a class of
-    its own if they differ, so a key collision can only leave twins unshared.
-    The exact comparison runs in blocks of the kernel's size. Dense rows
-    without the bias are one class; with it, none are shared.
+    Without the IoU bias, twins are rows that store the same column sequence,
+    so they share a degree bucket; each bucket's column lists are ranked
+    exactly, rows of equal rank forming a class. Classes are numbered by
+    their smallest row, which stands for the class. Dense rows are one class.
+    With the bias no row is shared: rows would need -0.0 at each other's self
+    column, a zero-weight edge, which ``build_graph`` never emits.
     """
     m = pairs.num_nodes
     nodes = np.arange(m, dtype=np.int64)
-    if pairs.dense and pairs.log_weight is None:
-        return np.zeros(m, dtype=np.int64), ((m, nodes[:1]),) if m else ()
-    if pairs.dense or m == 0:
+    if pairs.log_weight is not None or m == 0:
         return nodes, pairs.buckets
-    salt = np.random.default_rng(_TWIN_SEED).integers(
-        0, np.iinfo(np.uint64).max, size=m, dtype=np.uint64, endpoint=True)
-    terms = salt[pairs.indices]
-    if pairs.log_weight is not None:
-        bits = pairs.log_weight.view(np.uint64)
-        terms ^= bits * _TWIN_MIX
-    # Every row lists itself, so no row's sum is empty.
-    key = np.add.reduceat(terms, pairs.indptr[:-1])
-    del terms
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    firsts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    if pairs.dense:
+        return np.zeros(m, dtype=np.int64), ((m, nodes[:1]),)
     first = np.empty(m, dtype=np.int64)
-    first[order] = order[np.repeat(firsts, np.diff(np.append(firsts, m)))]
-    degree = np.diff(pairs.indptr)
-    alone = (first == nodes) | (degree[first] != degree)
     for k, rows in pairs.buckets:
-        twins = rows[~alone[rows]]
-        step = _rows_per_block(k, 1, _BLOCK_FLOATS)
-        for start in range(0, twins.size, step):
-            mine = twins[start:start + step]
-            here = pairs.indptr[mine, None] + np.arange(k)
-            there = pairs.indptr[first[mine], None] + np.arange(k)
-            same = np.take(pairs.indices, here) == np.take(pairs.indices, there)
-            if pairs.log_weight is not None:
-                same &= np.take(bits, here) == np.take(bits, there)
-            alone[mine] = ~same.all(axis=1)
-    class_of = (np.cumsum(alone) - 1)[np.where(alone, nodes, first)]
-    return class_of, tuple((k, rows[alone[rows]]) for k, rows in pairs.buckets)
+        rank = _content_rank(np.take(pairs.indices, pairs.indptr[rows, None] + np.arange(k)))
+        first[rows] = rows[np.unique(rank, return_index=True)[1]][rank]
+    alone = first == nodes
+    return (np.cumsum(alone) - 1)[first], tuple((k, rows[alone[rows]]) for k, rows in pairs.buckets)
 
 
 def _rows_per_block(k: int, width: int, floats: int) -> int:
@@ -462,7 +436,8 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
     steps = [(k, bucket.size, _rows_per_block(k, d, floats)) for k, bucket in buckets]
     workers = max(1, min(workers, sum(-(-size // step) for _, size, step in steps)))
     capacity = max((k * min(size, step) * d for k, size, step in steps), default=0)
-    blocks = enumerate(_blocks(pairs, d, floats, buckets))
+    blocks = _blocks(pairs, d, floats, buckets)
+    taken = itertools.count()
     supply = threading.Lock()
     errors: list[tuple[int, BaseException]] = []
 
@@ -471,7 +446,10 @@ def _attend(feats: np.ndarray, pairs: AttendablePairs,
         try:
             while not errors:
                 with supply:
-                    number, block = next(blocks, (-1, None))
+                    # Numbered before the generator runs, so its own error
+                    # comes after every block already handed out.
+                    number = next(taken)
+                    block = next(blocks, None)
                 if block is None:
                     return
                 rows, cols, log_weight = block

@@ -443,9 +443,8 @@ class TestSparseKernel:
         self, seed, hub, repeated, dense, iou_bias, block_floats
     ):
         # Disjoint cliques, which share node 0 as a hub when asked. Each
-        # clique's edges all weigh 0 or all 0.5, so with the bias the rows of
-        # a zero-weight clique stay twins. Repeated rows take values that
-        # include both zeros.
+        # clique's edges all weigh 0 or all 0.5. Repeated rows take values
+        # that include both zeros.
         rng = np.random.default_rng(seed)
         sizes = rng.integers(1, 6, size=int(rng.integers(1, 5)))
         m = int(sizes.sum()) + hub
@@ -467,17 +466,19 @@ class TestSparseKernel:
                                             output_dim=2 if heads > 1 else None,
                                             seed=seed & 0xFFFF)
         reference = reference_attention(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
-        # Rows with different attendable pairs, or different log-weight bits
-        # with the bias, are never twins; without repeated rows the others all are.
-        bits = {(i, i): np.float64(-0.0).tobytes() for i in range(m)}
-        for i, j, w in edges:
-            bits[i, j] = bits[j, i] = np.float64(
-                np.log(w) if iou_bias and w > 0.0 else -0.0).tobytes()
-        if dense:
-            distinct = m if iou_bias else 1
+        # With the bias no rows are shared. Without it, rows with different
+        # attendable sets are never twins; without repeated rows the others
+        # all are.
+        attendable = [{i} for i in range(m)]
+        for i, j, _ in edges:
+            attendable[i].add(j)
+            attendable[j].add(i)
+        if iou_bias:
+            distinct = m
+        elif dense:
+            distinct = 1
         else:
-            distinct = len({frozenset((j, b) for (a, j), b in bits.items() if a == i)
-                            for i in range(m)})
+            distinct = len({frozenset(row) for row in attendable})
         for workers in (1, 2, 3):
             degrees = AttentionDegrees()
             with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
@@ -601,6 +602,33 @@ class TestSparseKernel:
                 multi_head_attend(g.features, params, g)
         assert len(finished) == 1 and caller not in finished
         assert threading.active_count() == threads_before
+
+    def test_block_error_is_raised_before_a_later_generator_error(self):
+        # One thread takes block 0, whose scores overflow; the other's pull
+        # then fails inside the block generator before block 0 finishes. The
+        # pull comes after block 0 was handed out, so block 0's error wins.
+        g = graph_from_edges(6, [], features=np.arange(6.0)[:, None])
+        params = single_head_params([1.0, -1.0])
+        softmax = attention.attention_weights
+        blocks = attention._blocks
+        pulled = threading.Event()
+
+        def failing(*args):
+            generator = blocks(*args)
+            yield next(generator)
+            pulled.set()
+            raise MemoryError("block generator")
+
+        def overflowing(scores):
+            assert pulled.wait(timeout=10)
+            return softmax(np.full_like(scores, np.inf))
+
+        with mock.patch.object(attention, "_BLOCK_FLOATS", 1), \
+                mock.patch.object(attention, "_worker_count", return_value=2), \
+                mock.patch.object(attention, "_blocks", failing), \
+                mock.patch.object(attention, "attention_weights", overflowing):
+            with pytest.raises(NumericalError, match="non-finite"):
+                multi_head_attend(g.features, params, g)
 
     def test_non_finite_score_names_the_head_and_row(self):
         # Only head 1 overflows, and only on node 2's key, which rows 1, 2
