@@ -6,8 +6,10 @@ Scenes ``CxN`` are C clusters of N tight proposals (jitter 0.02).
 graph keeps IoU > 0.5: at a given seed, the benchmark's split-scene scene 0.
 ``chain100`` is 100 equal boxes, 0.001 of the image wide and high, each
 0.0003 right of the last: one translation-symmetric component whose splits
-all fall back to the Jacobi eigensolver. Every scene has 64-dim features and
-4 projected attention heads. It runs in a fresh child process, once with
+all fall back to the Jacobi eigensolver. ``1x3000`` is one tight cluster
+of 3,000 proposals: a near-clique that the edge-list lambda_2 bound keeps
+whole without building its 3,000 x 3,000 dense blocks. Every scene has
+64-dim features and 4 projected attention heads. It runs in a fresh child process, once with
 graph-cut pooling and once without, so each line's ``ru_maxrss`` belongs to
 that run alone. Each line shows the CLI report's ``timings_ms``: ``load``
 and ``write``, the JSON I/O share of the run, and the ``graph``, ``pool``,
@@ -15,7 +17,7 @@ and ``write``, the JSON I/O share of the run, and the ``graph``, ``pool``,
 proposals, 2.45M edges, a 150 MB proposal file) runs only when named. The
 probe reports and gates nothing.
 
-Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 400x50 chain100 loose16x60 2000x50] [--seed 123]
+Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 1x3000 400x50 chain100 loose16x60 2000x50] [--seed 123]
 """
 
 import argparse
@@ -29,8 +31,8 @@ import sys
 import tempfile
 import time
 
-SCENES = {"1x400": (1, 400), "4x400": (4, 400), "400x50": (400, 50), "chain100": (1, 100),
-          "loose16x60": (16, 60), "2000x50": (2000, 50)}
+SCENES = {"1x400": (1, 400), "4x400": (4, 400), "1x3000": (1, 3000), "400x50": (400, 50),
+          "chain100": (1, 100), "loose16x60": (16, 60), "2000x50": (2000, 50)}
 DEFAULT_SCENES = ["1x400", "4x400", "400x50", "chain100", "loose16x60"]
 # The loose scenes' jitter and config; every other scene has jitter 0.02 and
 # the default config.

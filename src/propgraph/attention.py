@@ -54,7 +54,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, check_float_count
-from .graph import ProposalGraph
+from .graph import ProposalGraph, _stable_argsort
 
 # Floor for IoU weights fed through log() when score biasing is enabled.
 _LOG_WEIGHT_FLOOR = 1e-300
@@ -268,7 +268,7 @@ def attendable_pairs(
     degree = np.bincount(rows, minlength=m)
     key = rows * m + rank[cols]
     del rows
-    order = np.argsort(key, kind="stable")
+    order = _stable_argsort(key, m * m)
     log_weight = None
     if iou_bias:
         bias = np.full(g.num_edges, -0.0)

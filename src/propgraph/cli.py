@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -417,9 +418,16 @@ def _cmd_params_init(args) -> int:
     return 0
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """``build_parser()``, built on first use: ``parse_args`` returns a fresh
+    namespace each call, so reusing the parser carries no state."""
+    return build_parser()
+
+
 def run_command(argv: Sequence[str]) -> int:
     """Dispatch one command; returns the process exit code."""
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(list(argv))
     except _UsageError as exc:

@@ -17,8 +17,13 @@ graph instead, so calling it once per group would cost groups x edges.
 
 ``build_graph`` finds overlapping boxes by sort-and-sweep over x1 and tests
 only those candidate pairs, in fixed-size chunks, so its memory is
-O(chunk + edges), never O(M^2). A graph past ``_EDGE_LIMIT`` edges is an
-``InputError``, raised before its edge arrays are assembled.
+O(chunk + edges), never O(M^2). The sweep works on the boxes' x1-sorted
+positions and maps only overlapping pairs back to proposal indices. Its
+edges come out once each with i < j, so ``build_graph`` orders them by one
+sort of the keys i * M + j and returns through ``ProposalGraph._derived``;
+graph files and every other caller keep the checking constructor. A graph
+past ``_EDGE_LIMIT`` edges is an ``InputError``, raised before its edge
+arrays are assembled.
 """
 
 from __future__ import annotations
@@ -131,20 +136,38 @@ class ComponentLabeling:
         return int(self.sizes.shape[0])
 
 
-def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair of boxes whose x-extents overlap, as (a, b) index arrays per chunk.
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 ``keys`` below ``bound``.
 
-    Sort-and-sweep broad phase (Baraff 1992; Cohen et al. 1995): after a
-    stable sort by x1, the boxes that overlap sorted box p in x and come
-    after it are the run p + 1 .. end_p - 1 of boxes whose x1 lies strictly
-    below p's x2. The runs are cut into chunks of ``_CHUNK_PAIRS`` pairs,
-    splitting a run where a boundary falls inside it, so M boxes that all
-    overlap in x cost O(M^2) time but only O(chunk) memory. Each chunk
-    expands the runs it covers with one ``np.repeat``.
+    Each key is shifted up and its position written into the freed low bits,
+    which makes every packed key distinct, so an unstable sort of the values
+    puts the stable order in their low bits. On 2 shared vCPUs numpy sorted
+    the 255,000 packed pair keys of a 5,000-proposal attention call in
+    2.5 ms, where the stable argsort of the keys took 10.7 ms. Keys too wide
+    to pack into 63 bits take the stable argsort.
     """
-    order = np.argsort(x1, kind="stable")
-    ends = np.searchsorted(x1[order], x2[order], side="left")
-    counts = ends - np.arange(1, order.size + 1)
+    shift = max(keys.size - 1, 1).bit_length()
+    if max(bound - 1, 1).bit_length() + shift > 63:
+        return np.argsort(keys, kind="stable")
+    packed = (keys << shift) | np.arange(keys.size)
+    packed.sort()
+    return packed & ((1 << shift) - 1)
+
+
+def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair of boxes whose x-extents overlap, as (p, q) position arrays per chunk.
+
+    Sort-and-sweep broad phase (Baraff 1992; Cohen et al. 1995): ``x1`` and
+    ``x2`` hold the boxes in sweep order, ascending x1. The boxes that
+    overlap box p in x and come after it are the run p + 1 .. end_p - 1 of
+    boxes whose x1 lies strictly below p's x2, so every pair has p < q. The
+    runs are cut into chunks of ``_CHUNK_PAIRS`` pairs, splitting a run where
+    a boundary falls inside it, so M boxes that all overlap in x cost O(M^2)
+    time but only O(chunk) memory. Each chunk expands the runs it covers
+    with one ``np.repeat``.
+    """
+    ends = np.searchsorted(x1, x2, side="left")
+    counts = ends - np.arange(1, x1.size + 1)
     stops = np.cumsum(counts)
     firsts = stops - counts
     total = int(stops[-1]) if stops.size else 0
@@ -155,7 +178,7 @@ def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarr
         runs = np.arange(first, last + 1)
         p = np.repeat(runs, np.minimum(stops[runs], hi) - np.maximum(firsts[runs], lo))
         k = np.arange(lo, hi, dtype=np.int64)
-        yield order[p], order[p + 1 + (k - firsts[p])]
+        yield p, p + 1 + (k - firsts[p])
 
 
 def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -163,20 +186,22 @@ def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, 
 
     Computes iw, ih, their product and the union in the order the scalar
     reference ``iou`` in tests/conftest.py does, so every weight is
-    bit-identical to it. Candidates come from the x sweep, so most of those
-    it drops fail on y: y is tested first, and x only on the pairs left.
+    bit-identical to it. The sweep runs on a copy of the boxes in x1 order
+    and maps only the pairs that overlap back to proposal indices. A
+    candidate pair (p, q) has x1_p <= x1_q < x2_p and x1_q < x2_q, so it
+    always overlaps in x, with iw = min(x2_p, x2_q) - x1_q > 0; most
+    candidates fail on y.
     """
-    x1, y1, x2, y2 = xyxy[:, 0], xyxy[:, 1], xyxy[:, 2], xyxy[:, 3]
+    order = np.argsort(xyxy[:, 0], kind="stable")
+    x1, y1, x2, y2 = np.ascontiguousarray(xyxy[order].T)
     area = (x2 - x1) * (y2 - y1)
-    for a, b in _candidate_chunks(x1, x2):
-        ih = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+    for p, q in _candidate_chunks(x1, x2):
+        ih = np.minimum(y2[p], y2[q]) - np.maximum(y1[p], y1[q])
         overlap = ih > 0.0
-        a, b, ih = a[overlap], b[overlap], ih[overlap]
-        iw = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
-        overlap = iw > 0.0
-        a, b, iw, ih = a[overlap], b[overlap], iw[overlap], ih[overlap]
-        inter = iw * ih
-        union = area[a] + area[b] - inter
+        p, q, ih = p[overlap], q[overlap], ih[overlap]
+        inter = (np.minimum(x2[p], x2[q]) - x1[q]) * ih
+        union = area[p] + area[q] - inter
+        a, b = order[p], order[q]
         yield np.minimum(a, b), np.maximum(a, b), inter / union
 
 
@@ -188,9 +213,14 @@ def build_graph(
     """Build the proposal graph: an edge (i, j, IoU) wherever IoU > iou_thr.
 
     ``boxes`` is an (M, 4) array of normalized (x1, y1, x2, y2) rows, each
-    finite with 0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1. The threshold
-    comparison is strict, so boundary-equal pairs get no edge. More than
-    ``_EDGE_LIMIT`` edges is an ``InputError``.
+    finite with 0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1; ``features`` are M
+    finite rows. The threshold comparison is strict, so boundary-equal pairs
+    get no edge. More than ``_EDGE_LIMIT`` edges is an ``InputError``.
+
+    The sweep yields each pair once with i < j, and every kept weight is a
+    finite IoU in (iou_thr, 1], so one sort of the keys i * M + j leaves a
+    valid edge list, and the graph is returned through
+    ``ProposalGraph._derived`` without the constructor's checks.
     """
     if not 0.0 <= iou_thr < 1.0:
         raise InputError(f"iou_thr must lie in [0, 1), got {iou_thr}")
@@ -207,7 +237,9 @@ def build_graph(
         feats = feats.reshape(0, 0)
     if feats.ndim != 2 or feats.shape[0] != m:
         raise InputError(f"expected {m} feature rows, got shape {feats.shape}")
-    pairs, weights = [_EMPTY_EDGES], [_EMPTY_WEIGHTS]
+    if not np.all(np.isfinite(feats)):
+        raise InputError("node features must be finite")
+    firsts, seconds, weights = [_EMPTY_EDGES[:, 0]], [_EMPTY_EDGES[:, 1]], [_EMPTY_WEIGHTS]
     kept = 0
     for i, j, w in _overlap_chunks(xyxy):
         hit = w > iou_thr
@@ -217,10 +249,15 @@ def build_graph(
                 f"{m} proposals reached {kept} IoU edges at iou_thr {iou_thr}, "
                 f"over the limit of {_EDGE_LIMIT} edges"
             )
-        pairs.append(np.stack([i[hit], j[hit]], axis=1))
+        firsts.append(i[hit])
+        seconds.append(j[hit])
         weights.append(w[hit])
-    return ProposalGraph(
-        features=feats, edge_index=np.concatenate(pairs), edge_weight=np.concatenate(weights)
+    # Keying and gathering the two endpoint columns apart beats gathering
+    # rows of one (E, 2) array: 8.0 against 11.7 ms for 122,500 edges.
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    order = _stable_argsort(i * m + j, m * m)
+    return ProposalGraph._derived(
+        feats, np.stack([i[order], j[order]], axis=1), np.concatenate(weights)[order]
     )
 
 

@@ -16,7 +16,13 @@ any split could be kept at all. Shi & Malik (2000, "Normalized Cuts and
 Image Segmentation") show that every bipartition (A, B) has
 Ncut(A, B) >= lambda_2 of the normalized Laplacian, so when lambda_2 clears
 the stop threshold no sweep split can pass it and the set stays whole
-without a sweep.
+without a sweep. Each connected component is asked first from its edge
+list alone: Weyl's inequality bounds lambda_2 below by m / (m - 1), the
+lambda_2 of the uniform complete graph on its m nodes, less the Frobenius
+distance between the two normalized Laplacians, a sum over the edges with
+an explicit rounding term (``_edge_list_bound``). A near-clique whose bound
+clears the threshold is kept whole before any dense block is built; every
+other component builds its dense blocks and asks LAPACK's lambda_2.
 
 The reference eigensolver is a cyclic Jacobi iteration (no BLAS) with
 pinned eigenvector signs, and all ties break on explicit keys, so every
@@ -59,6 +65,10 @@ _CERTIFY_MARGIN = 1e-9
 # before it leaves the set to the Jacobi solve.
 _TIE_ORDERS = 24
 _EPS = float(np.finfo(np.float64).eps)
+_UNIT_ROUNDOFF = _EPS / 2.0
+# The smallest normal float64: degrees at or above it keep every rounding
+# in ``_edge_list_bound`` relative.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -463,6 +473,59 @@ def _check_split_rule(stop_ncut: float, min_part: int) -> None:
         raise InputError(f"min_part must be >= 1, got {min_part}")
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff: the relative error
+    of n rounded operations (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _edge_list_bound(g: ProposalGraph) -> tuple[float, float] | None:
+    """A lower bound on lambda_2 of ``g``'s normalized Laplacian from its edge list
+    alone, and the rounding term to subtract from it; None when a degree is
+    below the smallest normal float or their total is not finite.
+
+    With L0 the normalized Laplacian of the uniform complete graph on m
+    nodes, whose lambda_2 is m / (m - 1), Weyl's inequality gives
+    lambda_2(L) >= m / (m - 1) - ||L - L0||_2 >= m / (m - 1) - ||L - L0||_F.
+    Both have a unit diagonal, so with s_ij = w_ij / sqrt(d_i d_j) on the
+    E edges and c = 1 / (m - 1),
+
+        ||L - L0||_F^2 = 2 [sum_edges (s_ij - c)^2 + (m (m - 1) / 2 - E) c^2],
+
+    a sum of non-negative terms, formed as written.
+
+    Rounding (u the unit roundoff): each degree sums at most m - 1 weights,
+    so the computed s_ij carries a relative error of at most gamma_{2m+2}
+    and s_ij - c an absolute one of at most gamma_{2m+3} s_ij + 3u c. The
+    s_ij are off-diagonal entries of D^{-1/2} W D^{-1/2}, whose eigenvalues
+    lie in [-1, 1], so sum s_ij^2 <= m / 2: these errors move the norm by at
+    most gamma_{2m+3} sqrt(m) + 5u, and rounding c moves it by 2u more.
+    Squaring, summing and the square root scale the computed norm by a
+    factor within gamma_{E+3} of 1. Rounding m / (m - 1), the two
+    subtractions (this one and the caller's) and the rounding term itself
+    add under 7u more, for any rounding term below 1/8, so the last term,
+    16u, covers all 14u.
+    """
+    m = g.num_nodes
+    if m < 2:
+        return None
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    w = g.edge_weight
+    with np.errstate(over="ignore"):
+        degrees = np.bincount(i, weights=w, minlength=m) + np.bincount(j, weights=w, minlength=m)
+        total = degrees.sum()
+    if not np.isfinite(total) or degrees.min() < _TINY:
+        return None
+    root = np.sqrt(degrees)
+    c = 1.0 / (m - 1)
+    off = np.sum(np.square(w / (root[i] * root[j]) - c)) + (m * (m - 1) // 2 - w.size) * (c * c)
+    spread = math.sqrt(2.0 * off)
+    growth = _gamma(w.size + 3)
+    rounding = spread * growth / (1.0 - growth) + _gamma(2 * m + 3) * math.sqrt(m) \
+        + 16.0 * _UNIT_ROUNDOFF
+    return m / (m - 1) - spread, rounding
+
+
 def _first_component(linked: np.ndarray) -> np.ndarray:
     """Mask of the nodes joined to node 0 in the boolean edge-existence block ``linked``.
 
@@ -497,7 +560,9 @@ def recursive_ncut(
     Every bipartition of a connected set has an objective >= lambda_2 of its
     normalized Laplacian (Shi & Malik, 2000). A set whose lambda_2 exceeds
     ``stop_ncut`` by more than 1e-9 is therefore kept whole without solving
-    for its Fiedler vector, which is the partition the sweep would reach.
+    for its Fiedler vector, which is the partition the sweep would reach; a
+    component whose edge-list bound on lambda_2 does so is kept whole
+    before its dense blocks are built.
     Otherwise the sweep runs on LAPACK's Fiedler vector when its node order
     is certified to pick the Jacobi vector's split, and on the Jacobi vector
     when not. ``counts``, when given, is incremented by how each set was settled.
@@ -539,14 +604,21 @@ def _split_connected(
 ) -> list[np.ndarray]:
     """``recursive_ncut``'s final sets of the connected graph ``g``, as ascending indices.
 
-    ``g``'s dense weight block and boolean edge-existence block are built
-    once; every set is an ascending index subset of them. A set's
-    components come from the existence block, so a zero-weight edge
-    connects its endpoints just as it does in ``connected_components``. A
-    ``g`` whose n x n blocks would pass ``FLOAT_LIMIT`` values is an
-    ``InputError`` before any block is built.
+    ``g`` is kept whole, with no block built, when its edge-list bound
+    (``_edge_list_bound``) less the bound's rounding term exceeds
+    ``stop_ncut + _CERTIFY_MARGIN``, whatever its size. Otherwise ``g``'s
+    dense weight block and boolean edge-existence block are built once;
+    every set is an ascending index subset of them. A set's components come
+    from the existence block, so a zero-weight edge connects its endpoints
+    just as it does in ``connected_components``. A ``g`` whose n x n blocks
+    would pass ``FLOAT_LIMIT`` values is an ``InputError`` before any block
+    is built.
     """
     m = g.num_nodes
+    certificate = _edge_list_bound(g)
+    if certificate is not None and certificate[0] - certificate[1] > stop_ncut + _CERTIFY_MARGIN:
+        counts.kept_whole += 1
+        return [np.arange(m, dtype=np.int64)]
     check_float_count(m * m, f"the dense blocks of a {m}-node connected set")
     weights = g.adjacency()
     linked = np.zeros((m, m), dtype=bool)

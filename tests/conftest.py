@@ -181,6 +181,38 @@ def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
     return weights
 
 
+def argsort_attendable_pairs(g: ProposalGraph, features: np.ndarray, dense_attention: bool = False,
+                             iou_bias: bool = False) -> AttendablePairs:
+    """``attention.attendable_pairs`` by one stable argsort of the keys row * M + rank[col]
+    over every pair, self pairs first, then both edge directions in edge order;
+    with the IoU bias, equal keys are then ordered by log-weight."""
+    m = g.num_nodes
+    feats = np.asarray(features, dtype=np.float64)
+    rank = attention._content_rank(feats)
+    nodes = np.arange(m, dtype=np.int64)
+    rows = np.concatenate([nodes, g.edge_index[:, 0], g.edge_index[:, 1]])
+    cols = np.concatenate([nodes, g.edge_index[:, 1], g.edge_index[:, 0]])
+    degree = np.bincount(rows, minlength=m)
+    key = rows * m + rank[cols]
+    order = np.argsort(key, kind="stable")
+    log_weight = None
+    if iou_bias:
+        bias = np.full(g.num_edges, -0.0)
+        on_edge = g.edge_weight > 0.0
+        bias[on_edge] = np.log(np.maximum(g.edge_weight[on_edge], attention._LOG_WEIGHT_FLOOR))
+        log_weight = np.concatenate([np.full(m, -0.0), bias, bias])
+        order = order[np.lexsort((log_weight[order], key[order]))]
+        log_weight = log_weight[order]
+    if dense_attention:
+        buckets = ((m, nodes),) if m else ()
+    else:
+        by_degree = np.argsort(degree, kind="stable")
+        buckets = tuple((int(k), by_degree[degree[by_degree] == k])
+                        for k in np.unique(degree))
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets, rank)
+
+
 @contextmanager
 def shifted_row(row: int, shift: float):
     """Inside, the kernel adds ``shift`` to the scores of node ``row``'s twin class.

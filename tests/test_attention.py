@@ -23,7 +23,8 @@ from propgraph import attention
 from propgraph.oracles import max_relative_error, random_connected_graph, reference_attention
 
 from conftest import (
-    pair_coords, pair_matrix, pair_scores, permuted_graph, shifted_row, weight_matrix,
+    argsort_attendable_pairs, pair_coords, pair_matrix, pair_scores, permuted_graph,
+    shifted_row, weight_matrix,
 )
 
 
@@ -337,6 +338,37 @@ class TestSparseKernel:
         assert cols.tolist() == [[3, 0, 4, 1, 2]] + [[0, 3, 4, 1, 2]] * 4
         spread = np.where(np.isnan(bias), -0.0, bias)
         assert log_weight.tobytes() == spread[np.arange(5)[:, None], cols].tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        dense=st.booleans(),
+        iou_bias=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_equal_the_argsort_construction(self, seed, dense, iou_bias):
+        # Rows drawn from a small pool repeat, some differing only in a zero's
+        # sign; IoU 1.0 gives a +0.0 log-weight beside the self pairs' -0.0.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 30))
+        g = random_connected_graph(rng, m)
+        if g.num_edges:
+            weights = rng.choice([g.edge_weight, np.full(g.num_edges, 0.5),
+                                  rng.choice([0.25, 0.5, 1.0], size=g.num_edges)])
+            g = graph_from_edges(m, [(int(i), int(j), float(w))
+                                     for (i, j), w in zip(g.edge_index, weights)])
+        d = int(rng.integers(1, 4))
+        feats = rng.choice([-1.5, -0.0, 0.0, 0.5], size=(int(rng.integers(1, 6)), d))
+        feats = feats[rng.integers(0, feats.shape[0], size=m)]
+        got = attendable_pairs(g, feats, dense_attention=dense, iou_bias=iou_bias)
+        want = argsort_attendable_pairs(g, feats, dense_attention=dense, iou_bias=iou_bias)
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert (got.log_weight is None) == (want.log_weight is None) == (not iou_bias)
+        if iou_bias:
+            assert got.log_weight.tobytes() == want.log_weight.tobytes()
+        assert len(got.buckets) == len(want.buckets)
+        for (k, rows), (want_k, want_rows) in zip(got.buckets, want.buckets):
+            assert k == want_k and rows.tobytes() == want_rows.tobytes()
 
     def test_pairs_need_one_feature_row_per_node(self):
         g = graph_from_edges(5, [(0, 3, 0.5)])

@@ -101,15 +101,51 @@ class TestBuildGraph:
         x_overlap = {(i, j) for i, j in pairs
                      if min(boxes[i].x2, boxes[j].x2) > max(boxes[i].x1, boxes[j].x1)}
         area_overlap = {(i, j) for i, j in pairs if iou(boxes[i], boxes[j]) > 0.0}
+        # The candidate sweep yields positions in x1 order.
+        order = np.argsort(xyxy[:, 0], kind="stable")
         with mock.patch.object(graph, "_CHUNK_PAIRS", chunk):
             candidates = [tuple(sorted(pair))
-                          for a, b in graph._candidate_chunks(xyxy[:, 0], xyxy[:, 2])
-                          for pair in zip(a.tolist(), b.tolist())]
+                          for a, b in graph._candidate_chunks(xyxy[order, 0], xyxy[order, 2])
+                          for pair in zip(order[a].tolist(), order[b].tolist())]
             overlaps = [pair for i, j, _ in graph._overlap_chunks(xyxy)
                         for pair in zip(i.tolist(), j.tolist())]
         # Each pair once; boxes that only touch in x or y are never candidates.
         assert sorted(candidates) == sorted(x_overlap)
         assert sorted(overlaps) == sorted(area_overlap)
+
+    @given(_SCENES, st.lists(st.integers(min_value=0, max_value=59), max_size=8),
+           st.sampled_from([0.0, 0.1, 0.3, 0.5]), st.sampled_from([1, 3, 2**20]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_checking_constructor_bitwise(self, boxes, repeats, thr, chunk):
+        # Repeated boxes are duplicates; on the 8 x 8 grid boxes often touch
+        # along an edge, with IoU 0 and no edge.
+        boxes = boxes + [boxes[k % len(boxes)] for k in repeats] if boxes else boxes
+        xyxy = box_array(boxes)
+        feats = np.random.default_rng(len(boxes)).normal(size=(len(boxes), 2))
+        with mock.patch.object(graph, "_CHUNK_PAIRS", chunk):
+            g = build_graph(xyxy, feats, thr)
+        checked = graph.ProposalGraph(feats, g.edge_index, g.edge_weight)
+        for name in ("features", "edge_index", "edge_weight"):
+            got, want = getattr(g, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert np.all((g.edge_weight > thr) & (g.edge_weight <= 1.0))
+
+    def test_stable_argsort_packs_or_falls_back(self):
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 2, 7, 300):
+            keys = rng.integers(0, 5, size=n)
+            # A bound past 63 bits with the positions takes the stable argsort.
+            for bound in (5, 1 << 40, 1 << 62):
+                assert np.array_equal(graph._stable_argsort(keys, bound),
+                                      np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_features_rejected(self, value):
+        feats = np.zeros((2, 3))
+        feats[1, 2] = value
+        with pytest.raises(InputError, match="^node features must be finite$"):
+            build_graph(np.array([[0, 0, 0.5, 0.5], [0.1, 0.1, 0.6, 0.6]]), feats, 0.3)
 
     @given(st.tuples(_CORNERS, _CORNERS, _CORNERS, _CORNERS))
     @settings(max_examples=300, deadline=None)

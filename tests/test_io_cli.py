@@ -506,6 +506,41 @@ class TestCli:
         captured = capsys.readouterr()
         assert "usage" in captured.err.lower()
 
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, tmp_path, capsys):
+        scene, params, config, output = (
+            str(tmp_path / name) for name in ("scene.json", "params.json", "config.json",
+                                              "out.json"))
+        assert run_command(["gen", "--clusters", "2", "--per-cluster", "4", "--seed", "0",
+                            "--feature-dim", "3", "--output", scene]) == 0
+        save_params(AttentionParams.initialize(3, seed=0), params)
+        write_json(config, {})
+        forward = ["forward", "--input", scene, "--params", params, "--config", config,
+                   "--output", output]
+        calls = [forward + ["--bogus"], ["--help"], forward]
+
+        def run(argv):
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            out = captured.out
+            if argv == calls[2]:
+                report = json.loads(out)
+                del report["timings_ms"]
+                with open(output, "rb") as stream:
+                    out = (report, stream.read())
+            return code, out, captured.err
+
+        capsys.readouterr()
+        # A usage error, then --help, then a valid forward, on one parser.
+        shared = [run(argv) for argv in calls]
+        assert [code for code, _, _ in shared] == [1, 0, 0]
+        assert "unrecognized arguments: --bogus" in shared[0][2]
+        assert "usage: propgraph" in shared[1][1]
+        fresh = []
+        for argv in calls:
+            cli._shared_parser.cache_clear()
+            fresh.append(run(argv))
+        assert fresh == shared
+
     def test_missing_input_exits_one(self, tmp_path):
         proc = run_cli(
             ["graph", "build", "--input", "absent.json", "--iou-thr", "0.3",

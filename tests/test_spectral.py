@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propgraph import spectral
+from propgraph import errors, spectral
 from propgraph import (
     InputError,
     NumericalError,
@@ -443,6 +443,77 @@ class TestCertifiedNoSplit:
             recursive_ncut(g, stop_ncut=stop)
             assert calls and calls[0] == 8, stop
             monkeypatch.undo()
+
+
+def near_clique(rng, n):
+    """A complete graph on n nodes with weights 1 - small noise."""
+    noise = float(rng.choice([0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5]))
+    return graph_from_edges(n, [(i, j, 1.0 - noise * float(rng.random()))
+                                for i in range(n) for j in range(i + 1, n)])
+
+
+def path_graph(n, weight=0.5):
+    return graph_from_edges(n, [(i, i + 1, weight) for i in range(n - 1)])
+
+
+class TestEdgeListBound:
+    """_split_connected keeps a set whole from its edge list when Weyl's bound on lambda_2 clears stop_ncut."""
+
+    @given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["random", "bridged", "clique"]))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_less_rounding_is_at_most_lambda_2(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            g = random_connected_graph(rng, int(rng.integers(2, 40)))
+        elif kind == "bridged":
+            g = bridged_cliques(int(rng.integers(2, 12)), float(rng.uniform(0.01, 1.0)))
+        else:
+            g = near_clique(rng, int(rng.integers(2, 60)))
+        bound, rounding = spectral._edge_list_bound(g)
+        assert 0.0 < rounding < 1e-9
+        assert bound - rounding <= np.linalg.eigvalsh(normalized_laplacian(g))[1]
+
+    def test_bound_is_exact_on_uniform_complete_graphs(self):
+        for n, bound in ((2, 2.0), (5, 1.25), (17, 1.0625)):
+            g = graph_from_edges(n, [(i, j, 0.25) for i in range(n) for j in range(i + 1, n)])
+            assert spectral._edge_list_bound(g)[0] == bound
+
+    def test_near_cliques_stay_whole_without_a_block(self, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("dense block built")
+
+        monkeypatch.setattr(spectral, "_block_of", no_block)
+        counts = spectral.SolveCounts()
+        g = near_clique(np.random.default_rng(5), 30)
+        assert recursive_ncut(g, stop_ncut=0.5, counts=counts).set_count == 1
+        assert (counts.kept_whole, counts.fiedler_certified, counts.jacobi_fallbacks) == (1, 0, 0)
+
+    def test_chains_and_bridged_cliques_get_no_certificate(self):
+        tracer_path = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 0.1), (2, 3, 1.0)])
+        for g in (tracer_path, path_graph(50), path_graph(12_000), bridged_cliques(6, 0.1)):
+            bound, rounding = spectral._edge_list_bound(g)
+            assert bound - rounding < 0.0
+        # The unit path of four has lambda_2 = 1/2 and a bound of about 0.2.
+        assert spectral._edge_list_bound(path4())[0] < 0.5
+
+    def test_zero_degrees_and_overflow_fall_through(self):
+        assert spectral._edge_list_bound(graph_from_edges(3, [(0, 1, 0.0), (1, 2, 1.0)])) is None
+        big = float(np.finfo(np.float64).max)
+        assert spectral._edge_list_bound(graph_from_edges(3, [(0, 1, big), (1, 2, big)])) is None
+        with pytest.raises(InputError, match="zero-degree"):
+            recursive_ncut(graph_from_edges(3, [(0, 1, 0.0), (1, 2, 1.0)]), stop_ncut=0.5)
+
+    def test_a_certified_component_past_the_float_limit_is_kept_whole(self, monkeypatch):
+        monkeypatch.setattr(errors, "FLOAT_LIMIT", 100)
+        clique = near_clique(np.random.default_rng(1), 20)
+        for connected in (False, True):
+            counts = spectral.SolveCounts()
+            partition = recursive_ncut(clique, stop_ncut=0.5, counts=counts, connected=connected)
+            assert partition.set_count == 1 and counts.kept_whole == 1
+        for connected in (False, True):
+            with pytest.raises(InputError, match="^the dense blocks of a 20-node connected set "
+                                                 "need 400 float64 values, over the limit of 100$"):
+                recursive_ncut(path_graph(20), stop_ncut=0.5, connected=connected)
 
 
 def generic_graph(rng, n=None):
