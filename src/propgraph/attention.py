@@ -3,21 +3,17 @@
 ``multi_head_attend`` is the one way in, and ``attention_gradients`` its
 backward pass. Each head scores pair (i, j) by its key alone: right_j, a
 learned linear functional of x_j, plus log w_ij when IoU biasing is on. A
-query term left_i and a bias would add the same constant to every score of
-row i, which cancels in its softmax, so ``AttentionParams`` keeps the query
-half of ``score_weights`` and ``score_bias`` in its files and draws, but the
-forward does not read them and their gradients are exactly zero. A row-wise
-softmax over the attendable set (graph neighbors plus self, or all pairs in
-dense mode) turns scores into weights, and each node's refined feature is
-the weighted sum of attendable features. Heads concatenate and optionally
+query term or a bias would add the same constant to every score of row i,
+which cancels in its softmax, so ``AttentionParams`` holds no such
+parameter. A row-wise softmax over the attendable set (graph neighbors plus
+self) turns scores into weights, and each node's refined feature is the
+weighted sum of attendable features. Heads concatenate and optionally
 project.
 
 ``AttendablePairs`` holds the attendable sets once per graph as CSR rows
 (self plus both edge directions) grouped into buckets of equal degree k.
 The kernel runs each bucket in row blocks of about ``_BLOCK_FLOATS`` values
-per (r, k, d) array and computes nothing off the attendable pairs; dense
-mode is one bucket of degree M, built block by block, so no M x M array ever
-exists.
+per (r, k, d) array and computes nothing off the attendable pairs.
 
 Each row lists its columns in one canonical order: by the content of their
 feature rows, a total order on the bits that gives equal rows one rank, then
@@ -34,7 +30,7 @@ Since scores depend on the key alone, rows that store the same column
 sequence have bit-equal outputs: they are twins. Without the IoU bias the
 kernel runs one row per twin class, projects only those rows, and copies
 each to its whole class. A clique that is a whole connected component is
-one class; so are all dense rows. With the bias no rows are shared.
+one class. With the bias no rows are shared.
 
 Blocks run side by side on up to one thread per CPU the process may use,
 the calling thread among them. Each output row is written by exactly one
@@ -69,53 +65,43 @@ _BLOCK_FLOATS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class AttentionParams:
-    """Per-head scoring parameters and optional shared output projection.
+    """Per-head key weights and optional shared output projection.
 
-    ``score_weights`` has shape (heads, 2 * feature_dim): the first half of
-    each row weights the query x_i, the second half the key x_j. Scores use
-    the key half alone; the query half and ``score_bias`` would shift a whole
-    softmax row, so they stay in params files and ``initialize``'s draws but
-    do not change the forward. ``output_projection`` (heads * feature_dim,
+    ``key_weights`` has shape (heads, feature_dim): head h scores pair (i, j)
+    by key_weights[h] . x_j. ``output_projection`` (heads * feature_dim,
     output_dim) mixes the concatenated head outputs.
     """
 
-    score_weights: np.ndarray
-    score_bias: np.ndarray
+    key_weights: np.ndarray
     output_projection: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.score_weights, dtype=np.float64)
-        bias = np.asarray(self.score_bias, dtype=np.float64).reshape(-1)
-        if weights.ndim != 2 or weights.shape[1] % 2 != 0 or 0 in weights.shape:
-            raise InputError(f"score_weights must have shape (heads >= 1, 2 * feature_dim >= 2), "
+        weights = np.asarray(self.key_weights, dtype=np.float64)
+        if weights.ndim != 2 or 0 in weights.shape:
+            raise InputError(f"key_weights must have shape (heads >= 1, feature_dim >= 1), "
                              f"got {weights.shape}")
-        if bias.shape[0] != weights.shape[0]:
-            raise InputError("score_bias length must equal the head count")
         if not np.all(np.isfinite(weights)):
-            raise InputError("score_weights must be finite")
-        if not np.all(np.isfinite(bias)):
-            raise InputError("score_bias must be finite")
+            raise InputError("key_weights must be finite")
         projection = self.output_projection
         if projection is not None:
             projection = np.asarray(projection, dtype=np.float64)
-            expected = weights.shape[0] * (weights.shape[1] // 2)
+            expected = weights.size
             if projection.ndim != 2 or projection.shape[0] != expected:
                 raise InputError(
                     f"output_projection must have {expected} rows, got shape {projection.shape}"
                 )
             if not np.all(np.isfinite(projection)):
                 raise InputError("output_projection must be finite")
-        object.__setattr__(self, "score_weights", weights)
-        object.__setattr__(self, "score_bias", bias)
+        object.__setattr__(self, "key_weights", weights)
         object.__setattr__(self, "output_projection", projection)
 
     @property
     def head_count(self) -> int:
-        return self.score_weights.shape[0]
+        return self.key_weights.shape[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.score_weights.shape[1] // 2
+        return self.key_weights.shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -131,7 +117,12 @@ class AttentionParams:
         output_dim: Optional[int] = None,
         seed: int = 0,
     ) -> "AttentionParams":
-        """Seeded uniform init in [-1/sqrt(2d), 1/sqrt(2d)] for every parameter."""
+        """Seeded uniform init in [-1/sqrt(2d), 1/sqrt(2d)] for every parameter.
+
+        The stream still draws a query half beside each head's key weights,
+        then one bias per head, and keeps neither, so every seed gives the
+        key weights and projection it gave when params held them.
+        """
         if feature_dim < 1 or head_count < 1:
             raise InputError("feature_dim and head_count must be >= 1")
         if output_dim is not None and output_dim < 1:
@@ -144,11 +135,11 @@ class AttentionParams:
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(2.0 * feature_dim)
         weights = rng.uniform(-bound, bound, size=(head_count, 2 * feature_dim))
-        bias = rng.uniform(-bound, bound, size=head_count)
+        rng.uniform(-bound, bound, size=head_count)
         projection = None
         if output_dim is not None:
             projection = rng.uniform(-bound, bound, size=(head_count * feature_dim, output_dim))
-        return cls(score_weights=weights, score_bias=bias, output_projection=projection)
+        return cls(key_weights=weights[:, feature_dim:].copy(), output_projection=projection)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,21 +147,17 @@ class AttendablePairs:
     """Attendable sets of one graph, rows grouped into buckets by degree.
 
     ``indptr``/``indices`` list each node and its graph neighbors in
-    canonical order: by ``rank``, the content rank of each node's feature
-    row, then by log-weight. ``log_weight`` is each listed pair's log-IoU
-    score bias (-0.0, which adds exactly nothing, on self pairs and
-    zero-weight edges), or None without IoU biasing. ``dense`` rows attend to
-    all M nodes in ``rank`` order: the lists still hold only self and edge
-    pairs, and each dense block spreads their bias over its M columns.
-    ``buckets`` holds (degree, ascending rows) by ascending degree.
+    canonical order: by the content rank of each node's feature row, then
+    by log-weight. ``log_weight`` is each listed pair's log-IoU score bias
+    (-0.0, which adds exactly nothing, on self pairs and zero-weight edges),
+    or None without IoU biasing. ``buckets`` holds (degree, ascending rows)
+    by ascending degree.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     log_weight: Optional[np.ndarray]
-    dense: bool
     buckets: tuple[tuple[int, np.ndarray], ...]
-    rank: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -178,12 +165,7 @@ class AttendablePairs:
 
     @property
     def degree(self) -> np.ndarray:
-        m = self.num_nodes
-        return np.full(m, m) if self.dense else np.diff(self.indptr)
-
-    @property
-    def pair_count(self) -> int:
-        return self.num_nodes ** 2 if self.dense else self.indices.shape[0]
+        return np.diff(self.indptr)
 
 
 @dataclass
@@ -208,8 +190,7 @@ class AttentionGradients:
     """Gradients of <upstream, output> for every input and parameter."""
 
     features: np.ndarray
-    score_weights: np.ndarray
-    score_bias: np.ndarray
+    key_weights: np.ndarray
     output_projection: Optional[np.ndarray]
 
 
@@ -236,12 +217,6 @@ def _content_rank(feats: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _tied(ordered: np.ndarray) -> np.ndarray:
-    """Positions in a sorted array whose value a neighbouring position shares."""
-    repeats = np.flatnonzero(np.diff(ordered) == 0)
-    return np.union1d(repeats, repeats + 1)
-
-
 def _check_rows(feats: np.ndarray, num_nodes: int) -> None:
     if feats.ndim != 2:
         raise InputError("features must be a 2-d matrix")
@@ -249,10 +224,8 @@ def _check_rows(feats: np.ndarray, num_nodes: int) -> None:
         raise InputError(f"{feats.shape[0]} feature rows for {num_nodes} graph nodes")
 
 
-def attendable_pairs(
-    g: ProposalGraph, features: np.ndarray, dense_attention: bool = False,
-    iou_bias: bool = False,
-) -> AttendablePairs:
+def attendable_pairs(g: ProposalGraph, features: np.ndarray,
+                     iou_bias: bool = False) -> AttendablePairs:
     """Each node's neighbors plus itself in canonical order, with the log-IoU bias when asked.
 
     A row lists its columns by the content rank of their ``features`` rows,
@@ -277,18 +250,16 @@ def attendable_pairs(
         log_weight = np.concatenate([np.full(m, -0.0), bias, bias])
         # Equal keys are equal-content columns of one row: order them by log-weight.
         key = key[order]
-        tied = _tied(key)
+        repeats = np.flatnonzero(np.diff(key) == 0)
+        tied = np.union1d(repeats, repeats + 1)
         order[tied] = order[tied][np.lexsort((log_weight[order[tied]], key[tied]))]
         log_weight = log_weight[order]
-    if dense_attention:
-        buckets = ((m, nodes),) if m else ()
-    else:
-        by_degree = np.argsort(degree, kind="stable")
-        starts = np.flatnonzero(np.diff(degree[by_degree], prepend=-1))
-        buckets = tuple((int(degree[rows_k[0]]), rows_k)
-                        for rows_k in np.split(by_degree, starts[1:]) if rows_k.size)
+    by_degree = np.argsort(degree, kind="stable")
+    starts = np.flatnonzero(np.diff(degree[by_degree], prepend=-1))
+    buckets = tuple((int(degree[rows_k[0]]), rows_k)
+                    for rows_k in np.split(by_degree, starts[1:]) if rows_k.size)
     indptr = np.concatenate([[0], np.cumsum(degree)])
-    return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets, rank)
+    return AttendablePairs(indptr, cols[order], log_weight, buckets)
 
 
 def _twin_classes(pairs: AttendablePairs) -> tuple[np.ndarray, tuple]:
@@ -297,16 +268,14 @@ def _twin_classes(pairs: AttendablePairs) -> tuple[np.ndarray, tuple]:
     Without the IoU bias, twins are rows that store the same column sequence,
     so they share a degree bucket; each bucket's column lists are ranked
     exactly, rows of equal rank forming a class. Classes are numbered by
-    their smallest row, which stands for the class. Dense rows are one class.
-    With the bias no row is shared: rows would need -0.0 at each other's self
-    column, a zero-weight edge, which ``build_graph`` never emits.
+    their smallest row, which stands for the class. With the bias no row is
+    shared: rows would need -0.0 at each other's self column, a zero-weight
+    edge, which ``build_graph`` never emits.
     """
     m = pairs.num_nodes
     nodes = np.arange(m, dtype=np.int64)
     if pairs.log_weight is not None or m == 0:
         return nodes, pairs.buckets
-    if pairs.dense:
-        return np.zeros(m, dtype=np.int64), ((m, nodes[:1]),)
     first = np.empty(m, dtype=np.int64)
     for k, rows in pairs.buckets:
         rank = _content_rank(np.take(pairs.indices, pairs.indptr[rows, None] + np.arange(k)))
@@ -325,44 +294,17 @@ def _blocks(pairs: AttendablePairs, width: int, floats: int,
 
     ``buckets`` defaults to ``pairs.buckets``, and may hold a subset of its
     rows. A block holds about ``floats`` values per (r, k, width) array, and
-    at least one row. Dense blocks list all nodes by content rank; with the
-    IoU bias each row then orders every run of equal rank by log-weight.
+    at least one row.
     """
-    m = pairs.num_nodes
-    buckets = pairs.buckets if buckets is None else buckets
-    if pairs.dense:
-        order = np.argsort(pairs.rank, kind="stable")
-        position = np.empty(m, dtype=np.int64)
-        position[order] = np.arange(m)
-        run = pairs.rank[order]
-        tied = _tied(run)
-    for k, bucket in buckets:
+    for k, bucket in pairs.buckets if buckets is None else buckets:
         step = _rows_per_block(k, width, floats)
         for start in range(0, bucket.size, step):
             rows = bucket[start:start + step]
-            if not pairs.dense:
-                positions = pairs.indptr[rows, None] + np.arange(k)
-                log_weight = None
-                if pairs.log_weight is not None:
-                    log_weight = np.take(pairs.log_weight, positions)
-                yield rows, np.take(pairs.indices, positions), log_weight
-                continue
-            cols = np.broadcast_to(order, (rows.size, m))
+            positions = pairs.indptr[rows, None] + np.arange(k)
             log_weight = None
             if pairs.log_weight is not None:
-                # Dense blocks with the bias hold consecutive rows, so their
-                # listed pairs are one slice.
-                listed = slice(pairs.indptr[rows[0]], pairs.indptr[rows[-1] + 1])
-                local = np.repeat(np.arange(rows.size), np.diff(pairs.indptr[rows[0]:rows[-1] + 2]))
-                log_weight = np.full((rows.size, m), -0.0)
-                log_weight[local, position[pairs.indices[listed]]] = pairs.log_weight[listed]
-                if tied.size:
-                    within = log_weight[:, tied]
-                    resort = np.lexsort((within, np.broadcast_to(run[tied], within.shape)))
-                    cols = cols.copy()
-                    cols[:, tied] = order[tied][resort]
-                    log_weight[:, tied] = np.take_along_axis(within, resort, axis=1)
-            yield rows, cols, log_weight
+                log_weight = np.take(pairs.log_weight, positions)
+            yield rows, np.take(pairs.indices, positions), log_weight
 
 
 def _head_terms(feats: np.ndarray, params: AttentionParams, num_nodes: int) -> list[np.ndarray]:
@@ -372,11 +314,9 @@ def _head_terms(feats: np.ndarray, params: AttentionParams, num_nodes: int) -> l
         raise InputError(
             f"feature dim {feats.shape[1]} does not match params dim {params.feature_dim}"
         )
-    d = params.feature_dim
     # A score that overflows is left to attention_weights' finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        return [np.einsum("md,d->m", feats, params.score_weights[h, d:])
-                for h in range(params.head_count)]
+        return [np.einsum("md,d->m", feats, weights) for weights in params.key_weights]
 
 
 def _block_scores(right: np.ndarray, cols: np.ndarray,
@@ -488,7 +428,6 @@ def multi_head_attend(
     features: np.ndarray,
     params: AttentionParams,
     g: ProposalGraph,
-    dense_attention: bool = False,
     iou_bias: bool = False,
     degrees: Optional[AttentionDegrees] = None,
 ) -> np.ndarray:
@@ -499,7 +438,7 @@ def multi_head_attend(
     """
     feats = np.asarray(features, dtype=np.float64)
     heads = _head_terms(feats, params, g.num_nodes)
-    pairs = attendable_pairs(g, feats, dense_attention=dense_attention, iou_bias=iou_bias)
+    pairs = attendable_pairs(g, feats, iou_bias=iou_bias)
     computed, class_of, workers = _attend(feats, pairs, heads)
     if degrees is not None and pairs.buckets:
         degrees.min_degree, degrees.max_degree = pairs.buckets[0][0], pairs.buckets[-1][0]
@@ -517,14 +456,9 @@ def attention_gradients(
     params: AttentionParams,
     g: ProposalGraph,
     upstream: np.ndarray,
-    dense_attention: bool = False,
     iou_bias: bool = False,
 ) -> AttentionGradients:
-    """Analytic gradients of <upstream, multi_head_attend(...)>.
-
-    Scores read only the key half of ``score_weights``, so the query half and
-    ``score_bias`` get gradients of exactly zero.
-    """
+    """Analytic gradients of <upstream, multi_head_attend(...)>."""
     feats = np.asarray(features, dtype=np.float64)
     heads = _head_terms(feats, params, g.num_nodes)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -532,7 +466,7 @@ def attention_gradients(
     expected = (m, params.output_dim)
     if upstream.shape != expected:
         raise InputError(f"upstream must have shape {expected}, got {upstream.shape}")
-    pairs = attendable_pairs(g, feats, dense_attention=dense_attention, iou_bias=iou_bias)
+    pairs = attendable_pairs(g, feats, iou_bias=iou_bias)
 
     grad_projection = None
     grad_concat = upstream
@@ -542,7 +476,7 @@ def attention_gradients(
         grad_concat = np.einsum("mo,ko->mk", upstream, params.output_projection)
 
     grad_features = np.zeros_like(feats)
-    grad_score_weights = np.zeros_like(params.score_weights)
+    grad_key_weights = np.zeros_like(params.key_weights)
     for head, right in enumerate(heads):
         col_sums = np.zeros(m, dtype=np.float64)
         for rows, cols, log_weight in _blocks(pairs, d, _BLOCK_FLOATS):
@@ -555,11 +489,10 @@ def attention_gradients(
             inner = np.einsum("rk,rk->r", grad_alpha, alpha)
             grad_scores = alpha * (grad_alpha - inner[:, None])
             col_sums += np.bincount(cols.ravel(), weights=grad_scores.ravel(), minlength=m)
-        grad_features += col_sums[:, None] * params.score_weights[head, d:][None, :]
-        grad_score_weights[head, d:] = np.einsum("m,md->d", col_sums, feats)
+        grad_features += col_sums[:, None] * params.key_weights[head][None, :]
+        grad_key_weights[head] = np.einsum("m,md->d", col_sums, feats)
     return AttentionGradients(
         features=grad_features,
-        score_weights=grad_score_weights,
-        score_bias=np.zeros_like(params.score_bias),
+        key_weights=grad_key_weights,
         output_projection=grad_projection,
     )

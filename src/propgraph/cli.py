@@ -271,10 +271,8 @@ def _cmd_attend(args) -> int:
                                                 with_params=True)
     degrees = AttentionDegrees()
     with _timed(timings_ms, "attend"):
-        refined = multi_head_attend(
-            features, params, g,
-            dense_attention=config.dense_attention, iou_bias=config.iou_bias, degrees=degrees,
-        )
+        refined = multi_head_attend(features, params, g, iou_bias=config.iou_bias,
+                                    degrees=degrees)
     with _timed(timings_ms, "write"):
         digest = pio.save_features(refined, args.output)
     _report("attend", config,

@@ -1,7 +1,7 @@
 """Pipeline configuration.
 
 One frozen dataclass carries every knob: graph construction threshold,
-pooling sizes, residual mixing, normalization mode and attention flags.
+pooling sizes, residual mixing, normalization mode and the attention bias flag.
 JSON configs mirror the field names (``lambda_`` is spelled ``lambda`` on
 disk); unknown fields are rejected.
 """
@@ -30,7 +30,6 @@ class PipelineConfig:
     lambda_: float = 1.0
     epsilon: float = 1e-8
     norm_mode: str = "moment_match"
-    dense_attention: bool = False
     iou_bias: bool = False
     per_channel: bool = False
 

@@ -3,7 +3,7 @@
 Every interchange file is UTF-8 JSON. Serialization is canonical: fixed key
 order, floats printed with 17 significant digits (lossless round-trip), and
 atomic writes (temp file + rename) so a failed run never leaves a partial
-output behind.
+output behind. A written file gets the mode open() would give it.
 
 Each float's text is exactly format(x, ".17g"). Float arrays are formatted
 whole, about 8k floats per numpy pass: finite |x| in [1e-4, 1e16) get their
@@ -21,7 +21,9 @@ Formats:
   partition  {"labels": [int|null, ...], "coarse":
               [{"feature": [...], "members": [...]}]}
   features   {"ids": [...], "features": [[...], ...]}
-  params     {"head_count", "score_weights", "score_bias", "output_projection"}
+  params     {"head_count", "key_weights", "output_projection"}; a file in the
+             earlier layout, with "score_weights" (query half, then key half)
+             and "score_bias" in place of "key_weights", loads its key half
   config     PipelineConfig fields ("lambda_" spelled "lambda")
 """
 
@@ -251,13 +253,24 @@ def dumps_canonical(value: Any) -> str:
     return _canonical_bytes(value).decode("utf-8")
 
 
+# The process umask, read once at import: reading it means setting it, which
+# must not happen while other threads create files.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+
+    The file gets the mode open() would give a new file, 0o666 less the
+    umask, not the 0o600 of ``mkstemp``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     handle, temp_path = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(handle, "wb") as stream:
             stream.write(data)
+        os.chmod(temp_path, 0o666 & ~_UMASK)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -605,8 +618,7 @@ def save_features(features: np.ndarray, path: str) -> str:
 def params_to_dict(params: AttentionParams) -> dict:
     return {
         "head_count": params.head_count,
-        "score_weights": params.score_weights,
-        "score_bias": params.score_bias,
+        "key_weights": params.key_weights,
         "output_projection": params.output_projection,
     }
 
@@ -622,22 +634,54 @@ def _number_rows(value: Any, where: str) -> list[list[float]]:
     return rows
 
 
+# The earlier params layout: each head's row holds query and key weights,
+# and each head has a bias. Scores never read the query half or the bias.
+_SCORE_FIELDS = ("score_weights", "score_bias")
+
+
+def _key_half(weights: list, bias: list) -> np.ndarray:
+    """The key half of earlier-layout ``score_weights``, once both fields pass
+    the checks that layout always had."""
+    weights, bias = np.array(weights, dtype=np.float64), np.array(bias, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] % 2 != 0 or 0 in weights.shape:
+        raise InputError(f"score_weights must have shape (heads >= 1, 2 * feature_dim >= 2), "
+                         f"got {weights.shape}")
+    if bias.shape[0] != weights.shape[0]:
+        raise InputError("score_bias length must equal the head count")
+    if not np.all(np.isfinite(weights)):
+        raise InputError("score_weights must be finite")
+    if not np.all(np.isfinite(bias)):
+        raise InputError("score_bias must be finite")
+    return weights[:, weights.shape[1] // 2:]
+
+
 def params_from_dict(data: Any, source: str = "<params>") -> AttentionParams:
+    """The params of a file in either layout, told apart by its keys: ``key_weights``,
+    or the earlier ``score_weights`` and ``score_bias``, whose key half is kept."""
     _require(isinstance(data, dict), f"{source}: top level must be an object")
-    for key in ("score_weights", "score_bias"):
-        _require(key in data, f"{source}: missing field {key!r}")
+    earlier = any(key in data for key in _SCORE_FIELDS)
+    _require(earlier != ("key_weights" in data),
+             f"{source}: params need either key_weights or score_weights and score_bias, "
+             f"{'not both' if earlier else 'found neither'}")
+    if earlier:
+        for key in _SCORE_FIELDS:
+            _require(key in data, f"{source}: missing field {key!r}")
     declared = data.get("head_count")
     _require(declared is None or type(declared) is int,
              f"{source}: head_count must be an integer, got {declared!r}")
-    weights = _number_rows(data["score_weights"], f"{source}: score_weights")
-    _require(isinstance(data["score_bias"], list), f"{source}: score_bias must be a list")
-    bias = _numbers(data["score_bias"], f"{source}: score_bias")
+    if earlier:
+        weights = _number_rows(data["score_weights"], f"{source}: score_weights")
+        _require(isinstance(data["score_bias"], list), f"{source}: score_bias must be a list")
+        bias = _numbers(data["score_bias"], f"{source}: score_bias")
+    else:
+        weights = _number_rows(data["key_weights"], f"{source}: key_weights")
     projection = data.get("output_projection")
     if projection is not None:
         projection = _number_rows(projection, f"{source}: output_projection")
     try:
-        params = AttentionParams(score_weights=weights, score_bias=bias,
-                                 output_projection=projection)
+        if earlier:
+            weights = _key_half(weights, bias)
+        params = AttentionParams(key_weights=weights, output_projection=projection)
     except InputError as exc:
         raise InputError(f"{source}: {exc}") from exc
     if declared is not None and declared != params.head_count:

@@ -273,24 +273,23 @@ def reference_attention(
     features: np.ndarray,
     params: AttentionParams,
     g: ProposalGraph,
-    dense_attention: bool = False,
     iou_bias: bool = False,
 ) -> np.ndarray:
     """``multi_head_attend`` through an M x M score matrix and mask, row by row.
 
-    Each head scores pair (i, j) by the key alone: x_j against the second
-    half of its ``score_weights`` row, plus log w_ij with the IoU bias. Each
-    row orders its attendable j in Python by the big-endian bytes of
-    x_j, then by log w_ij, softmaxes its scores in that order with an
-    ``np.sum`` denominator, adds its (k, d) contributions one after another
-    from 0.0 (for d == 1 through the kernel's own ``einsum``, whose 1-d sum
-    is unrolled), then clips to the attendable min/max. The sparse kernel
-    must give the same bits.
+    Each head scores pair (i, j) by the key alone: x_j against its
+    ``key_weights`` row, plus log w_ij with the IoU bias. Row i attends to
+    itself and its graph neighbors, ordered in Python by the big-endian
+    bytes of x_j, then by log w_ij; it softmaxes its scores in that order
+    with an ``np.sum`` denominator, adds its (k, d) contributions one after
+    another from 0.0 (for d == 1 through the kernel's own ``einsum``, whose
+    1-d sum is unrolled), then clips to the attendable min/max. The sparse
+    kernel must give the same bits.
     """
     feats = np.asarray(features, dtype=np.float64)
     m, d = feats.shape
     i, j = g.edge_index[:, 0], g.edge_index[:, 1]
-    mask = np.ones((m, m), dtype=bool) if dense_attention else np.eye(m, dtype=bool)
+    mask = np.eye(m, dtype=bool)
     mask[i, j] = True
     mask[j, i] = True
     on_edge = g.edge_weight > 0.0
@@ -301,8 +300,8 @@ def reference_attention(
         log_weight[j[on_edge], i[on_edge]] = bias
     content = [feats[node].astype(">f8").tobytes() for node in range(m)]
     head_outputs = []
-    for head in range(params.head_count):
-        right = np.einsum("md,d->m", feats, params.score_weights[head, d:])
+    for key in params.key_weights:
+        right = np.einsum("md,d->m", feats, key)
         scores = np.tile(right, (m, 1))
         if iou_bias:
             scores[i[on_edge], j[on_edge]] += bias
@@ -334,16 +333,15 @@ def finite_difference_gradients(
     g: ProposalGraph,
     upstream: np.ndarray,
     step: float = 1e-5,
-    dense_attention: bool = False,
     iou_bias: bool = False,
 ) -> AttentionGradients:
     """Central-difference gradients of <upstream, multi_head_attend(...)>."""
     feats = np.asarray(features, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
 
-    def objective(f: np.ndarray, w: np.ndarray, b: np.ndarray, proj: Optional[np.ndarray]) -> float:
-        p = AttentionParams(score_weights=w, score_bias=b, output_projection=proj)
-        out = multi_head_attend(f, p, g, dense_attention=dense_attention, iou_bias=iou_bias)
+    def objective(f: np.ndarray, w: np.ndarray, proj: Optional[np.ndarray]) -> float:
+        p = AttentionParams(key_weights=w, output_projection=proj)
+        out = multi_head_attend(f, p, g, iou_bias=iou_bias)
         return float(np.sum(upstream * out))
 
     def central(arrays: tuple, which: int) -> np.ndarray:
@@ -361,20 +359,12 @@ def finite_difference_gradients(
             flat[k] = (plus - minus) / (2.0 * step)
         return grad
 
-    w = params.score_weights.copy()
-    b = params.score_bias.copy()
     proj = params.output_projection.copy() if params.output_projection is not None else None
-    f = feats.copy()
-    arrays = (f, w, b, proj)
-    grad_features = central(arrays, 0)
-    grad_weights = central(arrays, 1)
-    grad_bias = central(arrays, 2)
-    grad_projection = central(arrays, 3) if proj is not None else None
+    arrays = (feats.copy(), params.key_weights.copy(), proj)
     return AttentionGradients(
-        features=grad_features,
-        score_weights=grad_weights,
-        score_bias=grad_bias,
-        output_projection=grad_projection,
+        features=central(arrays, 0),
+        key_weights=central(arrays, 1),
+        output_projection=central(arrays, 2) if proj is not None else None,
     )
 
 
@@ -386,8 +376,7 @@ def max_relative_error(analytic: AttentionGradients, numeric: AttentionGradients
     worst = 0.0
     for a, n in (
         (analytic.features, numeric.features),
-        (analytic.score_weights, numeric.score_weights),
-        (analytic.score_bias, numeric.score_bias),
+        (analytic.key_weights, numeric.key_weights),
         (analytic.output_projection, numeric.output_projection),
     ):
         if a is None:

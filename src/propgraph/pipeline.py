@@ -176,7 +176,6 @@ def forward(
                 augmented.features,
                 params,
                 augmented,
-                dense_attention=config.dense_attention,
                 iou_bias=config.iou_bias,
                 degrees=degrees,
             )

@@ -149,10 +149,7 @@ def normalized_laplacian(g: ProposalGraph) -> np.ndarray:
 
 def pair_coords(pairs: AttendablePairs) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every attendable pair, in pair order."""
-    m = pairs.num_nodes
-    rows = np.repeat(np.arange(m), pairs.degree)
-    cols = np.tile(np.arange(m), m) if pairs.dense else pairs.indices
-    return rows, cols
+    return np.repeat(np.arange(pairs.num_nodes), pairs.degree), pairs.indices
 
 
 def pair_matrix(pairs: AttendablePairs, values: np.ndarray, fill=0.0) -> np.ndarray:
@@ -168,8 +165,7 @@ def pair_scores(features: np.ndarray, params: AttentionParams, pairs: Attendable
 
     The IoU log-bias is left out.
     """
-    d = params.feature_dim
-    return features[pair_coords(pairs)[1]] @ params.score_weights[head, d:]
+    return features[pair_coords(pairs)[1]] @ params.key_weights[head]
 
 
 def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
@@ -181,7 +177,7 @@ def weight_matrix(pairs: AttendablePairs, scores: np.ndarray) -> np.ndarray:
     return weights
 
 
-def argsort_attendable_pairs(g: ProposalGraph, features: np.ndarray, dense_attention: bool = False,
+def argsort_attendable_pairs(g: ProposalGraph, features: np.ndarray,
                              iou_bias: bool = False) -> AttendablePairs:
     """``attention.attendable_pairs`` by one stable argsort of the keys row * M + rank[col]
     over every pair, self pairs first, then both edge directions in edge order;
@@ -203,14 +199,26 @@ def argsort_attendable_pairs(g: ProposalGraph, features: np.ndarray, dense_atten
         log_weight = np.concatenate([np.full(m, -0.0), bias, bias])
         order = order[np.lexsort((log_weight[order], key[order]))]
         log_weight = log_weight[order]
-    if dense_attention:
-        buckets = ((m, nodes),) if m else ()
-    else:
-        by_degree = np.argsort(degree, kind="stable")
-        buckets = tuple((int(k), by_degree[degree[by_degree] == k])
-                        for k in np.unique(degree))
+    by_degree = np.argsort(degree, kind="stable")
+    buckets = tuple((int(k), by_degree[degree[by_degree] == k]) for k in np.unique(degree))
     indptr = np.concatenate([[0], np.cumsum(degree)])
-    return AttendablePairs(indptr, cols[order], log_weight, dense_attention, buckets, rank)
+    return AttendablePairs(indptr, cols[order], log_weight, buckets)
+
+
+def score_layout_params(feature_dim: int, head_count: int = 1, output_dim: int | None = None,
+                        seed: int = 0) -> dict:
+    """The params document ``params init`` wrote in the earlier layout: each
+    head's query and key weights in one ``score_weights`` row, then
+    ``score_bias``, then the projection, drawn from one stream in that order."""
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(2.0 * feature_dim)
+    weights = rng.uniform(-bound, bound, size=(head_count, 2 * feature_dim))
+    bias = rng.uniform(-bound, bound, size=head_count)
+    projection = None
+    if output_dim is not None:
+        projection = rng.uniform(-bound, bound, size=(head_count * feature_dim, output_dim))
+    return {"head_count": head_count, "score_weights": weights, "score_bias": bias,
+            "output_projection": projection}
 
 
 @contextmanager

@@ -20,50 +20,47 @@ from propgraph import (
     multi_head_attend,
 )
 from propgraph import attention
+from propgraph.io import params_from_dict
 from propgraph.oracles import max_relative_error, random_connected_graph, reference_attention
 
 from conftest import (
     argsort_attendable_pairs, pair_coords, pair_matrix, pair_scores, permuted_graph,
-    shifted_row, weight_matrix,
+    score_layout_params, shifted_row, weight_matrix,
 )
 
 
-def single_head_params(weights, bias=0.0):
-    return AttentionParams(
-        score_weights=np.asarray([weights], dtype=float),
-        score_bias=np.asarray([bias], dtype=float),
-    )
+def single_head_params(keys):
+    return AttentionParams(key_weights=np.asarray([keys], dtype=float))
 
 
 class TestParams:
     def test_initialize_bounds_and_determinism(self):
         first = AttentionParams.initialize(5, head_count=3, output_dim=4, seed=42)
         second = AttentionParams.initialize(5, head_count=3, output_dim=4, seed=42)
-        assert np.array_equal(first.score_weights, second.score_weights)
+        assert np.array_equal(first.key_weights, second.key_weights)
         assert np.array_equal(first.output_projection, second.output_projection)
         bound = 1.0 / np.sqrt(10.0)
-        assert np.max(np.abs(first.score_weights)) <= bound
-        assert first.score_weights.shape == (3, 10)
+        assert np.max(np.abs(first.key_weights)) <= bound
+        assert first.key_weights.shape == (3, 5)
         assert first.output_projection.shape == (15, 4)
         assert first.output_dim == 4
+        # The stream still draws the earlier layout's query half and bias.
+        earlier = score_layout_params(5, head_count=3, output_dim=4, seed=42)
+        assert first.key_weights.tobytes() == earlier["score_weights"][:, 5:].tobytes()
+        assert first.output_projection.tobytes() == earlier["output_projection"].tobytes()
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            single_head_params([np.inf, 0.0, 0.0, 0.0])
+        with pytest.raises(InputError, match="key_weights must be finite"):
+            single_head_params([np.inf, 0.0])
 
     @pytest.mark.parametrize("projection", [None, np.zeros((0, 3))])
     def test_zero_heads_rejected(self, projection):
         with pytest.raises(InputError, match=r"heads >= 1.*got \(0, 4\)"):
-            AttentionParams(score_weights=np.zeros((0, 4)), score_bias=np.zeros(0),
-                            output_projection=projection)
+            AttentionParams(key_weights=np.zeros((0, 4)), output_projection=projection)
 
     def test_projection_shape_checked(self):
-        with pytest.raises(InputError):
-            AttentionParams(
-                score_weights=np.zeros((1, 4)),
-                score_bias=np.zeros(1),
-                output_projection=np.zeros((5, 2)),
-            )
+        with pytest.raises(InputError, match="output_projection must have 2 rows"):
+            AttentionParams(key_weights=np.zeros((1, 2)), output_projection=np.zeros((5, 2)))
 
 
 def softmax_average(scores, mask, feats):
@@ -77,35 +74,31 @@ class TestSimilarityScores:
     def test_hand_computed_pair_score(self):
         feats = np.array([[2.0, 0.0], [0.0, 3.0]])
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
-        params = single_head_params([1.0, 0.0, 0.0, 1.0])
-        # score (i, j) = x_i[0] + x_j[1]; self pairs concatenate [x_i ; x_i]
-        scores = np.array([[2.0, 5.0], [0.0, 3.0]])
+        params = single_head_params([0.0, 1.0])
+        # score (i, j) = x_j[1], self pairs included
+        scores = np.array([[0.0, 3.0], [0.0, 3.0]])
         expected = softmax_average(scores, np.ones((2, 2), dtype=bool), feats)
         assert pair_matrix(attendable_pairs(g, g.features), True, fill=False).all()
-        for dense in (False, True):
-            out = multi_head_attend(feats, params, g, dense_attention=dense)
-            assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+        out = multi_head_attend(feats, params, g)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
 
     def test_hand_computed_iou_bias(self):
         feats = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.0)], features=feats)
-        params = single_head_params([1.0, 0.0, 0.0, 1.0], bias=0.25)
-        scores = np.array([[2.25, 5.25, 3.25], [0.25, 3.25, 1.25], [1.25, 4.25, 2.25]])
+        params = single_head_params([0.0, 1.0])
+        scores = np.tile([0.0, 3.0, 1.0], (3, 1))
         log_bias = np.zeros((3, 3))
         log_bias[0, 1] = log_bias[1, 0] = np.log(0.5)  # zero-weight edge (1, 2) stays unbiased
-        for dense in (False, True):
-            pairs = attendable_pairs(g, g.features, dense_attention=dense)
-            mask = pair_matrix(pairs, True, fill=False)
-            for iou_bias in (False, True):
-                expected = softmax_average(scores + log_bias * iou_bias, mask, feats)
-                out = multi_head_attend(feats, params, g, dense_attention=dense,
-                                        iou_bias=iou_bias)
-                assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+        mask = pair_matrix(attendable_pairs(g, g.features), True, fill=False)
+        for iou_bias in (False, True):
+            expected = softmax_average(scores + log_bias * iou_bias, mask, feats)
+            out = multi_head_attend(feats, params, g, iou_bias=iou_bias)
+            assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
 
     def test_zero_parameters_give_zero_scores(self):
         feats = np.random.default_rng(0).normal(size=(4, 3))
         g = graph_from_edges(4, [(0, 1, 0.3), (2, 3, 0.4)], features=feats)
-        out = multi_head_attend(feats, single_head_params([0.0] * 6), g)
+        out = multi_head_attend(feats, single_head_params([0.0] * 3), g)
         mask = pair_matrix(attendable_pairs(g, g.features), True, fill=False)
         for i in range(4):
             assert out[i] == pytest.approx(feats[mask[i]].mean(axis=0), abs=1e-12)
@@ -116,38 +109,35 @@ class TestSimilarityScores:
         mask = pair_matrix(attendable_pairs(g, g.features), True, fill=False)
         expected = np.array([[True, True, False], [True, True, False], [False, False, True]])
         assert np.array_equal(mask, expected)
-        dense_pairs = attendable_pairs(g, g.features, dense_attention=True)
-        dense = pair_matrix(dense_pairs, True, fill=False)
-        assert dense.all()
 
     def test_dimension_mismatch_rejected(self):
         feats = np.zeros((2, 3))
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
         with pytest.raises(InputError, match="feature dim 3 does not match params dim 1"):
-            multi_head_attend(feats, single_head_params([0.0, 0.0]), g)
+            multi_head_attend(feats, single_head_params([0.0]), g)
 
 
 class TestAttend:
     def test_single_node_identity(self):
         feats = np.array([[3.0, -1.0, 2.0]])
         g = graph_from_edges(1, [], features=feats)
-        params = single_head_params([0.5, -1.0, 2.0, 0.25, 1.0, -3.0], bias=1.5)
+        params = single_head_params([0.25, 1.0, -3.0])
         assert np.array_equal(multi_head_attend(feats, params, g), feats)
 
     def test_log_three_softmax(self):
         # score (i, j) = log(3) * x_j[0]: every row weighs node 0 three times node 1
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
-        out = multi_head_attend(feats, single_head_params([0.0, 0.0, np.log(3.0), 0.0]), g)
+        out = multi_head_attend(feats, single_head_params([np.log(3.0), 0.0]), g)
         assert out[0] == pytest.approx([0.75, 0.25], abs=1e-12)
         assert out[1] == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_uniform_scores_average(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(6, 3))
-        g = graph_from_edges(6, [], features=feats)
-        out = multi_head_attend(feats, single_head_params([0.0] * 6, bias=2.5), g,
-                                dense_attention=True)
+        g = graph_from_edges(6, [(i, j, 0.5) for i in range(6) for j in range(i + 1, 6)],
+                             features=feats)
+        out = multi_head_attend(feats, single_head_params([0.0] * 3), g)
         mean = feats.mean(axis=0)
         for row in out:
             assert row == pytest.approx(mean, abs=1e-12)
@@ -157,7 +147,7 @@ class TestAttend:
         feats = np.array([[1e308, 0.0], [0.0, 0.0]])
         g = graph_from_edges(2, [(0, 1, 0.5)], features=feats)
         with pytest.raises(NumericalError, match="row 0: non-finite attention score"):
-            multi_head_attend(feats, single_head_params([0.0, 0.0, 2.0, 0.0]), g)
+            multi_head_attend(feats, single_head_params([2.0, 0.0]), g)
 
     def test_masked_row_softmax_ignores_masked_entries(self):
         scores = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -194,10 +184,6 @@ class TestAttend:
         g = random_connected_graph(rng, m, features=3)
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
         base = multi_head_attend(g.features, params, g)
-        # Every score moves: the bias is shared by all pairs.
-        moved = AttentionParams(score_weights=params.score_weights,
-                                score_bias=params.score_bias + shift)
-        assert np.max(np.abs(multi_head_attend(g.features, moved, g) - base)) <= 1e-12
         # Only the scores of row 1's twin class move.
         with shifted_row(1, shift) as twins:
             shifted = multi_head_attend(g.features, params, g)
@@ -214,13 +200,11 @@ class TestAttend:
         params = AttentionParams.initialize(3, seed=seed & 0xFFFF)
         perm = rng.permutation(m)
         permuted_g = permuted_graph(g, perm)
-        for dense in (False, True):
-            for iou_bias in (False, True):
-                base = multi_head_attend(g.features, params, g, dense_attention=dense,
+        for iou_bias in (False, True):
+            base = multi_head_attend(g.features, params, g, iou_bias=iou_bias)
+            permuted = multi_head_attend(permuted_g.features, params, permuted_g,
                                          iou_bias=iou_bias)
-                permuted = multi_head_attend(permuted_g.features, params, permuted_g,
-                                             dense_attention=dense, iou_bias=iou_bias)
-                assert np.array_equal(permuted, base[perm])
+            assert np.array_equal(permuted, base[perm])
 
 
 class TestMultiHead:
@@ -228,10 +212,7 @@ class TestMultiHead:
         rng = np.random.default_rng(4)
         g = random_connected_graph(rng, 5, features=3)
         one = AttentionParams.initialize(3, head_count=1, seed=9)
-        two = AttentionParams(
-            score_weights=np.vstack([one.score_weights, one.score_weights]),
-            score_bias=np.concatenate([one.score_bias, one.score_bias]),
-        )
+        two = AttentionParams(key_weights=np.vstack([one.key_weights, one.key_weights]))
         out = multi_head_attend(g.features, two, g)
         assert out.shape == (5, 6)
         assert np.array_equal(out[:, :3], out[:, 3:])
@@ -249,8 +230,7 @@ class TestMultiHead:
         g = random_connected_graph(rng, 4, features=3)
         with pytest.raises(InputError):
             AttentionParams(
-                score_weights=np.zeros((2, 6)),
-                score_bias=np.zeros(2),
+                key_weights=np.zeros((2, 3)),
                 output_projection=np.zeros((3, 8)),  # needs 2*3 rows
             )
         del g
@@ -263,8 +243,7 @@ class TestGradients:
         params = AttentionParams.initialize(3, head_count=2, output_dim=5, seed=2)
         grads = attention_gradients(g.features, params, g, np.zeros((4, 5)))
         assert not grads.features.any()
-        assert not grads.score_weights.any()
-        assert not grads.score_bias.any()
+        assert not grads.key_weights.any()
         assert not grads.output_projection.any()
 
     def test_single_node_identity_gradient(self):
@@ -289,18 +268,6 @@ class TestGradients:
         analytic = attention_gradients(g.features, params, g, upstream)
         numeric = finite_difference_gradients(g.features, params, g, upstream)
         assert max_relative_error(analytic, numeric) < 1e-5
-        # Scores read the key half alone: the query half and the bias get exact zeros.
-        assert np.all(analytic.score_weights[:, :d] == 0.0)
-        assert np.all(analytic.score_bias == 0.0)
-
-    def test_dense_mode_gradients_also_check(self):
-        rng = np.random.default_rng(77)
-        g = random_connected_graph(rng, 5, features=3)
-        params = AttentionParams.initialize(3, head_count=2, seed=5)
-        upstream = rng.normal(size=(5, params.output_dim))
-        analytic = attention_gradients(g.features, params, g, upstream, dense_attention=True)
-        numeric = finite_difference_gradients(g.features, params, g, upstream, dense_attention=True)
-        assert max_relative_error(analytic, numeric) < 1e-5
 
 
 class TestSparseKernel:
@@ -310,13 +277,14 @@ class TestSparseKernel:
         feats = np.array([[1.0], [5.0], [-1.0], [1.0], [2.0]])
         g = graph_from_edges(5, [(0, 3, 0.5), (1, 3, 0.0), (0, 1, 0.25)], features=feats)
         pairs = attendable_pairs(g, g.features, iou_bias=True)
-        assert pairs.rank.tolist() == [0, 2, 3, 0, 1]
+        rank = attention._content_rank(feats)
+        assert rank.tolist() == [0, 2, 3, 0, 1]
         assert pairs.indptr.tolist() == [0, 3, 6, 7, 10, 11]
         # By rank, and the equal-content nodes 0 and 3 by ascending log-weight.
         assert pairs.indices.tolist() == [3, 0, 1, 0, 3, 1, 2, 0, 3, 1, 4]
         # Without the bias any order of equal content sums to the same bits.
         plain = attendable_pairs(g, g.features)
-        assert plain.rank[plain.indices].tolist() == [0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 1]
+        assert rank[plain.indices].tolist() == [0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 1]
         assert pair_matrix(plain, True, fill=False).tolist() == pair_matrix(
             pairs, True, fill=False).tolist()
         bias = pair_matrix(pairs, pairs.log_weight, fill=np.nan)
@@ -326,26 +294,14 @@ class TestSparseKernel:
         for i, j in [(1, 3), (3, 1), (0, 0), (2, 2)]:
             assert bias[i, j] == 0.0 and np.signbit(bias[i, j])
         assert [(k, rows.tolist()) for k, rows in pairs.buckets] == [(1, [2, 4]), (3, [0, 1, 3])]
-        dense = attendable_pairs(g, g.features, dense_attention=True)
-        assert [(k, rows.tolist()) for k, rows in dense.buckets] == [(5, [0, 1, 2, 3, 4])]
-        assert dense.pair_count == 25 and attendable_pairs(g, g.features).log_weight is None
-        # Dense rows list every node by rank; with the bias each row orders
-        # the run of nodes 0 and 3 by its own log-weights.
-        (_, cols, _), = attention._blocks(dense, 1, 1 << 20)
-        assert cols.tolist() == [[0, 3, 4, 1, 2]] * 5
-        biased = attendable_pairs(g, g.features, dense_attention=True, iou_bias=True)
-        (_, cols, log_weight), = attention._blocks(biased, 1, 1 << 20)
-        assert cols.tolist() == [[3, 0, 4, 1, 2]] + [[0, 3, 4, 1, 2]] * 4
-        spread = np.where(np.isnan(bias), -0.0, bias)
-        assert log_weight.tobytes() == spread[np.arange(5)[:, None], cols].tobytes()
+        assert plain.log_weight is None
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        dense=st.booleans(),
         iou_bias=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_pairs_equal_the_argsort_construction(self, seed, dense, iou_bias):
+    def test_pairs_equal_the_argsort_construction(self, seed, iou_bias):
         # Rows drawn from a small pool repeat, some differing only in a zero's
         # sign; IoU 1.0 gives a +0.0 log-weight beside the self pairs' -0.0.
         rng = np.random.default_rng(seed)
@@ -359,8 +315,8 @@ class TestSparseKernel:
         d = int(rng.integers(1, 4))
         feats = rng.choice([-1.5, -0.0, 0.0, 0.5], size=(int(rng.integers(1, 6)), d))
         feats = feats[rng.integers(0, feats.shape[0], size=m)]
-        got = attendable_pairs(g, feats, dense_attention=dense, iou_bias=iou_bias)
-        want = argsort_attendable_pairs(g, feats, dense_attention=dense, iou_bias=iou_bias)
+        got = attendable_pairs(g, feats, iou_bias=iou_bias)
+        want = argsort_attendable_pairs(g, feats, iou_bias=iou_bias)
         assert got.indptr.tobytes() == want.indptr.tobytes()
         assert got.indices.tobytes() == want.indices.tobytes()
         assert (got.log_weight is None) == (want.log_weight is None) == (not iou_bias)
@@ -379,7 +335,6 @@ class TestSparseKernel:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        dense=st.booleans(),
         iou_bias=st.booleans(),
         heads=st.sampled_from([1, 4]),
         signed_zeros=st.booleans(),
@@ -387,11 +342,11 @@ class TestSparseKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_the_dense_reference_bitwise(
-        self, seed, dense, iou_bias, heads, signed_zeros, block_floats
+        self, seed, iou_bias, heads, signed_zeros, block_floats
     ):
         # Random density leaves isolated nodes and mixes degrees (several
         # buckets); a fifth of the edges weigh 0, which the IoU bias skips.
-        # Small blocks split buckets, and the dense bucket, across blocks.
+        # Small blocks split buckets across blocks.
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 16))
         d = int(rng.integers(1, 5))
@@ -409,26 +364,24 @@ class TestSparseKernel:
         out_dim = int(rng.integers(1, 6)) if heads > 1 else None
         params = AttentionParams.initialize(d, head_count=heads, output_dim=out_dim,
                                             seed=seed & 0xFFFF)
-        reference = reference_attention(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
+        reference = reference_attention(feats, params, g, iou_bias=iou_bias)
         # Each worker count also sets the block size, _BLOCK_FLOATS // workers.
         for workers in (1, 2, 3):
             with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
                     mock.patch.object(attention, "_worker_count", return_value=workers):
-                out = multi_head_attend(feats, params, g, dense_attention=dense,
-                                        iou_bias=iou_bias)
+                out = multi_head_attend(feats, params, g, iou_bias=iou_bias)
             assert np.array_equal(out, reference)
             assert out.tobytes() == reference.tobytes()
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        dense=st.booleans(),
         iou_bias=st.booleans(),
         heads=st.sampled_from([1, 4]),
         block_floats=st.sampled_from([1, 24, 1 << 20]),
     )
     @settings(max_examples=100, deadline=None)
     def test_permutation_equivariance_exact_with_tied_rows(
-        self, seed, dense, iou_bias, heads, block_floats
+        self, seed, iou_bias, heads, block_floats
     ):
         # Feature rows come from a pool of four over values that include both
         # zeros, so rows repeat, some differing only in a zero's sign. Nodes 0
@@ -456,23 +409,21 @@ class TestSparseKernel:
         for workers in (1, 2, 3):
             with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
                     mock.patch.object(attention, "_worker_count", return_value=workers):
-                base = multi_head_attend(feats, params, g, dense_attention=dense,
-                                         iou_bias=iou_bias)
+                base = multi_head_attend(feats, params, g, iou_bias=iou_bias)
                 permuted = multi_head_attend(permuted_g.features, params, permuted_g,
-                                             dense_attention=dense, iou_bias=iou_bias)
+                                             iou_bias=iou_bias)
             assert permuted.tobytes() == base[perm].tobytes()
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         hub=st.booleans(),
         repeated=st.booleans(),
-        dense=st.booleans(),
         iou_bias=st.booleans(),
         block_floats=st.sampled_from([1, 24, 1 << 20]),
     )
     @settings(max_examples=150, deadline=None)
     def test_twin_rows_match_the_dense_reference_bitwise(
-        self, seed, hub, repeated, dense, iou_bias, block_floats
+        self, seed, hub, repeated, iou_bias, block_floats
     ):
         # Disjoint cliques, which share node 0 as a hub when asked. Each
         # clique's edges all weigh 0 or all 0.5. Repeated rows take values
@@ -497,7 +448,7 @@ class TestSparseKernel:
         params = AttentionParams.initialize(d, head_count=heads,
                                             output_dim=2 if heads > 1 else None,
                                             seed=seed & 0xFFFF)
-        reference = reference_attention(feats, params, g, dense_attention=dense, iou_bias=iou_bias)
+        reference = reference_attention(feats, params, g, iou_bias=iou_bias)
         # With the bias no rows are shared. Without it, rows with different
         # attendable sets are never twins; without repeated rows the others
         # all are.
@@ -505,38 +456,36 @@ class TestSparseKernel:
         for i, j, _ in edges:
             attendable[i].add(j)
             attendable[j].add(i)
-        if iou_bias:
-            distinct = m
-        elif dense:
-            distinct = 1
-        else:
-            distinct = len({frozenset(row) for row in attendable})
+        distinct = m if iou_bias else len({frozenset(row) for row in attendable})
         for workers in (1, 2, 3):
             degrees = AttentionDegrees()
             with mock.patch.object(attention, "_BLOCK_FLOATS", block_floats), \
                     mock.patch.object(attention, "_worker_count", return_value=workers):
-                out = multi_head_attend(feats, params, g, dense_attention=dense,
-                                        iou_bias=iou_bias, degrees=degrees)
+                out = multi_head_attend(feats, params, g, iou_bias=iou_bias, degrees=degrees)
             assert out.tobytes() == reference.tobytes()
             assert degrees.computed_rows >= distinct
             if not repeated:
                 assert degrees.computed_rows == distinct
 
-    @given(seed=st.integers(min_value=0, max_value=2**31), dense=st.booleans(),
-           iou_bias=st.booleans())
+    @given(seed=st.integers(min_value=0, max_value=2**31), iou_bias=st.booleans())
     @settings(max_examples=50, deadline=None)
-    def test_query_half_and_bias_leave_the_bytes_unchanged(self, seed, dense, iou_bias):
+    def test_query_half_and_bias_leave_the_bytes_unchanged(self, seed, iou_bias):
+        # A params file in the earlier layout, with any query half and bias,
+        # attends like its key half alone.
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 12))
         d = int(rng.integers(1, 4))
         g = random_connected_graph(rng, m, features=d)
         params = AttentionParams.initialize(d, head_count=2, output_dim=d, seed=seed & 0xFFFF)
-        weights = params.score_weights.copy()
-        weights[:, :d] = rng.normal(scale=10.0, size=(2, d))
-        changed = AttentionParams(score_weights=weights, score_bias=rng.normal(size=2) * 10.0,
-                                  output_projection=params.output_projection)
-        base = multi_head_attend(g.features, params, g, dense_attention=dense, iou_bias=iou_bias)
-        out = multi_head_attend(g.features, changed, g, dense_attention=dense, iou_bias=iou_bias)
+        earlier = {
+            "score_weights": np.hstack([rng.normal(scale=10.0, size=(2, d)),
+                                        params.key_weights]).tolist(),
+            "score_bias": (rng.normal(size=2) * 10.0).tolist(),
+            "output_projection": params.output_projection.tolist(),
+        }
+        loaded = params_from_dict(earlier)
+        base = multi_head_attend(g.features, params, g, iou_bias=iou_bias)
+        out = multi_head_attend(g.features, loaded, g, iou_bias=iou_bias)
         assert out.tobytes() == base.tobytes()
 
     def test_computed_rows_count_the_twin_classes(self):
@@ -545,40 +494,16 @@ class TestSparseKernel:
         cliques = graph_from_edges(6, [(a + i, a + j, 0.5) for a in (0, 3)
                                        for i, j in [(0, 1), (0, 2), (1, 2)]], features=feats)
         path = graph_from_edges(6, [(i, i + 1, 0.5) for i in range(5)], features=feats)
-        for g, dense, rows in [(cliques, False, 2), (path, False, 6), (path, True, 1)]:
+        for g, rows in [(cliques, 2), (path, 6)]:
             degrees = AttentionDegrees()
-            multi_head_attend(feats, params, g, dense_attention=dense, degrees=degrees)
+            multi_head_attend(feats, params, g, degrees=degrees)
             assert degrees.computed_rows == rows
-
-    def test_dense_mode_builds_no_square_array(self):
-        import tracemalloc
-
-        rng = np.random.default_rng(11)
-        m = 1000
-        g = random_connected_graph(rng, m, features=2)
-        params = AttentionParams.initialize(2, head_count=2, output_dim=2, seed=3)
-        upstream = rng.normal(size=(m, 2))
-        for workers in (1, 2):
-            with mock.patch.object(attention, "_BLOCK_FLOATS", 1 << 14), \
-                    mock.patch.object(attention, "_worker_count", return_value=workers):
-                tracemalloc.start()
-                try:
-                    degrees = AttentionDegrees()
-                    multi_head_attend(g.features, params, g, dense_attention=True,
-                                      iou_bias=True, degrees=degrees)
-                    attention_gradients(g.features, params, g, upstream, dense_attention=True,
-                                        iou_bias=True)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert degrees.workers == workers
-            assert peak < m * m * 8 / 4
 
     def test_non_finite_score_in_another_thread_raises(self):
         # One row per block; the calling thread holds its first block until
         # the other worker has run one, whose scores get an infinity.
         g = graph_from_edges(6, [], features=np.arange(6.0)[:, None])
-        params = single_head_params([1.0, -1.0])
+        params = single_head_params([-1.0])
         softmax = attention.attention_weights
         caller = threading.get_ident()
         worker_ran = threading.Event()
@@ -606,7 +531,7 @@ class TestSparseKernel:
         # second fails to start. The first stops after its block, the caller
         # runs none, and the start failure is raised once the first is joined.
         g = graph_from_edges(6, [], features=np.arange(6.0)[:, None])
-        params = single_head_params([1.0, -1.0])
+        params = single_head_params([-1.0])
         softmax = attention.attention_weights
         start = threading.Thread.start
         caller = threading.get_ident()
@@ -640,7 +565,7 @@ class TestSparseKernel:
         # then fails inside the block generator before block 0 finishes. The
         # pull comes after block 0 was handed out, so block 0's error wins.
         g = graph_from_edges(6, [], features=np.arange(6.0)[:, None])
-        params = single_head_params([1.0, -1.0])
+        params = single_head_params([-1.0])
         softmax = attention.attention_weights
         blocks = attention._blocks
         pulled = threading.Event()
@@ -668,8 +593,7 @@ class TestSparseKernel:
         # the second row of the degree-2 bucket [0, 3].
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [1e308, 0.0], [1.0, 0.0]])
         g = graph_from_edges(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)], features=feats)
-        params = AttentionParams(score_weights=np.array([[0.0, 0, 0, 0], [0.0, 0, 2, 0]]),
-                                 score_bias=np.zeros(2))
+        params = AttentionParams(key_weights=np.array([[0.0, 0], [2.0, 0]]))
         message = "attention: head 1, row 3: non-finite attention score"
         with pytest.raises(NumericalError, match=message):
             multi_head_attend(feats, params, g)
@@ -710,29 +634,21 @@ class TestSparseKernel:
         g = random_connected_graph(rng, 9, features=3)
         params = AttentionParams.initialize(3, head_count=2, output_dim=4, seed=8)
         upstream = rng.normal(size=(9, 4))
-        for dense in (False, True):
-            whole = attention_gradients(g.features, params, g, upstream, dense_attention=dense,
-                                        iou_bias=True)
-            with mock.patch.object(attention, "_BLOCK_FLOATS", 1):
-                split = attention_gradients(g.features, params, g, upstream,
-                                            dense_attention=dense, iou_bias=True)
-            for a, b in [(whole.features, split.features),
-                         (whole.score_weights, split.score_weights),
-                         (whole.score_bias, split.score_bias),
-                         (whole.output_projection, split.output_projection)]:
-                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        whole = attention_gradients(g.features, params, g, upstream, iou_bias=True)
+        with mock.patch.object(attention, "_BLOCK_FLOATS", 1):
+            split = attention_gradients(g.features, params, g, upstream, iou_bias=True)
+        for a, b in [(whole.features, split.features),
+                     (whole.key_weights, split.key_weights),
+                     (whole.output_projection, split.output_projection)]:
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_degree_statistics_come_from_the_buckets(self):
         g = graph_from_edges(5, [(0, 3, 0.5), (1, 3, 0.0), (0, 1, 0.25)],
                              features=np.ones((5, 2)))
         params = AttentionParams.initialize(2, seed=0)
         degrees = AttentionDegrees()
-        # Three CPUs: the workers are capped at the two buckets' two blocks,
-        # and the one dense block runs inline.
+        # Three CPUs: the workers are capped at the two buckets' two blocks.
         with mock.patch.object(attention, "_worker_count", return_value=3):
             multi_head_attend(g.features, params, g, degrees=degrees)
-            assert degrees == AttentionDegrees(min_degree=1, median_degree=3.0, max_degree=3,
-                                               buckets=2, workers=2, computed_rows=5)
-            multi_head_attend(g.features, params, g, dense_attention=True, degrees=degrees)
-            assert degrees == AttentionDegrees(min_degree=5, median_degree=5.0, max_degree=5,
-                                               buckets=1, workers=1, computed_rows=1)
+        assert degrees == AttentionDegrees(min_degree=1, median_degree=3.0, max_degree=3,
+                                           buckets=2, workers=2, computed_rows=5)

@@ -51,7 +51,7 @@ from propgraph.io import (
 from propgraph.oracles import reference_augment_with_coarse, reference_gcpool
 from propgraph.synthetic import generate_proposals
 
-from conftest import document_to_dict, edge_triples, graph_to_dict, run_cli
+from conftest import document_to_dict, edge_triples, graph_to_dict, run_cli, score_layout_params
 
 
 def reference_json(value) -> str:
@@ -365,6 +365,24 @@ def _set(path, value):
     return edit
 
 
+def _drop(*keys):
+    """A params-document edit that deletes ``keys``."""
+    def edit(doc):
+        for key in keys:
+            del doc[key]
+    return edit
+
+
+def _key_layout(edit):
+    """``edit`` applied after turning an earlier-layout document into the
+    key-weights layout."""
+    def convert(doc):
+        doc["key_weights"] = [row[len(row) // 2:] for row in doc.pop("score_weights")]
+        del doc["score_bias"]
+        edit(doc)
+    return convert
+
+
 class TestParamsFiles:
     @pytest.mark.parametrize("edit, field", [
         (_set(["head_count"], "x"), "head_count"),
@@ -383,13 +401,28 @@ class TestParamsFiles:
         (_set(["score_bias"], 0.5), "score_bias"),
         (_set(["output_projection", 3, 0], False), "output_projection[3]"),
         (_set(["output_projection", 0], "row"), "output_projection[0]"),
+        # The earlier layout keeps its checks on the query half and the bias.
+        (_set(["score_weights", 0, 0], float("nan")), "score_weights must be finite"),
+        (_set(["score_bias", 1], float("inf")), "score_bias must be finite"),
+        (_set(["score_weights"], [[0.1, 0.2, 0.3]] * 2), "2 * feature_dim >= 2), got (2, 3)"),
+        (_set(["score_bias"], [0.5]), "score_bias length must equal the head count"),
+        (_drop("score_bias"), "missing field 'score_bias'"),
+        (_set(["head_count"], 3), "head_count 3 != 2 weight rows"),
+        # A file in neither layout, or in both.
+        (_drop("score_weights", "score_bias"), "key_weights or score_weights and score_bias, "
+                                               "found neither"),
+        (_set(["key_weights"], [[0.5, 0.5]] * 2), "key_weights or score_weights and "
+                                                  "score_bias, not both"),
+        (_key_layout(_set(["key_weights", 1, 0], True)), "key_weights[1]"),
+        (_key_layout(_set(["key_weights", 0, 1], float("nan"))), "key_weights must be finite"),
+        (_key_layout(_set(["key_weights"], [[0.5]] * 2)), "output_projection must have 2 rows"),
     ])
     def test_malformed_params_rejected(self, tmp_path, capsys, edit, field):
         doc = generate_proposals(1, 4, seed=0, feature_dim=2)
         save_proposals(doc, str(tmp_path / "scene.json"))
         (tmp_path / "config.json").write_text("{}")
         data = json.loads(dumps_canonical(
-            params_to_dict(AttentionParams.initialize(2, head_count=2, output_dim=2, seed=0))))
+            score_layout_params(2, head_count=2, output_dim=2, seed=0)))
         edit(data)
         # "1e400" stands for the JSON number 1e400, which json.load reads as inf.
         path = tmp_path / "params.json"
@@ -407,9 +440,34 @@ class TestParamsFiles:
         params = AttentionParams.initialize(3, head_count=2, output_dim=4, seed=1)
         save_params(params, str(tmp_path / "params.json"))
         loaded = load_params(str(tmp_path / "params.json"))
-        assert np.array_equal(loaded.score_weights, params.score_weights)
-        assert np.array_equal(loaded.score_bias, params.score_bias)
+        assert set(json.loads((tmp_path / "params.json").read_text())) == {
+            "head_count", "key_weights", "output_projection"}
+        assert np.array_equal(loaded.key_weights, params.key_weights)
         assert np.array_equal(loaded.output_projection, params.output_projection)
+
+    @pytest.mark.parametrize("config", ["{}", '{"iou_bias": true}'])
+    def test_earlier_layout_forwards_like_its_resave(self, tmp_path, capsys, config):
+        # The bytes `params init --feature-dim 4 --heads 2 --out-dim 4 --seed 3`
+        # wrote in the earlier layout.
+        earlier = str(tmp_path / "earlier.json")
+        digest = write_json(earlier, score_layout_params(4, head_count=2, output_dim=4, seed=3))
+        assert digest == "a3f4348e06794426acb58c79a4227365f0016e423ae97f1e151c30415c2a84cc"
+        resaved, initialized = str(tmp_path / "resaved.json"), str(tmp_path / "init.json")
+        save_params(load_params(earlier), resaved)
+        assert run_command(["params", "init", "--feature-dim", "4", "--heads", "2",
+                            "--out-dim", "4", "--seed", "3", "--output", initialized]) == 0
+        assert open(resaved, "rb").read() == open(initialized, "rb").read()
+        scene = str(tmp_path / "scene.json")
+        assert run_command(["gen", "--clusters", "3", "--per-cluster", "8", "--seed", "7",
+                            "--feature-dim", "4", "--output", scene]) == 0
+        (tmp_path / "config.json").write_text(config)
+        outputs = []
+        for params in (earlier, resaved):
+            outputs.append(tmp_path / f"out-{len(outputs)}.json")
+            assert run_command(["forward", "--input", scene, "--params", params,
+                                "--config", str(tmp_path / "config.json"),
+                                "--output", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 class TestConfigFiles:
@@ -449,13 +507,27 @@ class TestConfigFiles:
             load_config(path)
 
     def test_to_dict_round_trips(self):
-        config = PipelineConfig(lambda_=2.0, dense_attention=True)
+        config = PipelineConfig(lambda_=2.0, iou_bias=True)
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
-    @pytest.mark.parametrize("field", ["seed", "head_count", "eig_tol", "eig_max_sweeps"])
-    def test_removed_fields_rejected(self, field):
+    @pytest.mark.parametrize("field", ["seed", "head_count", "eig_tol", "eig_max_sweeps",
+                                       "dense_attention"])
+    def test_removed_fields_rejected(self, tmp_path, capsys, field):
         with pytest.raises(InputError, match=field):
             PipelineConfig.from_dict({field: 0})
+        scene, params, config, output = (str(tmp_path / name) for name in
+                                         ("scene.json", "params.json", "config.json", "out.json"))
+        assert run_command(["gen", "--clusters", "1", "--per-cluster", "3", "--seed", "0",
+                            "--feature-dim", "2", "--output", scene]) == 0
+        save_params(AttentionParams.initialize(2, seed=0), params)
+        (tmp_path / "config.json").write_text(json.dumps({field: False}))
+        capsys.readouterr()
+        assert run_command(["forward", "--input", scene, "--params", params, "--config", config,
+                            "--output", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: unknown config field {field!r}\n"
+        assert not os.path.exists(output)
 
     @pytest.mark.parametrize("field, value", [
         ("min_size", 2.5), ("min_part", True), ("eig_max_sweeps", "100"),
@@ -815,32 +887,42 @@ class TestCli:
         inputs = ["--input", str(tmp_path / "scene.json"),
                   "--params", str(tmp_path / "params.json"),
                   "--config", str(tmp_path / "config.json")]
+        (tmp_path / "config.json").write_text(json.dumps({"iou_thr": 0.5}))
         counts = {}
-        for dense in (False, True):
-            (tmp_path / "config.json").write_text(
-                json.dumps({"iou_thr": 0.5, "dense_attention": dense}))
-            for name, argv in {"attend": ["attend"], "forward": ["forward"],
-                               "no-gcpool": ["forward", "--no-gcpool"]}.items():
-                output = tmp_path / f"{name}-{dense}.json"
-                assert run_command(argv + inputs + ["--output", str(output)]) == 0
-                report = json.loads(capsys.readouterr().out)
-                counts[name, dense] = {key: report["counts"][key] for key in expected}
-                # the statistics stay out of the output files
-                assert set(json.loads(output.read_text())) == {"ids", "features"}
-        assert counts["attend", False] == counts["no-gcpool", False] == expected
+        for name, argv in {"attend": ["attend"], "forward": ["forward"],
+                           "no-gcpool": ["forward", "--no-gcpool"]}.items():
+            output = tmp_path / f"{name}.json"
+            assert run_command(argv + inputs + ["--output", str(output)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            counts[name] = {key: report["counts"][key] for key in expected}
+            # the statistics stay out of the output files
+            assert set(json.loads(output.read_text())) == {"ids", "features"}
+        assert counts["attend"] == counts["no-gcpool"] == expected
         # pooling adds coarse nodes, which attend to their whole part
-        pooled = counts["forward", False]
+        pooled = counts["forward"]
         assert pooled["attention_workers"] == 2
         assert pooled["attention_max_degree"] > expected["attention_max_degree"]
         assert pooled["attention_min_degree"] <= pooled["attention_median_degree"] \
             <= pooled["attention_max_degree"]
-        for name in ("attend", "no-gcpool"):
-            assert counts[name, True] == {
-                "attention_min_degree": 60, "attention_median_degree": 60.0,
-                "attention_max_degree": 60, "attention_buckets": 1,
-                # the 60 dense rows are one twin class, which runs inline
-                "attention_workers": 1, "attention_computed_rows": 1,
-            }
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_written_files_get_the_mode_open_gives(self, tmp_path, umask):
+        # The files are written through a temp file, whose own mode is 0o600.
+        commands = {
+            "scene.json": ["gen", "--clusters", "2", "--per-cluster", "6", "--seed", "1",
+                           "--feature-dim", "3"],
+            "params.json": ["params", "init", "--feature-dim", "3", "--out-dim", "3"],
+            "graph.json": ["graph", "build", "--input", "scene.json", "--iou-thr", "0.3"],
+            "parts.json": ["pool", "gcpool", "--input", "scene.json", "--config", "config.json"],
+            "out.json": ["forward", "--input", "scene.json", "--params", "params.json",
+                         "--config", "config.json"],
+        }
+        (tmp_path / "config.json").write_text("{}")
+        for output, argv in commands.items():
+            proc = run_cli(argv + ["--output", output], cwd=tmp_path,
+                           preexec_fn=lambda: os.umask(umask))
+            assert proc.returncode == 0, proc.stderr
+            assert os.stat(tmp_path / output).st_mode & 0o777 == 0o666 & ~umask
 
     def test_oracle_commands_pass(self, tmp_path):
         proc = run_cli(

@@ -36,7 +36,7 @@ def valid_documents() -> dict:
     scene["proposals"][0]["score"] = 0.5
     params = params_to_dict(AttentionParams.initialize(2, head_count=2, output_dim=2, seed=0))
     config = {"iou_thr": 0.3, "min_size": 2, "stop_ncut": 1.5, "min_part": 1, "lambda": 1.0,
-              "epsilon": 1e-8, "norm_mode": "moment_match", "dense_attention": False,
+              "epsilon": 1e-8, "norm_mode": "moment_match",
               "iou_bias": True, "per_channel": False}
     graph = graph_to_dict(graph_from_edges(
         4, [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.8), (0, 2, 0.1)]))

@@ -196,16 +196,6 @@ class TestForward:
         assert abs(result.features.mean() - features.mean()) < 1e-9
         assert abs(result.features.var() / features.var() - 1.0) < 1e-6
 
-    def test_dense_attention_changes_the_output(self):
-        rng = np.random.default_rng(7)
-        boxes = far_apart_boxes(4)
-        features = rng.normal(size=(4, 3))
-        params = AttentionParams.initialize(3, seed=5)
-        masked = forward(boxes, features, params, PipelineConfig(), use_gcpool=False)
-        dense = forward(boxes, features, params, PipelineConfig(dense_attention=True),
-                        use_gcpool=False)
-        assert not np.array_equal(masked.features, dense.features)
-
     def test_empty_input(self):
         params = AttentionParams.initialize(3, seed=0)
         result = forward(np.zeros((0, 4)), np.zeros((0, 3)), params, PipelineConfig())
@@ -233,7 +223,6 @@ class TestForward:
             PipelineConfig(iou_thr=0.0),
             PipelineConfig(min_size=10),
             PipelineConfig(stop_ncut=0.0),
-            PipelineConfig(dense_attention=True),
             PipelineConfig(norm_mode="literal"),
             PipelineConfig(iou_bias=True),
             PipelineConfig(per_channel=True),
