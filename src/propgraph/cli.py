@@ -181,7 +181,8 @@ def _cmd_graph_build(args) -> int:
         digest = pio.save_graph(g, args.output)
     config = PipelineConfig(iou_thr=args.iou_thr)
     _report("graph build", config,
-            {"proposals": document.num_proposals, "nodes": g.num_nodes, "edges": g.num_edges},
+            {"proposals": document.num_proposals, "canonical_input": document.canonical_input,
+             "nodes": g.num_nodes, "edges": g.num_edges},
             timings_ms, {args.output: digest})
     return 0
 
@@ -257,8 +258,8 @@ def _cmd_pool_gcpool(args) -> int:
     with _timed(timings_ms, "write"):
         digest = pio.write_json(args.output, pio.partition_to_dict(labeling, coarse))
     _report("pool gcpool", config,
-            {"proposals": document.num_proposals, "edges": g.num_edges,
-             "parts": labeling.part_count, "coarse": labeling.part_count,
+            {"proposals": document.num_proposals, "canonical_input": document.canonical_input,
+             "edges": g.num_edges, "parts": labeling.part_count, "coarse": labeling.part_count,
              **dataclasses.asdict(labeling.solves)},
             timings_ms, {args.output: digest})
     return 0
@@ -276,8 +277,8 @@ def _cmd_attend(args) -> int:
     with _timed(timings_ms, "write"):
         digest = pio.save_features(refined, args.output)
     _report("attend", config,
-            {"proposals": document.num_proposals, "edges": g.num_edges,
-             "heads": params.head_count, "output_dim": params.output_dim,
+            {"proposals": document.num_proposals, "canonical_input": document.canonical_input,
+             "edges": g.num_edges, "heads": params.head_count, "output_dim": params.output_dim,
              **_degree_counts(degrees)},
             timings_ms, {args.output: digest})
     return 0
@@ -300,8 +301,8 @@ def _cmd_forward(args) -> int:
     timings_ms.update(diag.timings_ms)
     labeling = diag.labeling
     _report("forward", config,
-            {"proposals": diag.node_count, "edges": diag.edge_count,
-             "components": labeling.component_count,
+            {"proposals": diag.node_count, "canonical_input": document.canonical_input,
+             "edges": diag.edge_count, "components": labeling.component_count,
              "filtered": int(np.count_nonzero(labeling.labels == -1)),
              "parts": labeling.part_count, "coarse": labeling.part_count,
              "gcpool": not args.no_gcpool, **dataclasses.asdict(labeling.solves),

@@ -9,9 +9,19 @@ Each float's text is exactly format(x, ".17g"). Float arrays are formatted
 whole, about 8k floats per numpy pass: finite |x| in [1e-4, 1e16) get their
 17 digits from an exact Dekker two-product, and every other element
 (zeros, subnormals, values outside the range, a case the exactness check
-cannot settle) goes through format() itself. The proposal loader checks
-types with one scan per field and builds boxes and features with one
-np.array call each, walking proposals one by one only to name a bad one.
+cannot settle) goes through format() itself.
+
+A proposals file in the exact layout save_proposals writes (the header as
+_encode writes it, each proposal with the first one's fields and feature
+length) is read without json.load, in chunks of whole proposals: each byte
+between numbers is checked against the layout and digits are parsed eight
+to a 64-bit word. Each number is certified equal to float() of its text by
+Clinger's exact case (below 2**53 over an exact 10**f) or by the exact
+".17g" digits of the quotient or a neighbour one ulp away; others pass the
+JSON grammar, then float(). json.load reads every other file; that loader
+checks types with one scan per field and builds boxes and features with
+one np.array call each, walking proposals one by one only to name a bad
+one. Both routes give the same document or error.
 
 Formats:
   proposals  {"image_id", "width", "height", "proposals":
@@ -37,6 +47,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from json.scanner import NUMBER_RE
 from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
@@ -328,6 +339,8 @@ class ProposalDocument:
     pixel_boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
     features: Optional[np.ndarray] = None
     scores: Optional[tuple] = None
+    # True when load_proposals read the file through the canonical-layout reader.
+    canonical_input: bool = False
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -487,6 +500,11 @@ def _walk_proposals(raw: list, source: str) -> tuple:
 
 
 def document_from_dict(data: Any, source: str = "<proposals>") -> ProposalDocument:
+    return _document(data, source)
+
+
+def _document(data: Any, source: str, columns: Optional[tuple] = None) -> ProposalDocument:
+    """``document_from_dict``; ``columns`` are the canonical reader's proposals."""
     _require(isinstance(data, dict), f"{source}: top level must be an object")
     for key in ("image_id", "width", "height", "proposals"):
         _require(key in data, f"{source}: missing field {key!r}")
@@ -494,7 +512,7 @@ def document_from_dict(data: Any, source: str = "<proposals>") -> ProposalDocume
     _require(type(width) is int and type(height) is int, f"{source}: width/height must be integers")
     raw = data["proposals"]
     _require(isinstance(raw, list), f"{source}: proposals must be a list")
-    boxes, features, scores = _proposal_columns(raw) or _walk_proposals(raw, source)
+    boxes, features, scores = columns or _proposal_columns(raw) or _walk_proposals(raw, source)
     try:
         return ProposalDocument(
             image_id=str(data["image_id"]),
@@ -503,14 +521,155 @@ def document_from_dict(data: Any, source: str = "<proposals>") -> ProposalDocume
             pixel_boxes=boxes,
             features=features,
             scores=tuple(scores) if any(s is not None for s in scores) else None,
+            canonical_input=columns is not None,
         )
     except InputError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
 
+# Text per canonical-reader pass, cut after a proposal: less costs time, more memory.
+_TEXT_CHUNK = 1 << 17
+# 1 for each byte a JSON number is made of.
+_NUMBER_BYTES = bytes(c in b"0123456789+-eE" for c in range(256))
+# A run of number bytes after ",[:" is a token (1), after "." its fraction (2), else a key's.
+_RUN_KIND = np.array([(c in b",[:") + 2 * (c == ord(".")) for c in range(256)], dtype=np.int8)
+# Column k keeps the last k bytes of a 24-byte window, as three little-endian words.
+_TAIL_MASKS = np.frombuffer(b"".join(bytes(24 - k) + b"\xff" * k for k in range(25)),
+                            dtype="<u8").reshape(25, 3).T.copy()
+
+
+def _chunk_numbers(text: bytes, pos: int, words: np.ndarray, template: np.ndarray,
+                   slots: np.ndarray) -> Optional[np.ndarray]:
+    """The numbers of ``text``: whole proposals, each followed by "," ("]" after the
+    file's last), at byte ``pos`` of the file whose 8-byte words at every offset are
+    ``words``. None unless the text is ``template`` with a JSON number in each slot."""
+    chars = np.frombuffer(text, dtype=np.uint8)
+    number = np.frombuffer(text.translate(_NUMBER_BYTES), dtype=np.bool_)
+    edges = np.flatnonzero(number[1:] != number[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    kind = np.take(_RUN_KIND, chars[starts - 1])
+    tokens = np.flatnonzero(kind == 1)
+    has_fraction = np.append(kind[1:], 0)[tokens] == 2
+    first, int_end, end = starts[tokens], ends[tokens], ends[tokens + has_fraction]
+    count = tokens.size // slots.size
+    # The text less its tokens must be the template's, with each token in a
+    # slot. A "." that joins no integer run to a fraction stays in it; a key's
+    # number letters ("feature", "score") are in it by their first byte alone.
+    skeleton = ~number
+    skeleton[starts[kind == 0]] = True
+    skeleton[int_end[has_fraction]] = False
+    expected = np.tile(template, count)
+    expected[-1:] = chars[-1]  # "," or, after the file's last proposal, "]"
+    lengths = end - first
+    if not (np.array_equal(chars[skeleton], expected)
+            and np.array_equal(first - np.cumsum(lengths) + lengths,
+                               (slots + template.size * np.arange(count)[:, None]).ravel())):
+        return None
+    # The digits, right-aligned in 24 bytes: the fraction from a window ending with
+    # the token, the integer part from it shifted one byte over the "." (an integer's
+    # window ends a byte later). A 24th digit meets the shift's zero byte and fails.
+    negative = chars[first] == ord("-")
+    int_digits = int_end - first - negative
+    frac_digits = np.where(has_fraction, end - int_end - 1, 0)
+    window = words[np.arange(-24, 0, 8)[:, None] + (pos + end + 1 - has_fraction)]
+    shifted = window << 8
+    shifted[1:] |= window[:-1] >> 56
+    low = np.take(_TAIL_MASKS, np.minimum(frac_digits, 24), axis=1)
+    both = np.take(_TAIL_MASKS, np.minimum(int_digits + frac_digits, 24), axis=1)
+    digits = (window & low) | (shifted & (both ^ low))
+    bad = (digits & 0xF0F0F0F0F0F0F0F0) ^ (both & 0x3030303030303030)
+    ok = (((bad[0] | bad[1] | bad[2]) == 0) & (int_digits >= 1)
+          & ((int_digits == 1) | (chars[first + negative] != ord("0"))))
+    # Eight digits per word at once (Lemire 2021): pairs, then fours, then eights.
+    v = digits & 0x0F0F0F0F0F0F0F0F
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+    v = (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+    ok &= v[0] < 10
+    n = np.where(ok, v[0] * 10**16 + v[1] * 10**8 + v[2], 0).astype(np.int64)
+    # Clinger (1990): n < 2**53 over an exact 10**f is one correctly rounded division.
+    certified = ok & (n < 2**53) & (frac_digits <= 22)
+    values = n / _POW10[np.minimum(frac_digits, 22)]
+    # Otherwise a double whose exact 17 ".17g" digits (as in _fill_records) are
+    # the token's digits padded to 17 is float(token), since ".17g" round-trips
+    # every double. The quotient is tried, then its neighbours one ulp away.
+    short = n < 10**16
+    target, scale = n * np.where(short, 10, 1), _POW10[np.minimum(frac_digits + short, 22)]
+    k = np.flatnonzero(ok & ~certified & (frac_digits + short <= 22))
+    for toward in (None, -np.inf, np.inf):
+        y = values[k] if toward is None else np.nextafter(values[k], toward)
+        hi, lo = _two_product(y, scale[k])
+        hit = ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (
+            hi.astype(np.int64) + np.rint(lo).astype(np.int64) == target[k])
+        values[k[hit]], certified[k[hit]], k = y[hit], True, k[~hit]
+    # An integer token reads "-0" as +0.0, as json.load's int does.
+    values = np.where(negative & (has_fraction | (n > 0)), -values, values)
+    for k in np.flatnonzero(~certified).tolist():
+        token = text[first[k]:end[k]].decode("ascii")
+        match = NUMBER_RE.fullmatch(token)
+        if match is None:
+            return None
+        try:
+            values[k] = float(token) if match.group(2) or match.group(3) else float(int(token))
+        except (OverflowError, ValueError):  # an int past the float range or the digit limit
+            return None
+    return values
+
+
+def _read_canonical(path: str) -> Optional[ProposalDocument]:
+    """The document of a file in the exact layout ``save_proposals`` writes, read in
+    chunks of whole proposals; None for any other file, which json.load then reads."""
+    if not os.path.isfile(path):  # a pipe can be read only once, so json.load reads it
+        return None
+    try:
+        with open(path, "rb") as stream:
+            data = stream.read()
+    except OSError:
+        return None
+    # The header ends where the first proposal starts; a file without one fails its check.
+    start = data.find(b'"proposals":[{"box":[') + 13 if data.startswith(b'{"image_id":') else 0
+    try:
+        # What _encode writes for the header's value, which has no repeated key.
+        header = json.loads(data[:start].decode("utf-8") + "]}")
+        if list(header) != ["image_id", "width", "height", "proposals"] or (
+                _canonical_bytes(header) != data[:start] + b"]}"):
+            return None
+    except (ValueError, InputError, RecursionError):
+        return None
+    # Every proposal must have the first one's fields and feature length.
+    box_end = data.find(b"]", start) + 1
+    feature_end = (data.find(b"]", box_end) + 1 if data.startswith(b',"feature":[', box_end)
+                   else box_end)
+    width = data.count(b",", box_end, feature_end)
+    score = data.startswith(b',"score":', feature_end)
+    gaps = ([b'{"box":['] + [b","] * 3 + [b'],"feature":['] * (width > 0) + [b","] * (width - 1)
+            + ([b'],"score":', b"},"] if score else [b"]},"]))
+    template = np.frombuffer(b"".join(gaps), dtype=np.uint8)
+    slots = np.cumsum([len(gap) for gap in gaps[:-1]])
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    parts, pos = [], start
+    while pos:
+        # Up to the "," before the first proposal past a chunk's length, or to
+        # the final "]", which must be followed by "}" and whitespace alone.
+        cut = data.find(b',{"box":[', pos + _TEXT_CHUNK) + 1
+        text = data[pos:cut] if cut else data[pos:].rstrip(b" \t\n\r")[:-1]
+        parts.append(_chunk_numbers(text, pos, words, template, slots)
+                     if cut or data.startswith(b"]}", pos + len(text) - 1) else None)
+        if parts[-1] is None:
+            return None
+        pos = cut
+    values = np.concatenate(parts).reshape(-1, slots.size)
+    return _document(header, path, (values[:, :4].copy(),
+                                    values[:, 4:4 + width].copy() if width else None,
+                                    values[:, -1].tolist() if score else []))
+
+
 def load_proposals(path: str) -> ProposalDocument:
-    """Parse and validate a proposal dump; errors carry file and field context."""
-    return document_from_dict(read_json(path), source=path)
+    """Parse and validate a proposal dump; errors carry file and field context.
+
+    ``_read_canonical`` reads a file in ``save_proposals``' layout and json.load
+    any other, with the same result."""
+    return _read_canonical(path) or document_from_dict(read_json(path), source=path)
 
 
 def save_proposals(document: ProposalDocument, path: str) -> str:

@@ -5,13 +5,16 @@ import io as stdio
 import json
 import math
 import os
+import re
 import struct
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,6 +25,7 @@ from propgraph import (
     NumericalError,
     Partition,
     PipelineConfig,
+    ProposalDocument,
     attention_gradients,
     build_graph,
     connected_components,
@@ -337,6 +341,239 @@ class TestLoader:
             io._walk_proposals(proposals, "<test>")
 
 
+def _json_route(path: str) -> ProposalDocument:
+    """The reader's oracle: the file read by json.load, as every file was before it."""
+    return document_from_dict(io.read_json(path), source=path)
+
+
+def _outcome(load, path: str):
+    """The document's fields as bytes, or the InputError's text."""
+    try:
+        doc = load(path)
+    except InputError as exc:
+        return "InputError", str(exc)
+    return (doc.image_id, doc.width, doc.height, doc.pixel_boxes.shape, doc.pixel_boxes.tobytes(),
+            None if doc.features is None else (doc.features.shape, doc.features.tobytes()),
+            None if doc.scores is None else [s if s is None else s.hex() for s in doc.scores])
+
+
+# Coordinates at the edges of the formatter's fixed-point range, subnormals,
+# integral floats, floats past 2**53 and values written with an exponent.
+_EDGE_COORDINATES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, math.nextafter(1e-4, 0), 1e-4,
+                     0.5, 3.0, 2.0**53 + 2, math.nextafter(1e16, 0), 1e16, 2.0**60, 1e19]
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(FLOAT_FAMILIES),
+    st.sampled_from(_EDGE_COORDINATES + [-v for v in _EDGE_COORDINATES]),
+    st.integers(-2**62, 2**62).map(float),
+)
+
+
+@st.composite
+def proposal_documents(draw) -> ProposalDocument:
+    width, height = draw(st.sampled_from([640, 2**60, 10**20])), draw(st.sampled_from([480, 2**60]))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        corner = [draw(st.sampled_from([v for v in _EDGE_COORDINATES if v < side])
+                       | st.floats(0, side, exclude_max=True)) for side in (width, height)]
+        boxes.append(corner + [draw(st.floats(low, side, exclude_min=True))
+                               for low, side in zip(corner, (width, height))])
+    dim = draw(st.sampled_from([None, 1, 3]))
+    features = None if dim is None else draw(hnp.arrays(np.float64, (len(boxes), dim),
+                                                         elements=_FINITE))
+    scores = draw(st.none() | st.lists(st.floats(0, 1) | st.sampled_from([-0.0, 5e-324, 1e-4]),
+                                       min_size=len(boxes), max_size=len(boxes)))
+    image_id = draw(st.text(max_size=6) | st.sampled_from(['say "hi"\\', "é 中 ", "\x00\n"]))
+    try:
+        return ProposalDocument(image_id, width, height, np.array(boxes), features,
+                                None if scores is None else tuple(scores))
+    except InputError:  # a box too thin once normalized
+        assume(False)
+
+
+def _canonical_file() -> bytes:
+    doc = generate_proposals(clusters=2, per_cluster=3, seed=1, feature_dim=3, jitter=0.2)
+    features = doc.features.copy()
+    features[:, 0] = [1e-5, -3e20, 2.0, -0.0, 2.0**53 + 2, 0.1]
+    doc = dataclasses.replace(doc, image_id='a "b" é', features=features)
+    with tempfile.TemporaryDirectory() as directory:
+        save_proposals(doc, os.path.join(directory, "scene.json"))
+        with open(os.path.join(directory, "scene.json"), "rb") as stream:
+            return stream.read()
+
+
+CANONICAL_FILE = _canonical_file()
+# The spans of its numbers after width and height.
+_NUMBER_TOKENS = [m.span() for m in re.finditer(rb"-?[0-9][0-9.eE+-]*", CANONICAL_FILE)][2:]
+# Text a JSON route accepts differently or rejects, put in place of a number.
+_BAD_NUMBERS = [b"1.", b"01", b".5", b"-", b"1e400", b"-1e400", b"1" + b"0" * 400, b"1" + b"0" * 5000,
+                b"-0", b"-0.0", b"+1", b"1E5", b"1e+5", b"0.1e1", b"1.5e", b"--1", b"1.5.5",
+                b"0.00000000000000000000001", b"0.12345678901234567890123", b"12345678901234567890",
+                b"-98765432109876543210.5", b"123456789012345678901234567890",
+                b"2.4703282292062328e-324", b"9007199254740993", b"NaN", b"true", b'"1"']
+
+
+def _in_last_proposal(old: bytes, new: bytes) -> bytes:
+    at = CANONICAL_FILE.rindex(old)
+    return CANONICAL_FILE[:at] + new + CANONICAL_FILE[at + len(old):]
+
+
+def _move_last_box_number() -> bytes:
+    """'{"box":[12,' as '{"box":12[,' in the last proposal: the same bytes
+    between the numbers, one number moved."""
+    start = CANONICAL_FILE.rindex(b'{"box":[') + 8
+    end = CANONICAL_FILE.index(b",", start)
+    return CANONICAL_FILE[:start - 1] + CANONICAL_FILE[start:end] + b"[" + CANONICAL_FILE[end:]
+
+
+def _edit_number(text: bytes, k: int, number: bytes) -> bytes:
+    start, end = _NUMBER_TOKENS[k]
+    return text[:start] + number + text[end:]
+
+
+EDITED_FILES = {
+    "as written": CANONICAL_FILE,
+    "no final newline": CANONICAL_FILE.replace(b"\n", b""),
+    "trailing whitespace": CANONICAL_FILE + b" \t\r\n",
+    "trailing text": CANONICAL_FILE.replace(b"}]}", b"}]} x"),
+    "byte order mark": b"\xef\xbb\xbf" + CANONICAL_FILE,
+    "space in the header": CANONICAL_FILE.replace(b'"width":', b'"width": '),
+    "space between proposals": CANONICAL_FILE.replace(b',{"box"', b', {"box"', 1),
+    "header key repeated first": CANONICAL_FILE.replace(b'{"image_id"', b'{"width":1,"image_id"'),
+    "header key repeated in place": CANONICAL_FILE.replace(b'"height":', b'"width":640,"height":'),
+    "longer feature key": _in_last_proposal(b'"feature"', b'"feeature"'),
+    "longer score key": _in_last_proposal(b'"score"', b'"scoree"'),
+    "number moved before its bracket": _move_last_box_number(),
+    "box key repeated": CANONICAL_FILE.replace(b'{"box":[', b'{"box":[1,2,3,4],"box":[', 1),
+    "score key renamed": CANONICAL_FILE.replace(b'"score"', b'"feature"', 1),
+    "integer score": CANONICAL_FILE.replace(b',"score":0.', b',"score":0', 1),
+    "empty proposals": CANONICAL_FILE.replace(b'"proposals":[', b'"proposals":[]}' + b" " * 40),
+    "escaped image id": CANONICAL_FILE.replace(b'"a', b'"\\u0061'),
+    "truncated tail": CANONICAL_FILE[:-30],
+    "truncated header": CANONICAL_FILE[:200],
+    **{f"number {k} as {number[:32].decode()} ({len(number)} bytes)":
+       _edit_number(CANONICAL_FILE, k, number) for number in _BAD_NUMBERS for k in (1, 5)},
+}
+
+
+class TestCanonicalReader:
+    """The canonical-layout reader gives what json.load gives, file by file."""
+
+    def check_like_the_json_route(self, data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "scene.json")
+            with open(path, "wb") as stream:
+                stream.write(data)
+            expected = _outcome(_json_route, path)
+            assert _outcome(load_proposals, path) == expected
+            err = stdio.StringIO()
+            with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+                code = run_command(["graph", "build", "--input", path, "--iou-thr", "0.3",
+                                    "--output", os.path.join(directory, "g.json")])
+            if expected[0] == "InputError":
+                assert (code, err.getvalue()) == (1, f"error: {expected[1]}\n")
+            else:
+                assert code == 0
+
+    @given(proposal_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_bit_equal(self, doc):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "scene.json")
+            save_proposals(doc, path)
+            loaded = load_proposals(path)
+            assert loaded.canonical_input
+            assert _outcome(lambda _: loaded, path) == _outcome(_json_route, path)
+        # -0.0 is written "-0", which JSON reads as the integer 0.
+        assert loaded.image_id == doc.image_id
+        assert loaded.pixel_boxes.tobytes() == (doc.pixel_boxes + 0.0).tobytes()
+        assert (loaded.features is None) == (doc.features is None)
+        if doc.features is not None:
+            assert loaded.features.tobytes() == (doc.features + 0.0).tobytes()
+        if doc.scores is not None:
+            assert np.array(loaded.scores).tobytes() == (np.array(doc.scores) + 0.0).tobytes()
+
+    def test_float_families_read_in_several_chunks(self, tmp_path, monkeypatch):
+        features = np.array(FLOAT_FAMILIES[:len(FLOAT_FAMILIES) // 8 * 8]).reshape(-1, 8)
+        doc = generate_proposals(clusters=1, per_cluster=len(features), seed=2, feature_dim=8)
+        doc = dataclasses.replace(doc, features=features)
+        path = str(tmp_path / "scene.json")
+        save_proposals(doc, path)
+        monkeypatch.setattr(io, "_TEXT_CHUNK", 4096)
+        assert os.path.getsize(path) > 40 * io._TEXT_CHUNK
+        loaded = load_proposals(path)
+        assert loaded.canonical_input
+        assert _outcome(lambda _: loaded, path) == _outcome(_json_route, path)
+        assert loaded.features.tobytes() == (features + 0.0).tobytes()
+
+    def test_writer_output_needs_no_per_token_fallback(self, tmp_path, monkeypatch):
+        class NoFallback:
+            def fullmatch(self, token):
+                raise AssertionError(f"{token} was not certified")
+
+        monkeypatch.setattr(io, "NUMBER_RE", NoFallback())
+        for seed in (0, 123):
+            doc = generate_proposals(clusters=8, per_cluster=20, seed=seed, feature_dim=16)
+            save_proposals(doc, str(tmp_path / "scene.json"))
+            assert load_proposals(str(tmp_path / "scene.json")).canonical_input
+
+    def test_commands_report_the_route_and_write_the_same_bytes(self, tmp_path, capsys):
+        doc = generate_proposals(clusters=3, per_cluster=8, seed=4, feature_dim=3, jitter=0.1)
+        save_proposals(doc, str(tmp_path / "canonical.json"))
+        text = json.dumps(json.loads((tmp_path / "canonical.json").read_text()), indent=4)
+        (tmp_path / "reformatted.json").write_text(text)
+        save_params(AttentionParams.initialize(3, seed=0), str(tmp_path / "params.json"))
+        (tmp_path / "config.json").write_text("{}")
+        for command in (["graph", "build", "--iou-thr", "0.3"],
+                        ["pool", "gcpool", "--config", str(tmp_path / "config.json")],
+                        ["attend", "--config", str(tmp_path / "config.json"),
+                         "--params", str(tmp_path / "params.json")],
+                        ["forward", "--config", str(tmp_path / "config.json"),
+                         "--params", str(tmp_path / "params.json")]):
+            outputs = {}
+            for name in ("canonical", "reformatted"):
+                output = tmp_path / f"{name}-out.json"
+                assert run_command(command + ["--input", str(tmp_path / f"{name}.json"),
+                                              "--output", str(output)]) == 0
+                report = json.loads(capsys.readouterr().out)
+                assert report["counts"]["canonical_input"] is (name == "canonical"), command
+                outputs[name] = output.read_bytes()
+            assert outputs["canonical"] == outputs["reformatted"], command
+
+    def test_a_piped_input_goes_to_json_load_which_reads_it_once(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_bytes(CANONICAL_FILE)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(io.__file__)))
+        outputs = []
+        for source, stdin in ((str(path), None), ("/dev/stdin", CANONICAL_FILE)):
+            output = tmp_path / f"out{len(outputs)}.json"
+            proc = subprocess.run([sys.executable, "-m", "propgraph", "graph", "build", "--input",
+                                   source, "--iou-thr", "0.3", "--output", str(output)],
+                                  input=stdin, capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["counts"]["canonical_input"] is (stdin is None)
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", sorted(EDITED_FILES))
+    def test_edited_files_load_or_fail_like_the_json_route(self, name):
+        self.check_like_the_json_route(EDITED_FILES[name])
+
+    @given(st.integers(0, len(CANONICAL_FILE) - 1),
+           st.sampled_from(["replace", "insert", "delete", "number", "truncate"]),
+           st.sampled_from(list(b'0123456789.-+eE,[]{}:" \n\x00\xff')) | st.integers(0, 255),
+           st.sampled_from(_BAD_NUMBERS))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files_load_or_fail_like_the_json_route(self, at, how, byte, number):
+        data = CANONICAL_FILE
+        edits = {"replace": lambda: data[:at] + bytes([byte]) + data[at + 1:],
+                 "insert": lambda: data[:at] + bytes([byte]) + data[at:],
+                 "delete": lambda: data[:at] + data[at + 1:],
+                 "number": lambda: _edit_number(data, at % len(_NUMBER_TOKENS), number),
+                 "truncate": lambda: data[:at]}
+        self.check_like_the_json_route(edits[how]())
+
+
 class TestGraphFiles:
     def test_round_trip(self, tmp_path):
         doc = generate_proposals(clusters=2, per_cluster=4, seed=1)
@@ -530,10 +767,10 @@ class TestConfigFiles:
         assert not os.path.exists(output)
 
     @pytest.mark.parametrize("field, value", [
-        ("min_size", 2.5), ("min_part", True), ("eig_max_sweeps", "100"),
-        ("iou_thr", True), ("lambda", "1"), ("eig_tol", None),
-        ("dense_attention", 1), ("iou_bias", "true"), ("per_channel", 0.0),
-        ("norm_mode", 1), ("eig_tol", float("inf")),
+        ("min_size", 2.5), ("min_part", True), ("stop_ncut", "0.5"),
+        ("iou_thr", True), ("lambda", "1"), ("epsilon", None),
+        ("min_size", 3.0), ("iou_bias", "true"), ("per_channel", 0.0),
+        ("norm_mode", 1),
     ])
     def test_mistyped_values_rejected(self, tmp_path, field, value):
         with pytest.raises(InputError, match=field):

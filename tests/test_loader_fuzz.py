@@ -5,6 +5,8 @@ applies one mutation (swap a value's type, drop a key or list item, or put
 in a number out of float range or a non-finite one), writes it and runs a
 command that loads it. Whatever the mutation, the command must exit 0 or 1
 with no exception, and a rejected run must leave no output or temp file.
+A mutated proposal document is also written in the canonical layout, which
+the proposal loader reads without json.load when the layout still holds.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propgraph import AttentionParams, graph_from_edges
+from propgraph import AttentionParams, InputError, graph_from_edges
 from propgraph.cli import run_command
 from propgraph.io import dumps_canonical, params_to_dict
 from propgraph.synthetic import generate_proposals
@@ -91,14 +93,29 @@ def commands(directory: str, name: str) -> list[list[str]]:
     return [forward, pool + output]
 
 
+def texts(name: str, document) -> list[str]:
+    """The document as json.dumps writes it and, for proposals, as save_proposals would."""
+    if name != "proposals":
+        return [json.dumps(document)]
+    try:
+        return [json.dumps(document), dumps_canonical(document)]
+    except InputError:  # a non-finite number, which has no canonical text
+        return [json.dumps(document)]
+
+
 @given(mutated())
 @settings(max_examples=300, deadline=None)
 def test_malformed_documents_exit_cleanly(case):
     name, document = case
+    for text in texts(name, document):
+        exit_cleanly(name, text)
+
+
+def exit_cleanly(name: str, text: str) -> None:
     with tempfile.TemporaryDirectory() as directory:
         for key, valid in DOCUMENTS.items():
             with open(os.path.join(directory, f"{key}.json"), "w", encoding="utf-8") as stream:
-                json.dump(document if key == name else valid, stream)
+                stream.write(text if key == name else json.dumps(valid))
         inputs = sorted(os.listdir(directory))
         for argv in commands(directory, name):
             with contextlib.redirect_stdout(io.StringIO()), \
