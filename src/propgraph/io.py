@@ -18,10 +18,10 @@ between numbers is checked against the layout and digits are parsed eight
 to a 64-bit word. Each number is certified equal to float() of its text by
 Clinger's exact case (below 2**53 over an exact 10**f) or by the exact
 ".17g" digits of the quotient or a neighbour one ulp away; others pass the
-JSON grammar, then float(). json.load reads every other file; that loader
-checks types with one scan per field and builds boxes and features with
-one np.array call each, walking proposals one by one only to name a bad
-one. Both routes give the same document or error.
+JSON grammar, then float(). json.load reads every other file, whose
+proposals are checked one by one, so an error names the first bad one;
+lists of floats alone go to the final np.array calls unconverted. Both
+routes give the same document or error.
 
 Formats:
   proposals  {"image_id", "width", "height", "proposals":
@@ -46,9 +46,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from json.scanner import NUMBER_RE
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -420,13 +419,14 @@ def _require(condition: bool, message: str) -> None:
 _NUMBER_TYPES = {int, float}
 
 
-def _all_numbers(values: Iterable) -> bool:
-    return set(map(type, values)) <= _NUMBER_TYPES
-
-
 def _numbers(values: list, where: str) -> list[float]:
-    """JSON numbers (ints or floats, not bools) as floats; anything else is an InputError."""
-    if not _all_numbers(values):
+    """JSON numbers (ints or floats, not bools) as floats; anything else is an InputError.
+
+    A list of floats alone comes back as it is, for the caller's np.array call."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return values
+    if not kinds <= _NUMBER_TYPES:
         bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
         raise InputError(f"{where} must hold numbers, got {bad!r}")
     try:
@@ -435,38 +435,9 @@ def _numbers(values: list, where: str) -> list[float]:
         raise InputError(f"{where}: number out of range") from exc
 
 
-def _proposal_columns(raw: list) -> Optional[tuple]:
-    """(boxes, features, scores) with one C-level scan per field and one array each.
-
-    None when some proposal breaks a rule or holds an int beyond the float
-    range; ``_walk_proposals`` then finds the first such proposal.
-    """
-    if not set(map(type, raw)) <= {dict}:
-        return None
-    boxes = list(map(dict.get, raw, repeat("box")))
-    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
-            and _all_numbers(chain.from_iterable(boxes))):
-        return None
-    features: Optional[list] = list(map(dict.get, raw, repeat("feature")))
-    kinds = set(map(type, features))
-    if kinds <= {type(None)}:
-        features = None
-    elif not (kinds == {list} and len(set(map(len, features))) == 1
-              and _all_numbers(chain.from_iterable(features))):
-        return None
-    scores = list(map(dict.get, raw, repeat("score")))
-    if not set(map(type, scores)) <= _NUMBER_TYPES | {type(None)}:
-        return None
-    try:
-        return (np.array(boxes, dtype=np.float64).reshape(-1, 4),
-                None if features is None else np.array(features, dtype=np.float64),
-                [None if s is None else float(s) for s in scores])
-    except OverflowError:
-        return None
-
-
 def _walk_proposals(raw: list, source: str) -> tuple:
-    """``_proposal_columns`` one proposal at a time; errors name the proposal and field."""
+    """(boxes, features, scores) of json.load's proposal list, proposal by proposal;
+    errors name the first bad proposal and its field."""
     boxes = []
     features: list | None = None
     scores = []
@@ -512,7 +483,7 @@ def _document(data: Any, source: str, columns: Optional[tuple] = None) -> Propos
     _require(type(width) is int and type(height) is int, f"{source}: width/height must be integers")
     raw = data["proposals"]
     _require(isinstance(raw, list), f"{source}: proposals must be a list")
-    boxes, features, scores = columns or _proposal_columns(raw) or _walk_proposals(raw, source)
+    boxes, features, scores = columns or _walk_proposals(raw, source)
     try:
         return ProposalDocument(
             image_id=str(data["image_id"]),
@@ -565,6 +536,9 @@ def _chunk_numbers(text: bytes, pos: int, words: np.ndarray, template: np.ndarra
             and np.array_equal(first - np.cumsum(lengths) + lengths,
                                (slots + template.size * np.arange(count)[:, None]).ravel())):
         return None
+    # Freed before the digit arrays are made, which keeps a small file's peak
+    # below json.load's.
+    del number, edges, starts, ends, kind, tokens, skeleton, expected, lengths
     # The digits, right-aligned in 24 bytes: the fraction from a window ending with
     # the token, the integer part from it shifted one byte over the "." (an integer's
     # window ends a byte later). A 24th digit meets the shift's zero byte and fails.
@@ -578,6 +552,7 @@ def _chunk_numbers(text: bytes, pos: int, words: np.ndarray, template: np.ndarra
     both = np.take(_TAIL_MASKS, np.minimum(int_digits + frac_digits, 24), axis=1)
     digits = (window & low) | (shifted & (both ^ low))
     bad = (digits & 0xF0F0F0F0F0F0F0F0) ^ (both & 0x3030303030303030)
+    del window, shifted, low, both
     ok = (((bad[0] | bad[1] | bad[2]) == 0) & (int_digits >= 1)
           & ((int_digits == 1) | (chars[first + negative] != ord("0"))))
     # Eight digits per word at once (Lemire 2021): pairs, then fours, then eights.

@@ -247,7 +247,8 @@ def reference_augment_with_coarse(
 ) -> ProposalGraph:
     """``augment_with_coarse`` through ``np.flatnonzero(labels == k)`` and one
     ``subgraph`` per part, and the checking constructor, which sorts the
-    appended edges itself."""
+    appended edges itself. A member's weights sum in ``augment_with_coarse``'s
+    order: its edges as the first endpoint, then as the second."""
     m = g.num_nodes
     if coarse.shape[0] == 0:
         return g
@@ -258,8 +259,11 @@ def reference_augment_with_coarse(
         if n <= 1:
             weights.append(np.ones(n))
             continue
-        block = subgraph(g, members).adjacency()
-        weights.append(block[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
+        part = subgraph(g, members)
+        i, j = part.edge_index[:, 0], part.edge_index[:, 1]
+        sums = np.bincount(i, part.edge_weight, minlength=n) + np.bincount(
+            j, part.edge_weight, minlength=n)
+        weights.append(sums / (n - 1))
     all_members = np.concatenate(member_lists)
     coarse_index = m + labels[all_members]
     return ProposalGraph(

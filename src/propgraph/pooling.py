@@ -9,13 +9,13 @@ summary next to the original proposals. Pooling's result is a labelling,
 an (M,) int64 array with -1 for a filtered node, and a (P, d) matrix of
 coarse features, row k for part k; ``augment_with_coarse`` takes that pair.
 
-Both ``gcpool`` and ``augment_with_coarse`` cut the graph once with
-``graph.induced_subgraphs``: one stable sort groups the edges by component
-(or by part), so each component or part is pooled from its own contiguous
-edge slice and pooling costs O(E log E) plus the per-component solves, not
-components x edges. ``propgraph.oracles`` keeps the route through one
-``oracles.subgraph`` per set as the reference that the tests hold these to,
-bit for bit.
+``gcpool`` cuts the graph once with ``graph.induced_subgraphs``: one
+stable sort groups the edges by component, so each component is pooled
+from its own contiguous edge slice and pooling costs O(E log E) plus the
+per-component solves, not components x edges. ``augment_with_coarse``
+works on the whole edge list at once. ``propgraph.oracles`` keeps the route
+through one ``oracles.subgraph`` per set as the reference that the tests
+hold these to, bit for bit.
 """
 
 from __future__ import annotations
@@ -143,21 +143,23 @@ def augment_with_coarse(g: ProposalGraph, labels: np.ndarray, coarse: np.ndarray
         raise InputError("coarse features must be finite")
     if parts == 0:
         return g
-    member_lists, weights = [], []
-    for members, part in induced_subgraphs(g, labels, parts):
-        member_lists.append(members)
-        n = members.size
-        # Members ascend, so row k of the part's dense block without its
-        # diagonal entry lists member k's weights to the other members.
-        weights.append(np.ones(n) if n <= 1 else
-                       part.adjacency()[~np.eye(n, dtype=bool)].reshape(n, n - 1).mean(axis=1))
-    all_members = np.concatenate(member_lists)
-    coarse_index = m + labels[all_members]
-    # Every coarse index exceeds every original one, so a stable sort by the
-    # first endpoint puts the new edges in lexicographic order among the old.
-    order = np.argsort(np.concatenate([g.edge_index[:, 0], all_members]), kind="stable")
+    # Each member's weights to the rest of its part, summed over the part's
+    # edges as the first endpoint, then as the second, in edge order.
+    i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+    part = labels[i]
+    intra = (part == labels[j]) & (part >= 0)
+    weight = g.edge_weight[intra]
+    sums = (np.bincount(i[intra], weight, minlength=m)
+            + np.bincount(j[intra], weight, minlength=m))
+    members = np.flatnonzero(labels >= 0)
+    others = np.bincount(labels[members], minlength=parts)[labels[members]] - 1
+    weights = np.where(others > 0, sums[members] / np.maximum(others, 1), 1.0)
+    del part, intra, weight  # freed before the inserts copy the edge arrays
+    # Every coarse index exceeds every original one, so each coarse edge goes
+    # after the edges that share its first endpoint and the list stays lexsorted.
+    at = np.searchsorted(i, members, side="right")
     return ProposalGraph._derived(
         np.concatenate([g.features, coarse]),
-        np.concatenate([g.edge_index, np.stack([all_members, coarse_index], axis=1)])[order],
-        np.concatenate([g.edge_weight, *weights])[order],
+        np.insert(g.edge_index, at, np.stack([members, m + labels[members]], axis=1), axis=0),
+        np.insert(g.edge_weight, at, weights),
     )

@@ -307,38 +307,54 @@ class TestFileBytes:
 
 
 class TestLoader:
-    def test_columns_agree_with_the_row_walk(self):
+    def test_walk_reads_ints_as_float_does(self):
         doc = generate_proposals(clusters=2, per_cluster=4, seed=3, feature_dim=3)
         data = json.loads(dumps_canonical(document_to_dict(doc)))
         proposals = data["proposals"]
-        # Ints, ints past 2**53 and 2**64, and a proposal without a score.
+        # Ints, ints past 2**53, 2**64 and 2**70, and a proposal without a score.
         proposals[0]["box"] = [0, 1, 5, 7]
         proposals[1]["feature"] = [2**53 + 1, -(2**64) - 1, 2**70]
         del proposals[2]["score"]
-        columns = io._proposal_columns(proposals)
-        walked = io._walk_proposals(proposals, "<test>")
-        assert columns is not None
-        assert np.array_equal(columns[0], walked[0]) and np.array_equal(columns[1], walked[1])
-        assert columns[1][1].tolist() == [float(2**53 + 1), float(-(2**64) - 1), float(2**70)]
-        assert columns[2] == walked[2] and columns[2][2] is None
+        boxes, features, scores = io._walk_proposals(proposals, "<test>")
+        assert boxes[0].tolist() == [0.0, 1.0, 5.0, 7.0]
+        assert features[1].tolist() == [float(2**53 + 1), float(-(2**64) - 1), float(2**70)]
+        assert scores[2] is None and scores[1] == doc.scores[1]
+        # Lists of floats alone pass through to the same bits.
+        assert boxes[1:].tobytes() == doc.pixel_boxes[1:].tobytes()
+        assert np.delete(features, 1, axis=0).tobytes() == np.delete(doc.features, 1, axis=0).tobytes()
         loaded = document_from_dict(data)
-        assert np.array_equal(loaded.features, walked[1])
+        assert loaded.pixel_boxes.tobytes() == boxes.tobytes()
+        assert loaded.features.tobytes() == features.tobytes()
+        assert loaded.scores == tuple(scores)
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: p[1].__setitem__("box", [0, 0, 5, 10**400]),
-        lambda p: p[2].__setitem__("feature", [1.0, True, 0.0]),
-        lambda p: p[0].pop("feature"),
-        lambda p: p[3].__setitem__("feature", [1.0]),
-        lambda p: p[1].__setitem__("score", "0.5"),
-        lambda p: p.__setitem__(2, [0, 0, 1, 1]),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p[1].__setitem__("box", [0, 0, 5, 10**400]),
+         r"proposals\[1\]\.box: number out of range"),
+        (lambda p: p[2].__setitem__("feature", [1.0, 10**400, 0.0]),
+         r"proposals\[2\]\.feature: number out of range"),
+        (lambda p: p[3].__setitem__("score", -(10**400)),
+         r"proposals\[3\]\.score: number out of range"),
+        (lambda p: p[2].__setitem__("feature", [1.0, True, 0.0]),
+         r"proposals\[2\]\.feature must hold numbers, got True"),
+        (lambda p: p[0].pop("feature"),
+         r"proposals\[1\]\.feature: earlier proposals had no feature"),
+        (lambda p: p[3].__setitem__("feature", [1.0]),
+         r"proposals\[3\]\.feature: dimension 1 != 3"),
+        (lambda p: p[1].__setitem__("score", "0.5"),
+         r"proposals\[1\]\.score must hold numbers, got '0\.5'"),
+        (lambda p: p.__setitem__(2, [0, 0, 1, 1]), r"proposals\[2\] must be an object"),
+        # The first bad proposal is named, so no conversion may wait for the walk's end.
+        (lambda p: (p[1]["feature"].__setitem__(0, 10**400), p[3]["box"].__setitem__(2, True)),
+         r"proposals\[1\]\.feature: number out of range"),
     ])
-    def test_columns_leave_a_bad_proposal_to_the_row_walk(self, edit):
+    def test_walk_names_the_first_bad_proposal(self, edit, message):
         doc = generate_proposals(clusters=1, per_cluster=4, seed=3, feature_dim=3)
-        proposals = json.loads(dumps_canonical(document_to_dict(doc)))["proposals"]
-        edit(proposals)
-        assert io._proposal_columns(proposals) is None
-        with pytest.raises(InputError, match=r"<test>: proposals\[\d\]"):
-            io._walk_proposals(proposals, "<test>")
+        data = json.loads(dumps_canonical(document_to_dict(doc)))
+        edit(data["proposals"])
+        with pytest.raises(InputError, match=r"^<test>: " + message):
+            io._walk_proposals(data["proposals"], "<test>")
+        with pytest.raises(InputError, match=r"^<test>: " + message):
+            document_from_dict(data, "<test>")
 
 
 def _json_route(path: str) -> ProposalDocument:

@@ -22,6 +22,7 @@ from propgraph.oracles import (
     reference_augment_with_coarse,
     reference_gcpool,
     reference_recursive_ncut,
+    subgraph,
 )
 
 from conftest import edge_triples
@@ -225,8 +226,17 @@ class TestAugment:
             member_idx = np.flatnonzero(labels == k)
             for idx in member_idx:
                 others = member_idx[member_idx != idx]
-                expected = adjacency[idx, others].mean() if others.size else 1.0
-                assert got[(int(idx), n + k)] == expected
+                if not others.size:
+                    assert got[(int(idx), n + k)] == 1.0
+                    continue
+                # In edge order: the sum over edges (idx, j > idx), plus the
+                # sum over edges (i < idx, idx); a missing edge adds 0.0.
+                after = before = 0.0
+                for other in others[others > idx]:
+                    after += adjacency[idx, other]
+                for other in others[others < idx]:
+                    before += adjacency[idx, other]
+                assert got[(int(idx), n + k)] == (after + before) / others.size
         assert len(got) == g.num_edges + n
 
 
@@ -335,8 +345,20 @@ class TestGroupedEdgeSlices:
         labels = np.array(data.draw(st.lists(st.integers(min_value=-1, max_value=parts - 1),
                                              min_size=n, max_size=n)), dtype=np.int64)
         coarse = rng.normal(size=(parts, 3))
-        assert_same_graph(augment_with_coarse(g, labels, coarse),
-                          reference_augment_with_coarse(g, labels, coarse))
+        augmented = augment_with_coarse(g, labels, coarse)
+        assert_same_graph(augmented, reference_augment_with_coarse(g, labels, coarse))
+        # Each coarse weight is its member's dense-row mean, up to rounding.
+        coarse_edge = augmented.edge_index[:, 1] >= n
+        weight = dict(zip(augmented.edge_index[coarse_edge, 0].tolist(),
+                          augmented.edge_weight[coarse_edge].tolist()))
+        for k in range(parts):
+            members = np.flatnonzero(labels == k)
+            size = members.size
+            if size > 1:
+                block = subgraph(g, members).adjacency()
+                dense = block[~np.eye(size, dtype=bool)].reshape(size, size - 1).mean(axis=1)
+                got = np.array([weight[member] for member in members.tolist()])
+                assert np.all(np.abs(got - dense) <= size * np.finfo(float).eps * dense)
 
         labeling = PseudoLabeling(labels=labels, part_count=parts, component_count=0,
                                   solves=SolveCounts())
