@@ -8,7 +8,10 @@ graph keeps IoU > 0.5: at a given seed, the benchmark's split-scene scene 0.
 0.0003 right of the last: one translation-symmetric component whose splits
 all fall back to the Jacobi eigensolver. ``1x3000`` is one tight cluster
 of 3,000 proposals: a near-clique that the edge-list lambda_2 bound keeps
-whole without building its 3,000 x 3,000 dense blocks. Every scene has
+whole without building its 3,000 x 3,000 dense blocks. ``tall400x50`` is
+400x50 plus one box over the whole image: every box then lies in one strip
+of the full image's height, so the IoU graph is swept on x alone, and the
+line beside 400x50's shows what that costs. Every scene has
 64-dim features and 4 projected attention heads. It runs in a fresh child process, once with
 graph-cut pooling and once without, so each line's ``ru_maxrss`` belongs to
 that run alone. Each line shows the CLI report's ``timings_ms``: ``load``
@@ -17,7 +20,7 @@ and ``write``, the JSON I/O share of the run, and the ``graph``, ``pool``,
 proposals, 2.45M edges, a 150 MB proposal file) runs only when named. The
 probe reports and gates nothing.
 
-Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 1x3000 400x50 chain100 loose16x60 2000x50] [--seed 123]
+Usage: PYTHONPATH=src python3 scripts/scale_probe.py [--scene 1x400 4x400 1x3000 400x50 tall400x50 chain100 loose16x60 2000x50] [--seed 123]
 """
 
 import argparse
@@ -32,7 +35,8 @@ import tempfile
 import time
 
 SCENES = {"1x400": (1, 400), "4x400": (4, 400), "1x3000": (1, 3000), "400x50": (400, 50),
-          "chain100": (1, 100), "loose16x60": (16, 60), "2000x50": (2000, 50)}
+          "chain100": (1, 100), "loose16x60": (16, 60), "2000x50": (2000, 50),
+          "tall400x50": (400, 50)}
 DEFAULT_SCENES = ["1x400", "4x400", "400x50", "chain100", "loose16x60"]
 # The loose scenes' jitter and config; every other scene has jitter 0.02 and
 # the default config.
@@ -52,8 +56,15 @@ def make_scene(scene: str, seed: int):
     clusters, per_cluster = SCENES[scene]
     if scene != "chain100":
         jitter = LOOSE[scene][0] if scene in LOOSE else 0.02
-        return generate_proposals(clusters=clusters, per_cluster=per_cluster, seed=seed,
-                                  feature_dim=FEATURE_DIM, jitter=jitter)
+        doc = generate_proposals(clusters=clusters, per_cluster=per_cluster, seed=seed,
+                                 feature_dim=FEATURE_DIM, jitter=jitter)
+        if scene != "tall400x50":
+            return doc
+        whole = [[0.0, 0.0, doc.width, doc.height]]
+        feature = np.random.default_rng(seed).normal(size=(1, FEATURE_DIM))
+        return ProposalDocument(image_id=scene, width=doc.width, height=doc.height,
+                                pixel_boxes=np.vstack([doc.pixel_boxes, whole]),
+                                features=np.vstack([doc.features, feature]))
     x1 = 3.0 * np.arange(per_cluster)
     boxes = np.stack([x1, np.zeros_like(x1), x1 + 10.0, np.full_like(x1, 10.0)], axis=1)
     features = np.random.default_rng(seed).normal(size=(per_cluster, FEATURE_DIM))

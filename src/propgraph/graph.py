@@ -15,21 +15,24 @@ one of the edges, so each group's members and internal edges are one
 contiguous slice. ``propgraph.oracles.subgraph`` masks every edge of the
 graph instead, so calling it once per group would cost groups x edges.
 
-``build_graph`` finds overlapping boxes by sort-and-sweep over x1 and tests
-only those candidate pairs, in fixed-size chunks, so its memory is
-O(chunk + edges), never O(M^2). The sweep works on the boxes' x1-sorted
-positions and maps only overlapping pairs back to proposal indices. Its
-edges come out once each with i < j, so ``build_graph`` orders them by one
-sort of the keys i * M + j and returns through ``ProposalGraph._derived``;
-graph files and every other caller keep the checking constructor. A graph
-past ``_EDGE_LIMIT`` edges is an ``InputError``, raised before its edge
-arrays are assembled.
+``build_graph`` finds overlapping boxes by sort-and-sweep and tests only
+those candidate pairs, in fixed-size chunks, so its memory is O(chunk +
+edges), never O(M^2). It sweeps either all boxes on x, or each horizontal
+strip of the image on x (``_strip_route``), whichever has fewer candidate
+pairs; both counts are exact and cheap, so the choice is made before any
+pair is expanded. Boxes that overlap in x but lie far apart in y cost the
+x sweep a candidate each and the strip sweep none. Both routes yield each
+overlapping pair once, with weights bit-identical to the scalar reference,
+so ``build_graph`` orders the edges by one sort of the keys i * M + j and
+returns through ``ProposalGraph._derived``; graph files and every other
+caller keep the checking constructor. A graph past ``_EDGE_LIMIT`` edges is
+an ``InputError``, raised before its edge arrays are assembled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,15 +42,17 @@ from .geometry import first_invalid_box
 _EMPTY_EDGES = np.zeros((0, 2), dtype=np.int64)
 _EMPTY_WEIGHTS = np.zeros(0, dtype=np.float64)
 # Candidate pairs per chunk of the sweep (512 KB per int64 or float64 array),
-# which bounds the build's working memory whatever the overlap. On a Xeon
-# with 2 MB of L2 per core, 5,000 proposals built in 0.11 s at this size,
-# 0.12 s at 2**17 and 0.17 s at 2**20.
+# which bounds the build's working memory whatever the overlap. On 2 shared
+# vCPUs of a Xeon with 2 MB of L2 per core, 20,000 proposals in 400 clusters
+# of 50 built in 55 ms at 2**14, 56 ms at this size, 64 ms at 2**18 and 73 ms
+# at 2**20; one cluster of 3,000 in 0.44, 0.46, 0.54 and 0.62 s.
 _CHUNK_PAIRS = 1 << 16
-# Most IoU edges a graph may have. At the limit the build peaks at about 86 B
-# per edge (1.4 GB: the chunk arrays, their concatenation and the sorted
-# copies ProposalGraph makes) and keeps 24 B per edge (index pair and weight,
-# 0.4 GB). Attention's CSR of both edge directions then takes 64 B per edge
-# more while it is built (1.1 GB; 90 B and 1.5 GB with the IoU bias).
+# Most IoU edges a graph may have. At the limit the build peaks at about 32 B
+# per edge beyond the chunks (0.5 GB: four 8-byte arrays, such as the keys,
+# the sort order and the weights, while the edges are put in order) and keeps
+# 24 B per edge (index pair and weight, 0.4 GB). Attention's CSR of both edge
+# directions then takes 64 B per edge more while it is built (1.1 GB; 90 B and
+# 1.5 GB with the IoU bias).
 _EDGE_LIMIT = 1 << 24
 
 
@@ -149,36 +154,107 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     shift = max(keys.size - 1, 1).bit_length()
     if max(bound - 1, 1).bit_length() + shift > 63:
         return np.argsort(keys, kind="stable")
-    packed = (keys << shift) | np.arange(keys.size)
+    packed = keys << shift
+    packed |= np.arange(keys.size)
     packed.sort()
-    return packed & ((1 << shift) - 1)
+    packed &= (1 << shift) - 1
+    return packed
 
 
-def _candidate_chunks(x1: np.ndarray, x2: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair of boxes whose x-extents overlap, as (p, q) position arrays per chunk.
+def _candidate_chunks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair of intervals [lo, hi) that overlap, as (p, q) position arrays per chunk.
 
-    Sort-and-sweep broad phase (Baraff 1992; Cohen et al. 1995): ``x1`` and
-    ``x2`` hold the boxes in sweep order, ascending x1. The boxes that
-    overlap box p in x and come after it are the run p + 1 .. end_p - 1 of
-    boxes whose x1 lies strictly below p's x2, so every pair has p < q. The
+    Sort-and-sweep broad phase (Baraff 1992; Cohen et al. 1995): ``lo`` and
+    ``hi`` hold the intervals in sweep order, ascending ``lo``. The intervals
+    that overlap interval p and come after it are the run p + 1 .. end_p - 1
+    whose ``lo`` lies strictly below p's ``hi``, so every pair has p < q. The
     runs are cut into chunks of ``_CHUNK_PAIRS`` pairs, splitting a run where
-    a boundary falls inside it, so M boxes that all overlap in x cost O(M^2)
+    a boundary falls inside it, so M intervals that all overlap cost O(M^2)
     time but only O(chunk) memory. Each chunk expands the runs it covers
     with one ``np.repeat``.
     """
-    ends = np.searchsorted(x1, x2, side="left")
-    counts = ends - np.arange(1, x1.size + 1)
+    ends = np.searchsorted(lo, hi, side="left")
+    counts = ends - np.arange(1, lo.size + 1)
     stops = np.cumsum(counts)
     firsts = stops - counts
     total = int(stops[-1]) if stops.size else 0
-    for lo in range(0, total, _CHUNK_PAIRS):
-        hi = min(lo + _CHUNK_PAIRS, total)
-        # The runs of boxes first .. last cover pairs lo .. hi - 1.
-        first, last = np.searchsorted(stops, [lo, hi - 1], side="right")
+    for start in range(0, total, _CHUNK_PAIRS):
+        stop = min(start + _CHUNK_PAIRS, total)
+        # The runs of intervals first .. last cover pairs start .. stop - 1.
+        first, last = np.searchsorted(stops, [start, stop - 1], side="right")
         runs = np.arange(first, last + 1)
-        p = np.repeat(runs, np.minimum(stops[runs], hi) - np.maximum(firsts[runs], lo))
-        k = np.arange(lo, hi, dtype=np.int64)
+        p = np.repeat(runs, np.minimum(stops[runs], stop) - np.maximum(firsts[runs], start))
+        k = np.arange(start, stop, dtype=np.int64)
         yield p, p + 1 + (k - firsts[p])
+
+
+def _candidate_count(lo: np.ndarray, hi: np.ndarray) -> int:
+    """The number of pairs ``_candidate_chunks(lo, hi)`` yields, without expanding them."""
+    n = lo.size
+    return int(np.searchsorted(lo, hi, side="left").sum()) - n * (n + 1) // 2
+
+
+# A broad phase to sweep: (boxes, lo, hi, first). Entry k of the sweep is
+# box boxes[k] with the interval [lo[k], hi[k]). Where ``first`` is not None,
+# a candidate pair is kept only if it marks one of the pair's two entries.
+_Route = tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
+def _x_route(xyxy: np.ndarray) -> _Route:
+    """All boxes swept in x1 order.
+
+    Entry k is the box at position k of the stable x1 order, and its run
+    ends at the first position whose x1 is not below its x2.
+    """
+    boxes = np.argsort(xyxy[:, 0], kind="stable")
+    ends = np.searchsorted(xyxy[boxes, 0], xyxy[boxes, 2], side="left")
+    return boxes, np.arange(boxes.size), ends, None
+
+
+def _strip_route(xyxy: np.ndarray, x_route: _Route) -> Optional[_Route]:
+    """The boxes swept strip by strip, or None where h is too small to cut by.
+
+    The reference-point method of Dittrich & Seeger (2000): horizontal
+    strips of height h, the largest box height, and each pair is tested only
+    in the strip of floor(max(y1_p, y1_q) / h), the first strip of one of its
+    boxes, which ``first`` marks. floor(fl(y / h)) is monotone in y, so that
+    strip lies in both boxes' ranges floor(y1 / h) .. floor(y2 / h) whenever
+    they overlap in y, and each pair is found once. A box goes only into the
+    strips of its range that are some box's first. An entry's interval is
+    its strip's rank * M plus the x route's, so each strip is swept on x in
+    x1 order and no pair spans two strips. Where h <= 2**-52, so 1 / h >=
+    2**52, floor(y / h) might not fit an int64.
+    """
+    boxes, _, ends, _ = x_route
+    m = boxes.size
+    y1, y2 = xyxy[boxes, 1], xyxy[boxes, 3]
+    h = (y2 - y1).max(initial=0.0)
+    if h <= 2.0 ** -52:
+        return None
+    s0 = np.floor(y1 / h).astype(np.int64)
+    strips = np.unique(s0)
+    first = np.searchsorted(strips, s0)
+    spans = np.searchsorted(strips, np.floor(y2 / h).astype(np.int64), side="right") - first
+    position = np.repeat(np.arange(m), spans)
+    offset = np.arange(position.size) - np.repeat(np.cumsum(spans) - spans, spans)
+    lo = (first[position] + offset) * m + position
+    lo.sort()
+    strip, position = np.divmod(lo, m)
+    return boxes[position], lo, strip * m + ends[position], strip == first[position]
+
+
+def _sweep_route(xyxy: np.ndarray) -> _Route:
+    """The strip route where it has fewer candidate pairs than the x route, else the x route.
+
+    Both counts are exact and taken before any pair is expanded. One box as
+    tall as the image puts every box in one strip, and the counts tie.
+    """
+    x_route = _x_route(xyxy)
+    strip_route = _strip_route(xyxy, x_route)
+    if strip_route is not None and (_candidate_count(*strip_route[1:3])
+                                    < _candidate_count(*x_route[1:3])):
+        return strip_route
+    return x_route
 
 
 def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -186,22 +262,25 @@ def _overlap_chunks(xyxy: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, 
 
     Computes iw, ih, their product and the union in the order the scalar
     reference ``iou`` in tests/conftest.py does, so every weight is
-    bit-identical to it. The sweep runs on a copy of the boxes in x1 order
-    and maps only the pairs that overlap back to proposal indices. A
-    candidate pair (p, q) has x1_p <= x1_q < x2_p and x1_q < x2_q, so it
-    always overlaps in x, with iw = min(x2_p, x2_q) - x1_q > 0; most
-    candidates fail on y.
+    bit-identical to it. The sweep runs on a copy of the boxes of its route's
+    entries, in sweep order, and maps only the kept pairs back to proposal
+    indices. A candidate pair (p, q) comes in x1 order, with x1_p <= x1_q <
+    x2_p and x1_q < x2_q, so it always overlaps in x, with iw = min(x2_p,
+    x2_q) - x1_q > 0; it is kept if it overlaps in y and, on the strip
+    route, lies in its reference strip.
     """
-    order = np.argsort(xyxy[:, 0], kind="stable")
-    x1, y1, x2, y2 = np.ascontiguousarray(xyxy[order].T)
+    boxes, lo, hi, first = _sweep_route(xyxy)
+    x1, y1, x2, y2 = np.ascontiguousarray(xyxy[boxes].T)
     area = (x2 - x1) * (y2 - y1)
-    for p, q in _candidate_chunks(x1, x2):
+    for p, q in _candidate_chunks(lo, hi):
         ih = np.minimum(y2[p], y2[q]) - np.maximum(y1[p], y1[q])
         overlap = ih > 0.0
+        if first is not None:
+            overlap &= first[p] | first[q]
         p, q, ih = p[overlap], q[overlap], ih[overlap]
         inter = (np.minimum(x2[p], x2[q]) - x1[q]) * ih
         union = area[p] + area[q] - inter
-        a, b = order[p], order[q]
+        a, b = boxes[p], boxes[q]
         yield np.minimum(a, b), np.maximum(a, b), inter / union
 
 
@@ -239,7 +318,7 @@ def build_graph(
         raise InputError(f"expected {m} feature rows, got shape {feats.shape}")
     if not np.all(np.isfinite(feats)):
         raise InputError("node features must be finite")
-    firsts, seconds, weights = [_EMPTY_EDGES[:, 0]], [_EMPTY_EDGES[:, 1]], [_EMPTY_WEIGHTS]
+    keys, weights = [_EMPTY_EDGES[:, 0]], [_EMPTY_WEIGHTS]
     kept = 0
     for i, j, w in _overlap_chunks(xyxy):
         hit = w > iou_thr
@@ -249,16 +328,21 @@ def build_graph(
                 f"{m} proposals reached {kept} IoU edges at iou_thr {iou_thr}, "
                 f"over the limit of {_EDGE_LIMIT} edges"
             )
-        firsts.append(i[hit])
-        seconds.append(j[hit])
+        keys.append(i[hit] * m + j[hit])
         weights.append(w[hit])
-    # Keying and gathering the two endpoint columns apart beats gathering
-    # rows of one (E, 2) array: 8.0 against 11.7 ms for 122,500 edges.
-    i, j = np.concatenate(firsts), np.concatenate(seconds)
-    order = _stable_argsort(i * m + j, m * m)
-    return ProposalGraph._derived(
-        feats, np.stack([i[order], j[order]], axis=1), np.concatenate(weights)[order]
-    )
+    # Each unsorted copy is freed before the next full-size array is made,
+    # so at most four 8-byte-per-edge arrays are alive at once.
+    key = np.concatenate(keys)
+    del keys
+    order = _stable_argsort(key, m * m)
+    key = key[order]
+    weight = np.concatenate(weights)
+    del weights
+    weight = weight[order]
+    del order
+    edges = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, m, out=(edges[:, 0], edges[:, 1]))
+    return ProposalGraph._derived(feats, edges, weight)
 
 
 def connected_components(g: ProposalGraph) -> ComponentLabeling:

@@ -140,23 +140,38 @@ _CHUNK = 8192
 _POW10 = 10.0 ** np.arange(23)
 # Veltkamp's splitter for float64: 2**27 + 1.
 _SPLIT = 134217729.0
+_FOUR_DIGITS = np.arange(10000, dtype=np.uint16)
 # "%04d" of 0..9999 as uint32 words, whose little-endian bytes are the text.
-_DIGIT_WORDS = np.frombuffer(b"".join(b"%04d" % k for k in range(10000)), dtype="<u4")
+_DIGIT_WORDS = np.stack([_FOUR_DIGITS // 10**p % 10 + ord("0") for p in (3, 2, 1, 0)],
+                        axis=1).astype(np.uint8).view("<u4").ravel()
 _TOP_WORDS = np.frombuffer(b"".join(b"\xff\xff\xff%d" % k for k in range(10)), dtype="<u4")
-_TRAILING_ZEROS = np.array([4] + [len(s) - len(s.rstrip("0")) for s in
-                                  ("%04d" % k for k in range(1, 10000))], dtype=np.int64)
+# The trailing zeros of "%04d" of 0..9999.
+_TRAILING_ZEROS = sum((_FOUR_DIGITS % 10**p == 0).astype(np.int64) for p in (1, 2, 3, 4))
 
 
-def _digit_mask(pad: bytes, first: int, last: int) -> bytes:
-    """24 mask bytes keeping digits first..last, with ``pad`` right before them."""
-    return pad.rjust(7, b"\0") + bytes(255 if first <= j <= last else 0 for j in range(17))
+def _mask_records() -> np.ndarray:
+    """The 680 records of two 24-byte masks, indexed by (E + 4) * 34 + 17 * sign + last.
+
+    Each mask is 7 pad bytes, right-aligned, then one byte per digit: 255
+    keeps it. The first keeps digits 0..E after the sign and, for E < 0,
+    "0.000"[:1 - E]; the second keeps digits max(E + 1, 0)..last, after a
+    "." when last > E >= 0.
+    """
+    e = np.arange(-4, 16).reshape(-1, 1, 1, 1)
+    last = np.arange(17).reshape(-1, 1)
+    digit = np.arange(17)
+    masks = np.zeros((20, 2, 17, 2, 24), dtype=np.uint8)
+    for exponent in range(-4, 16):
+        for negative in (0, 1):
+            pad = b"-" * negative + (b"0.000"[:1 - exponent] if exponent < 0 else b"")
+            masks[exponent + 4, negative, :, 0, :7] = list(pad.rjust(7, b"\0"))
+    masks[..., 0, 7:] = 255 * (digit <= e)
+    masks[..., 1, 7:] = 255 * ((digit >= np.maximum(e + 1, 0)) & (digit <= last))
+    masks[..., 1, 6] = ord(".") * ((last > e) & (e >= 0))[..., 0]
+    return masks.reshape(-1, 48).view("<u8")
 
 
-_MASKS = np.frombuffer(b"".join(
-    _digit_mask(b"-" * negative + (b"0.000"[:1 - e] if e < 0 else b""), 0, e)
-    + _digit_mask(b"." if last > e >= 0 else b"", max(e + 1, 0), last)
-    for e in range(-4, 16) for negative in (0, 1) for last in range(17)
-), dtype="<u8").reshape(-1, 6)
+_MASKS = _mask_records()
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -155,13 +155,16 @@ def forward(
     timings_ms: dict[str, float] = {}
     with _timed(timings_ms, "graph"):
         g = build_graph(boxes, feats, config.iou_thr)
-    m = g.num_nodes
+    m, edge_count = g.num_nodes, g.num_edges
     with _timed(timings_ms, "pool"):
         if use_gcpool:
             labeling, coarse = gcpool(
                 g, min_size=config.min_size, stop_ncut=config.stop_ncut, min_part=config.min_part
             )
             augmented = augment_with_coarse(g, labeling.labels, coarse)
+            # Attention reads only the augmented copy; holding both edge
+            # lists through it would add the graph's size to the peak.
+            del g
         else:
             labeling = PseudoLabeling(labels=np.empty(0, dtype=np.int64), part_count=0,
                                       component_count=connected_components(g).count,
@@ -193,7 +196,7 @@ def forward(
             per_channel=config.per_channel,
         )
     diagnostics = PipelineDiagnostics(
-        node_count=m, edge_count=g.num_edges, labeling=labeling, attention=degrees,
+        node_count=m, edge_count=edge_count, labeling=labeling, attention=degrees,
         timings_ms=timings_ms,
     )
     return RefinedProposals(features=output, diagnostics=diagnostics)

@@ -179,6 +179,27 @@ class TestCanonicalJson:
         assert dumps_canonical(np.zeros((0, 3))) == "[]"
         assert dumps_canonical(np.zeros(0)) == "[]"
 
+    def test_formatter_tables_equal_their_byte_level_definitions(self):
+        def digit_mask(pad, first, last):
+            return pad.rjust(7, b"\0") + bytes(255 if first <= j <= last else 0 for j in range(17))
+
+        expected = {
+            "_DIGIT_WORDS": np.frombuffer(b"".join(b"%04d" % k for k in range(10000)),
+                                          dtype="<u4"),
+            "_TRAILING_ZEROS": np.array([4] + [len(s) - len(s.rstrip("0")) for s in
+                                               ("%04d" % k for k in range(1, 10000))],
+                                        dtype=np.int64),
+            "_MASKS": np.frombuffer(b"".join(
+                digit_mask(b"-" * negative + (b"0.000"[:1 - e] if e < 0 else b""), 0, e)
+                + digit_mask(b"." if last > e >= 0 else b"", max(e + 1, 0), last)
+                for e in range(-4, 16) for negative in (0, 1) for last in range(17)
+            ), dtype="<u8").reshape(-1, 6),
+        }
+        for name, want in expected.items():
+            got = getattr(io, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(3,), (2, 3)])
     def test_non_finite_array_rejected(self, bad, shape):

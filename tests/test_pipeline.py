@@ -1,4 +1,5 @@
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from propgraph import (
     generate_proposals,
     identical_normalize,
 )
-from propgraph import geometry, graph, io, oracles, spectral
+from propgraph import attention, geometry, graph, io, oracles, pipeline, spectral
 
 
 def far_apart_boxes(count):
@@ -157,6 +158,28 @@ class TestForward:
         assert labeling.component_count == 2
         assert labeling.part_count == 2
         assert labeling.labels.tolist() == [0, 0, 0, 1, 1, 1]
+
+    def test_pooled_attention_runs_after_the_graph_is_freed(self, monkeypatch):
+        # Attention reads the augmented copy; the built graph's edges are gone.
+        built, freed = [], []
+
+        def build(*args):
+            g = graph.build_graph(*args)
+            built.append(weakref.ref(g.edge_index))
+            return g
+
+        def attend(*args, **kwargs):
+            freed.append(built[0]() is None)
+            return attention.multi_head_attend(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_graph", build)
+        monkeypatch.setattr(pipeline, "multi_head_attend", attend)
+        rng = np.random.default_rng(4)
+        result = forward(two_box_clusters(), rng.normal(size=(6, 4)),
+                         AttentionParams.initialize(4, seed=2), PipelineConfig())
+        assert result.diagnostics.labeling.part_count == 2
+        assert result.diagnostics.edge_count == 6
+        assert freed == [True]
 
     @pytest.mark.parametrize("use_gcpool", [True, False])
     def test_diagnostics_time_every_stage(self, use_gcpool):
